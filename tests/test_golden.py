@@ -1,0 +1,53 @@
+"""Frozen records output of `homology` and `inert`, compared byte for byte.
+
+Each case's `--format records` output is pinned in tests/golden/ as
+`<command>-<input>.records`.  The files change only with an intended change
+of printed output.  Regenerate them with:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from lietop import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+CRITERION6 = str(GOLDEN / "criterion6.lt")
+
+# (record file stem, CLI arguments); the built-in examples run at their
+# default windows, and lemaire28's default (4,2) is the window with witnesses
+CASES = [
+    (f"{command}-{name}", [command, "--file", name])
+    for command in ("homology", "inert")
+    for name in cli.BUILTIN_EXAMPLES
+    if (command, name) != ("inert", "wedge-circles")
+] + [
+    (f"{command}-criterion6", [command, "--file", CRITERION6, "--window", "4", "3"])
+    for command in ("homology", "inert")
+]
+
+
+def records(argv: list[str]) -> bytes:
+    code, out = cli.run([*argv, "--format", "records"])
+    assert code == 0
+    # the input path differs between checkouts; pin only its file name
+    return out.replace(CRITERION6, "criterion6.lt").encode()
+
+
+@pytest.mark.parametrize("stem, argv", CASES, ids=[stem for stem, _ in CASES])
+def test_golden_records(stem, argv):
+    assert records(argv) == (GOLDEN / f"{stem}.records").read_bytes()
+
+
+def test_golden_inert_without_cells_exits_2(capsys):
+    assert cli.main(["inert", "--file", "wedge-circles", "--format", "records"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cell directive" in captured.err
+
+
+if __name__ == "__main__":
+    for stem, argv in CASES:
+        (GOLDEN / f"{stem}.records").write_bytes(records(argv))
