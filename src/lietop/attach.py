@@ -14,6 +14,12 @@ The tests are independent:
 Truncated inertness is only ever reported as "inert-up-to-window"; not-inert
 requires a witness in a degree whose homology dimension has stabilized, or a
 linear dependency among the target classes (inert maps have independent ones).
+
+The verdicts read the boundary-space echelons that the homology tables'
+chain complexes already hold, growing copies of them, and work on the
+tables' representatives as coordinate vectors.  Base classes enter the
+attached complex by re-indexing bracket trees, with no tensor round trip;
+only witnesses are built as Lie elements.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .freelie import (
     bracket,
     generator_element,
 )
-from .qlinalg import Echelon, Vector
+from .qlinalg import Echelon
 
 INERT_UP_TO_WINDOW = "inert-up-to-window"
 NOT_INERT = "not-inert"
@@ -91,24 +97,6 @@ def attach_cells(base: DglPresentation, amap: AttachingMap) -> DglPresentation:
     return DglPresentation(gens, diff, window, validate_d_squared=False)
 
 
-def _image_echelons(table: HomologyTable) -> dict[int, Echelon]:
-    """Per-degree echelons of the boundary space, ready to grow."""
-    out: dict[int, Echelon] = {}
-    cx = table.complex
-    for d in table.degrees:
-        ech = Echelon(cx.dim(d))
-        bnd = cx.boundary(d + 1)
-        cols: dict[int, Vector] = {}
-        for (i, j), c in bnd.entries.items():
-            cols.setdefault(j, {})[i] = c
-        for j in range(bnd.cols):
-            v = cols.get(j)
-            if v:
-                ech.insert(v)
-        out[d] = ech
-    return out
-
-
 def targets_injective(base_table: HomologyTable, amap: AttachingMap) -> bool:
     """Whether the cell-target classes are linearly independent in H(base).
 
@@ -116,7 +104,7 @@ def targets_injective(base_table: HomologyTable, amap: AttachingMap) -> bool:
     degree beyond it) are skipped: their classes cannot be assessed here.
     A genuinely zero target always fails.
     """
-    echelons = _image_echelons(base_table)
+    echelons: dict[int, Echelon] = {}
     cx = base_table.complex
     for name, target in amap.cells:
         if target.value.is_zero():
@@ -125,10 +113,11 @@ def targets_injective(base_table: HomologyTable, amap: AttachingMap) -> bool:
         if t.is_zero():
             continue
         d = t.degree()
-        if d not in echelons:
+        if d not in base_table.dims:
             continue
-        vec = cx.coordinates(t, d)
-        if not echelons[d].insert(vec):
+        if d not in echelons:
+            echelons[d] = cx.image(d).copy()
+        if not echelons[d].insert(cx.coordinates(t, d)):
             return False
     return True
 
@@ -146,28 +135,24 @@ def surjectivity_verdict(
     """
     window = att_table.window
     cx_att = att_table.complex
-    hit = _image_echelons(att_table)
-    boundary_only = _image_echelons(att_table)
-    for d, reps in base_table.representatives.items():
-        if d not in hit:
-            continue
-        for rep in reps:
-            t = rep.value.rewindow(window)
-            hit[d].insert(cx_att.coordinates(t, d))
     failing: list[tuple[int, LieElement]] = []
     for d in att_table.degrees:
         if att_table.dims[d] == 0:
             continue
-        for rep in att_table.representatives[d]:
-            vec = cx_att.coordinates(rep.value, d)
-            residual, _ = hit[d].reduce(vec)
+        boundaries = cx_att.image(d)
+        hit = boundaries.copy()
+        into = cx_att.inclusion(base_table.complex, d)
+        for vec in base_table.cycles.get(d, ()):
+            hit.insert({into[j]: c for j, c in vec.items()})
+        for vec in att_table.cycles[d]:
+            residual, _ = hit.reduce(vec)
             if not residual:
                 continue
-            canon, _ = boundary_only[d].reduce(residual)
+            canon, _ = boundaries.reduce(residual)
             pivot = min(canon)
             canon = {c: val / canon[pivot] for c, val in canon.items()}
             failing.append((d, cx_att.element(canon, d)))
-            hit[d].insert(residual)
+            hit.insert(residual)
     if not injective:
         # inert maps have injective H(gamma) on the cells; failure is exact
         status = NOT_INERT

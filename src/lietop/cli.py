@@ -517,6 +517,7 @@ def run(argv: list[str]) -> tuple[int, str]:
 
     rep = Report()
     freelie._reset_term_limit_cache()
+    freelie.term_limit()  # an invalid LIETOP_MAX_TERMS fails every command
 
     if ns.command == "examples":
         chunks = []

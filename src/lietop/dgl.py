@@ -10,13 +10,21 @@ Homology is computed degreewise on the weight-<=N quotient, which is an
 honest finite-dimensional nilpotent dgl because differentials never lower
 weight.  The top degree of the window is omitted from homology tables: its
 incoming boundaries are not fully visible.
+
+A ChainComplex eliminates each boundary space once, column by column, and
+every consumer reads that one echelon: the ranks of both weight stages,
+the homology representatives, and the inertness verdicts of module attach.
+Representatives stay coordinate vectors over the chain basis; Lie elements
+are built from them only on access.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .freelie import (
     Generator,
@@ -82,7 +90,7 @@ class DglPresentation:
             if lie is None:
                 raise ValueError(f"diff of {g.name} is not in the free Lie subalgebra")
             self.diff[g] = lie
-        self._homology_memo: dict[Window, "HomologyTable"] = {}
+        self._homology: "HomologyTable | None" = None
         if validate_d_squared:
             bad = self.check_d_squared()
             if bad:
@@ -162,8 +170,8 @@ class DglPresentation:
             validate_d_squared=False,
         )
 
-    def homology(self, slice_filter=None) -> "HomologyTable":
-        return homology(self, slice_filter=slice_filter)
+    def homology(self) -> "HomologyTable":
+        return homology(self)
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)
@@ -179,38 +187,46 @@ class HomologyTable:
     """Per-degree homology of the weight-truncated quotient.
 
     Degrees run from 0 to max_degree - 1; the top window degree is omitted.
-    stabilized[d] records whether the dimension is unchanged between the
-    (N-1) and N weight stages; it is a report, never a convergence claim.
+    cycles[d] holds the canonical representatives as coordinate vectors over
+    the degree-d chain basis of `complex`; `representatives` builds their Lie
+    elements on first access.  stabilized[d] records whether the dimension is
+    unchanged between the (N-1) and N weight stages; it is a report, never a
+    convergence claim.
     """
 
     window: Window
     dims: dict[int, int]
-    representatives: dict[int, list[LieElement]]
+    cycles: dict[int, list[Vector]]
     stabilized: dict[int, bool]
-    complex: "ChainComplex | None" = field(default=None, repr=False, compare=False)
+    complex: "ChainComplex" = field(repr=False, compare=False)
 
     @property
     def degrees(self) -> list[int]:
         return sorted(self.dims)
 
+    @cached_property
+    def representatives(self) -> dict[int, list[LieElement]]:
+        return {d: [self.complex.element(v, d) for v in vs] for d, vs in self.cycles.items()}
+
 
 class ChainComplex:
     """Chain data of a presentation on its window, assembled degree by degree.
 
-    Degree-d chains are the direct sum of the (w, d) Lie slices, w <= N,
-    optionally restricted by slice_filter(w, d).  Columns are indexed by
-    bracket-basis elements; each column remembers its weight so ranks of the
-    (N-1)-stage come from the same matrices.
+    Degree-d chains are the direct sum of the (w, d) Lie slices, w <= N, in
+    ascending weight.  Columns are indexed by bracket-basis elements; each
+    column remembers its weight so ranks of the (N-1)-stage come from the
+    same elimination as the full ranks.
     """
 
-    def __init__(self, p: DglPresentation, slice_filter=None):
+    def __init__(self, p: DglPresentation):
         self.p = p
         self.window = p.window
-        self.filter = slice_filter
         self._slices: dict[int, list[LieSlice]] = {}
         self._offsets: dict[int, list[int]] = {}
         self._col_weights: dict[int, list[int]] = {}
         self._boundaries: dict[int, SparseMatrix] = {}
+        self._images: dict[int, Echelon] = {}
+        self._stage_ranks: dict[int, int] = {}
 
     def slices(self, degree: int) -> list[LieSlice]:
         cached = self._slices.get(degree)
@@ -218,8 +234,6 @@ class ChainComplex:
             return cached
         out = []
         for w in range(1, self.window.max_weight + 1):
-            if self.filter is not None and not self.filter(w, degree):
-                continue
             slc = lie_slice(self.p.generators, w, degree)
             if slc.dim:
                 out.append(slc)
@@ -242,10 +256,7 @@ class ChainComplex:
         return sum(1 for w in self._col_weights[degree] if w <= max_weight)
 
     def coordinates(self, t: TensorElement, degree: int) -> Vector:
-        """Coordinates of a degree-d Lie tensor element over the chain basis.
-
-        Components in filtered-out slices are dropped (quotient complex).
-        """
+        """Coordinates of a degree-d Lie tensor element over the chain basis."""
         slices = self.slices(degree)
         out: Vector = {}
         by_weight = {slc.weight: k for k, slc in enumerate(slices)}
@@ -253,10 +264,7 @@ class ChainComplex:
             if d != degree:
                 raise ValueError(f"component of degree {d} in degree-{degree} chains")
             k = by_weight.get(w)
-            if k is None:
-                continue
-            slc = slices[k]
-            coords = slc.coordinates(terms)
+            coords = None if k is None else slices[k].coordinates(terms)
             if coords is None:
                 raise ValueError("component is not in the Lie subspace")
             off = self._offsets[degree][k]
@@ -265,17 +273,20 @@ class ChainComplex:
         return out
 
     def element(self, coords: Vector, degree: int) -> LieElement:
+        """The Lie element with these coordinates over the degree-d chain basis."""
         slices = self.slices(degree)
         offsets = self._offsets[degree]
-        out = TensorElement.zero(self.window)
+        terms: dict[Word, Fraction] = {}
         for j in sorted(coords):
             c = coords[j]
-            k = 0
-            while k + 1 < len(offsets) and offsets[k + 1] <= j:
-                k += 1
-            el = slice_element(slices[k], j - offsets[k], self.window)
-            out = out + c * el.value
-        return LieElement(out)
+            k = bisect_right(offsets, j) - 1
+            for word, v in slices[k].kept_terms[j - offsets[k]].items():
+                s = terms.get(word, ZERO) + c * v
+                if s:
+                    terms[word] = s
+                else:
+                    terms.pop(word, None)
+        return LieElement(TensorElement(self.window, terms))
 
     def boundary(self, degree: int) -> SparseMatrix:
         """The matrix of d: C_degree -> C_{degree-1}."""
@@ -298,90 +309,97 @@ class ChainComplex:
         self._boundaries[degree] = m
         return m
 
-    def boundary_restricted(self, degree: int, max_weight: int) -> SparseMatrix:
-        """Boundary of the weight-<=max_weight sub-stage (columns and rows cut)."""
-        full = self.boundary(degree)
-        col_ok = [w <= max_weight for w in self._col_weights[degree]]
-        row_ok = [w <= max_weight for w in self._col_weights.get(degree - 1, [])]
-        col_map: dict[int, int] = {}
-        for j, ok in enumerate(col_ok):
-            if ok:
-                col_map[j] = len(col_map)
-        row_map: dict[int, int] = {}
-        for i, ok in enumerate(row_ok):
-            if ok:
-                row_map[i] = len(row_map)
-        entries = {}
-        for (i, j), c in full.entries.items():
-            if j in col_map and i in row_map:
-                entries[(row_map[i], col_map[j])] = c
-        return SparseMatrix(len(row_map), len(col_map), entries)
+    def image(self, degree: int) -> Echelon:
+        """Echelon of the boundary space in degree d: the columns of
+        d: C_{d+1} -> C_d, eliminated once.  Consumers that grow it take a
+        copy."""
+        cached = self._images.get(degree)
+        if cached is not None:
+            return cached
+        bnd = self.boundary(degree + 1)
+        cols: list[Vector] = [{} for _ in range(bnd.cols)]
+        for (i, j), c in bnd.entries.items():
+            cols[j][i] = c
+        # Columns and rows run in ascending weight, so once the (N-1)-stage
+        # columns are in, the pivots in (N-1)-stage rows count the rank of
+        # the (N-1)-stage boundary.
+        n = self.window.max_weight
+        stage_cols, stage_rows = self.dim(degree + 1, n - 1), self.dim(degree, n - 1)
+        ech = Echelon(self.dim(degree))
+        for v in cols[:stage_cols]:
+            if v:
+                ech.insert(v)
+        self._stage_ranks[degree] = sum(1 for pivot in ech.pivots if pivot < stage_rows)
+        for v in cols[stage_cols:]:
+            if v:
+                ech.insert(v)
+        self._images[degree] = ech
+        return ech
+
+    def stage_rank(self, degree: int) -> int:
+        """Rank of d: C_{d+1} -> C_d on the weight-<=(N-1) stage."""
+        self.image(degree)
+        return self._stage_ranks[degree]
+
+    def inclusion(self, sub: "ChainComplex", degree: int) -> list[int]:
+        """Index here of each degree-d chain-basis element of sub.
+
+        sub's generators must be a prefix of ours, on the same window.  The
+        free Lie algebra is multigraded by letters, so every slice accepts
+        the bracket trees on sub's letters exactly as sub's slice does: each
+        basis element of sub is a basis element here, with coefficient 1.
+        """
+        n = len(sub.p.generators)
+        if sub.p.generators != self.p.generators[:n] or sub.window != self.window:
+            raise ValueError("sub-complex must have a prefix of the generators and the same window")
+        here = {
+            slc.weight: (off, {tree: k for k, tree in enumerate(slc.trees)})
+            for slc, off in zip(self.slices(degree), self._offsets[degree])
+        }
+        out: list[int] = []
+        for slc in sub.slices(degree):
+            off, index = here[slc.weight]
+            out.extend(off + index[tree] for tree in slc.trees)
+        return out
 
 
-def _rank(m: SparseMatrix) -> int:
-    ech = Echelon(m.cols)
-    rank = 0
-    for row in m.row_vectors():
-        if ech.insert(row):
-            rank += 1
-    return rank
-
-
-def _columns(m: SparseMatrix) -> list[Vector]:
-    out: list[Vector] = [dict() for _ in range(m.cols)]
-    for (i, j), c in m.entries.items():
-        out[j][i] = c
-    return out
-
-
-def homology(p: DglPresentation, slice_filter=None) -> HomologyTable:
+def homology(p: DglPresentation) -> HomologyTable:
     """Homology table of the weight-truncated quotient dgl.
 
     Reports degrees 0 .. max_degree-1 with dims, canonical representatives
-    (cycles reduced against the boundary space), and stabilization flags
-    comparing the (N-1) and N weight stages.
+    (kernel vectors reduced against the boundary space), and stabilization
+    flags comparing the (N-1) and N weight stages.  Computed once per
+    presentation.
     """
-    if slice_filter is None and p.window in p._homology_memo:
-        return p._homology_memo[p.window]
+    if p._homology is not None:
+        return p._homology
     for g in p.generators:
         img = p.diff.get(g)
         if img is not None and (img.value.min_weight() or g.weight) < g.weight:
             raise ValueError(f"weight-decreasing differential on {g.name}")
-    cx = ChainComplex(p, slice_filter)
+    cx = ChainComplex(p)
     N, D = p.window.max_weight, p.window.max_degree
     dims: dict[int, int] = {}
-    reps: dict[int, list[LieElement]] = {}
+    cycles: dict[int, list[Vector]] = {}
     stab: dict[int, bool] = {}
-    rank_full: dict[int, int] = {}
-    rank_prev: dict[int, int] = {}
-    for d in range(0, D + 1):
-        m = cx.boundary(d)
-        rank_full[d] = _rank(m)
-        rank_prev[d] = _rank(cx.boundary_restricted(d, N - 1)) if N > 1 else 0
     for d in range(0, D):
-        dim_full = cx.dim(d) - rank_full[d] - rank_full[d + 1]
-        dim_prev = cx.dim(d, N - 1) - rank_prev[d] - rank_prev[d + 1]
-        dims[d] = dim_full
-        stab[d] = dim_full == dim_prev
-        # canonical representatives: kernel vectors reduced mod boundaries
-        ker = kernel_basis(cx.boundary(d))
-        image = Echelon(cx.dim(d))
-        for col_vec in _columns(cx.boundary(d + 1)):
-            image.insert(col_vec)
-        chosen: list[LieElement] = []
-        for v in ker.rows:
+        # ranks of the incoming and outgoing boundaries, full and (N-1)-stage
+        rank_in, stage_in = cx.image(d).rank, cx.stage_rank(d)
+        rank_out, stage_out = (cx.image(d - 1).rank, cx.stage_rank(d - 1)) if d else (0, 0)
+        dims[d] = cx.dim(d) - rank_out - rank_in
+        stab[d] = dims[d] == cx.dim(d, N - 1) - stage_out - stage_in
+        image = cx.image(d).copy()
+        chosen: list[Vector] = []
+        for v in kernel_basis(cx.boundary(d)).rows:
             residual, _ = image.reduce(v)
             if residual:
-                pivot = min(residual)
-                lead = residual[pivot]
+                lead = residual[min(residual)]
                 residual = {c: val / lead for c, val in residual.items()}
                 image.insert(residual)
-                chosen.append(cx.element(residual, d))
-        reps[d] = chosen
-    table = HomologyTable(p.window, dims, reps, stab, cx)
-    if slice_filter is None:
-        p._homology_memo[p.window] = table
-    return table
+                chosen.append(residual)
+        cycles[d] = chosen
+    p._homology = HomologyTable(p.window, dims, cycles, stab, cx)
+    return p._homology
 
 
 def indecomposable_dims(p: DglPresentation, table: HomologyTable | None = None) -> dict[int, int]:
@@ -397,10 +415,7 @@ def indecomposable_dims(p: DglPresentation, table: HomologyTable | None = None) 
     cx = table.complex
     out: dict[int, int] = {}
     for d in table.degrees:
-        ech = Echelon(cx.dim(d))
-        for col in _columns(cx.boundary(d + 1)):
-            if col:
-                ech.insert(col)
+        ech = cx.image(d).copy()
         base_rank = ech.rank
         for p_deg in range(0, d + 1):
             q_deg = d - p_deg
@@ -432,10 +447,6 @@ def lcs_dims(p: DglPresentation, k_max: int) -> dict[int, dict[int, int]]:
                 per_degree[d] = dim
         out[k] = per_degree
     return out
-
-
-def minimality_check(p: DglPresentation) -> bool:
-    return p.is_minimal()
 
 
 def free_product(p1: DglPresentation, p2: DglPresentation) -> DglPresentation:

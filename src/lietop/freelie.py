@@ -33,13 +33,18 @@ _term_limit_cache: int | None = None
 
 
 def term_limit() -> int:
+    """The LIETOP_MAX_TERMS cap, default 5,000,000; a value that is not a
+    positive integer is a ValueError."""
     global _term_limit_cache
     if _term_limit_cache is None:
         raw = os.environ.get("LIETOP_MAX_TERMS", "")
         try:
-            _term_limit_cache = int(raw) if raw else _DEFAULT_MAX_TERMS
+            limit = int(raw) if raw else _DEFAULT_MAX_TERMS
         except ValueError:
-            _term_limit_cache = _DEFAULT_MAX_TERMS
+            limit = 0
+        if limit < 1:
+            raise ValueError(f"LIETOP_MAX_TERMS must be a positive integer, got {raw!r}")
+        _term_limit_cache = limit
     return _term_limit_cache
 
 

@@ -56,43 +56,10 @@ class SparseMatrix:
             if val:
                 self.entries[(i, j)] = val
 
-    @classmethod
-    def from_rows(cls, rows: list[Vector], cols: int) -> "SparseMatrix":
-        entries = {}
-        for i, row in enumerate(rows):
-            for j, val in row.items():
-                if val:
-                    entries[(i, j)] = Fraction(val)
-        return cls(len(rows), cols, entries)
-
-    @classmethod
-    def from_dense(cls, data: list[list]) -> "SparseMatrix":
-        rows = len(data)
-        cols = len(data[0]) if data else 0
-        entries = {}
-        for i, row in enumerate(data):
-            for j, val in enumerate(row):
-                if val:
-                    entries[(i, j)] = Fraction(val)
-        return cls(rows, cols, entries)
-
     def row_vectors(self) -> list[Vector]:
         out: list[Vector] = [dict() for _ in range(self.rows)]
         for (i, j), val in self.entries.items():
             out[i][j] = val
-        return out
-
-    def apply(self, v: Vector) -> Vector:
-        """Matrix times column vector (v indexed by column)."""
-        out: Vector = {}
-        for (i, j), val in self.entries.items():
-            x = v.get(j)
-            if x:
-                s = out.get(i, ZERO) + val * x
-                if s:
-                    out[i] = s
-                else:
-                    out.pop(i, None)
         return out
 
     def __eq__(self, other):
@@ -221,6 +188,14 @@ class Echelon:
         residual, _ = self.reduce(v)
         return not residual
 
+    def copy(self) -> "Echelon":
+        """An independent echelon with the same rows, ready to grow."""
+        out = Echelon(self.ambient, self.track)
+        out._rows = {p: dict(row) for p, row in self._rows.items()}
+        out._combos = {p: dict(combo) for p, combo in self._combos.items()}
+        out.n_inserted = self.n_inserted
+        return out
+
     def basis(self) -> SubspaceBasis:
         pivots = sorted(self._rows)
         return SubspaceBasis(self.ambient, [dict(self._rows[p]) for p in pivots], pivots)
@@ -236,7 +211,11 @@ def rref(m: SparseMatrix) -> tuple[SubspaceBasis, int]:
 
 
 def kernel_basis(m: SparseMatrix) -> SubspaceBasis:
-    """Echelon basis of {v : m.apply(v) = 0}; dim = cols - rank."""
+    """Echelon basis of the null space {v : m v = 0}; dim = cols - rank.
+
+    The basis is the leftmost-pivot reduced echelon form of the null space,
+    which fixes the cycles that homology representatives are reduced from.
+    """
     b, rank = rref(m)
     pivot_set = set(b.pivots)
     ech = Echelon(m.cols)
@@ -250,23 +229,3 @@ def kernel_basis(m: SparseMatrix) -> SubspaceBasis:
                 v[p] = -c
         ech.insert(v)
     return ech.basis()
-
-
-def membership(v: Vector, b: SubspaceBasis, ambient: int | None = None) -> list[Fraction] | None:
-    """Coordinates of v in b if v lies in span(b), else None."""
-    if ambient is not None and ambient != b.ambient:
-        raise ValueError(f"ambient dimension mismatch: {ambient} != {b.ambient}")
-    for col in v:
-        if not (0 <= col < b.ambient):
-            raise ValueError(f"vector entry at {col} outside ambient dimension {b.ambient}")
-    return b.coordinates(v)
-
-
-def quotient_dims(ambient: SubspaceBasis, sub: SubspaceBasis) -> int:
-    """dim(ambient) - dim(sub), after checking sub is contained in ambient."""
-    if sub.ambient != ambient.ambient:
-        raise ValueError("subspace lives in a different ambient space")
-    for row in sub.rows:
-        if not ambient.contains(row):
-            raise ValueError("subspace not contained in ambient space")
-    return ambient.dim - sub.dim

@@ -541,3 +541,24 @@ def test_quotient_consistency_detects_hidden_generators():
     assert not r.agree(1)
     assert r.attached_dims[1] > 0
     assert r.quotient_dims[1] == 0
+
+
+def test_inclusion_matches_tensor_round_trip():
+    # base basis trees re-indexed into the attached complex agree with
+    # building each base basis element and taking attached coordinates
+    from lietop import cli
+    from lietop.dgl import ChainComplex
+
+    for name in cli.BUILTIN_EXAMPLES:
+        _, text = cli._load_source(name)
+        model = cli.build(cli.parse(text))
+        base_cx, att_cx = ChainComplex(model.base), ChainComplex(model.attached)
+        for d in range(model.window.max_degree + 1):
+            into = att_cx.inclusion(base_cx, d)
+            assert len(into) == base_cx.dim(d)
+            for j, i in enumerate(into):
+                e_j = base_cx.element({j: Fraction(1)}, d)
+                assert att_cx.coordinates(e_j.value, d) == {i: 1}, (name, d, j)
+        if model.amap.cells:
+            with pytest.raises(ValueError, match="prefix"):
+                base_cx.inclusion(att_cx, 0)

@@ -247,6 +247,13 @@ def test_main_term_budget_exit_2(tmp_path, capsys, monkeypatch):
     assert cli.main(["logword", "w", "--file", str(f)]) == 2
     err = capsys.readouterr().err
     assert "LIETOP_MAX_TERMS" in err
+    # a cap that is not a positive integer is an input error, not the default
+    cases = [("lots", ["homology", "--file", "torus"]), ("0", ["examples"]), ("-3", ["examples"])]
+    for raw, argv in cases:
+        monkeypatch.setenv("LIETOP_MAX_TERMS", raw)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"LIETOP_MAX_TERMS must be a positive integer, got '{raw}'" in err
     monkeypatch.delenv("LIETOP_MAX_TERMS")
     from lietop import freelie
 

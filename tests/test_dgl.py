@@ -11,7 +11,6 @@ from lietop.dgl import (
     homology,
     indecomposable_dims,
     lcs_dims,
-    minimality_check,
     regrade,
 )
 from lietop.freelie import (
@@ -25,6 +24,7 @@ from lietop.freelie import (
     slice_element,
 )
 
+from helpers import apply
 from oracles import witt
 
 A = Generator("a", 0)
@@ -111,16 +111,15 @@ def test_d_squared_validation():
 def test_cp2_valid_and_minimal():
     p = cp2()
     assert p.check_d_squared() == []
-    assert minimality_check(p)
     assert p.is_minimal()
 
 
 def test_minimality_examples():
     W = Window(4, 4)
-    assert minimality_check(free_presentation([A, B], W))
+    assert free_presentation([A, B], W).is_minimal()
     sy = Generator("sy", 1, weight=2)
     ab = bracket(generator_element(A, W), generator_element(B, W))
-    assert minimality_check(DglPresentation([A, B, sy], {sy: ab}, W))
+    assert DglPresentation([A, B, sy], {sy: ab}, W).is_minimal()
     # weight-1 term makes it non-minimal
     s1 = Generator("s1", 1)
     x = Generator("x", 1)
@@ -128,7 +127,7 @@ def test_minimality_examples():
     p = DglPresentation(
         [x, h], {h: generator_element(x, W)}, W
     )
-    assert not minimality_check(p)
+    assert not p.is_minimal()
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +247,7 @@ def test_boundary_squared_is_zero():
         m_out = cx.boundary(d - 1)
         for j in range(m_in.cols):
             col = {i: c for (i, jj), c in m_in.entries.items() if jj == j}
-            assert m_out.apply(col) == {}
+            assert apply(m_out, col) == {}
 
 
 def test_window_monotonicity_minimal_presentation():
@@ -539,6 +538,7 @@ def test_homology_random_against_brute_force():
     from oracles import brute_force_homology
 
     rng = random.Random(99)
+    inhomogeneous = 0
     for trial in range(6):
         n_base = rng.randint(2, 3)
         degrees = [rng.choice([0, 1]) for _ in range(n_base)]
@@ -565,6 +565,15 @@ def test_homology_random_against_brute_force():
             if out.is_zero():
                 continue
             cells.append((f"c{trial}_{c}", LieElement(out)))
+        # one weight-inhomogeneous cell: its weight-1 part gives it weight 1,
+        # so the (N-1) stage cuts its weight-2 part off its boundary
+        ds = [d for d in range(0, 3) if ls(tuple(gens), 1, d).dim and ls(tuple(gens), 2, d).dim]
+        if ds:
+            d = ds[trial % len(ds)]
+            parts = [se(ls(tuple(gens), w, d), 0, W).value for w in (1, 2)]
+            target = parts[0] + Fraction((-1) ** trial) * parts[1]
+            cells.append((f"m{trial}", LieElement(target)))
+            inhomogeneous += 1
         p = attach_cells(base, AttachingMap(cells))
         spec_gens = [(g.degree, g.weight) for g in p.generators]
         index = {g: i for i, g in enumerate(p.generators)}
@@ -575,5 +584,9 @@ def test_homology_random_against_brute_force():
                 for word, c in img.value.terms.items()
             }
         oracle = brute_force_homology(spec_gens, diffs, 3, 3)
+        oracle_prev = brute_force_homology(spec_gens, diffs, 2, 3)
         table = homology(p)
         assert {d: table.dims[d] for d in table.degrees} == oracle, f"trial {trial}"
+        for d in table.degrees:
+            assert table.stabilized[d] == (oracle[d] == oracle_prev[d]), f"trial {trial}"
+    assert inhomogeneous

@@ -6,18 +6,16 @@ from hypothesis import strategies as st
 from lietop.qlinalg import (
     Echelon,
     SparseMatrix,
-    SubspaceBasis,
     kernel_basis,
-    membership,
-    quotient_dims,
     rref,
 )
 
+from helpers import apply, from_dense
 from oracles import bareiss_rank, dense_rank
 
 
 def test_rref_identity():
-    m = SparseMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    m = from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     basis, rank = rref(m)
     assert rank == 3
     assert basis.pivots == [0, 1, 2]
@@ -31,14 +29,14 @@ def test_rref_zero():
 
 
 def test_rref_dependent_rows():
-    m = SparseMatrix.from_dense([[1, 2], [2, 4]])
+    m = from_dense([[1, 2], [2, 4]])
     basis, rank = rref(m)
     assert rank == 1
     assert basis.rows == [{0: Fraction(1), 1: Fraction(2)}]
 
 
 def test_kernel_identity_empty():
-    m = SparseMatrix.from_dense([[1, 0], [0, 1]])
+    m = from_dense([[1, 0], [0, 1]])
     assert kernel_basis(m).dim == 0
 
 
@@ -48,56 +46,28 @@ def test_kernel_zero_full():
 
 
 def test_kernel_hand_example():
-    m = SparseMatrix.from_dense([[1, 1, 0], [0, 1, 1]])
+    m = from_dense([[1, 1, 0], [0, 1, 1]])
     ker = kernel_basis(m)
     assert ker.dim == 1
     assert ker.rows == [{0: Fraction(1), 1: Fraction(-1), 2: Fraction(1)}]
-    assert m.apply(ker.rows[0]) == {}
+    assert apply(m, ker.rows[0]) == {}
 
 
 def test_membership_zero_vector():
-    basis, _ = rref(SparseMatrix.from_dense([[1, 2], [0, 1]]))
-    assert membership({}, basis) == [0, 0]
+    basis, _ = rref(from_dense([[1, 2], [0, 1]]))
+    assert basis.coordinates({}) == [0, 0]
 
 
 def test_membership_basis_vector():
-    basis, _ = rref(SparseMatrix.from_dense([[1, 0], [0, 1]]))
-    assert membership({0: Fraction(1)}, basis) == [1, 0]
+    basis, _ = rref(from_dense([[1, 0], [0, 1]]))
+    assert basis.coordinates({0: Fraction(1)}) == [1, 0]
 
 
 def test_membership_span_example():
-    basis, _ = rref(SparseMatrix.from_dense([[1, 2]]))
-    assert membership({0: Fraction(1), 1: Fraction(2)}, basis) == [1]
-    assert membership({0: Fraction(1)}, basis) is None
-
-
-def test_membership_dimension_mismatch():
-    basis, _ = rref(SparseMatrix.from_dense([[1, 2]]))
-    try:
-        membership({5: Fraction(1)}, basis)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected a dimension error")
-
-
-def test_quotient_dims():
-    ambient, _ = rref(SparseMatrix.from_dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    sub, _ = rref(SparseMatrix.from_dense([[1, 1, 1]]))
-    assert quotient_dims(ambient, ambient) == 0
-    assert quotient_dims(ambient, SubspaceBasis(3, [], [])) == 3
-    assert quotient_dims(ambient, sub) == 2
-
-
-def test_quotient_not_contained():
-    ambient, _ = rref(SparseMatrix.from_dense([[1, 0, 0]]))
-    sub, _ = rref(SparseMatrix.from_dense([[0, 1, 0]]))
-    try:
-        quotient_dims(ambient, sub)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("expected containment failure")
+    basis, _ = rref(from_dense([[1, 2]]))
+    assert basis.coordinates({0: Fraction(1), 1: Fraction(2)}) == [1]
+    assert basis.coordinates({0: Fraction(1)}) is None
+    assert basis.contains({0: Fraction(2), 1: Fraction(4)})
 
 
 small_matrices = st.lists(
@@ -110,7 +80,7 @@ small_matrices = st.lists(
 @given(small_matrices)
 @settings(max_examples=150, deadline=None)
 def test_rank_matches_fraction_free_oracle(rows):
-    m = SparseMatrix.from_dense(rows)
+    m = from_dense(rows)
     _, rank = rref(m)
     assert rank == bareiss_rank(rows)
     assert rank == dense_rank(rows)
@@ -119,7 +89,7 @@ def test_rank_matches_fraction_free_oracle(rows):
 @given(small_matrices)
 @settings(max_examples=150, deadline=None)
 def test_rank_nullity(rows):
-    m = SparseMatrix.from_dense(rows)
+    m = from_dense(rows)
     _, rank = rref(m)
     assert rank + kernel_basis(m).dim == m.cols
 
@@ -127,9 +97,10 @@ def test_rank_nullity(rows):
 @given(small_matrices)
 @settings(max_examples=100, deadline=None)
 def test_rref_idempotent(rows):
-    m = SparseMatrix.from_dense(rows)
+    m = from_dense(rows)
     basis, rank = rref(m)
-    again, rank2 = rref(SparseMatrix.from_rows([dict(r) for r in basis.rows], m.cols))
+    entries = {(i, j): val for i, row in enumerate(basis.rows) for j, val in row.items()}
+    again, rank2 = rref(SparseMatrix(rank, m.cols, entries))
     assert rank == rank2
     assert basis.rows == again.rows
     assert basis.pivots == again.pivots
@@ -138,9 +109,9 @@ def test_rref_idempotent(rows):
 @given(small_matrices)
 @settings(max_examples=100, deadline=None)
 def test_kernel_vectors_annihilate(rows):
-    m = SparseMatrix.from_dense(rows)
+    m = from_dense(rows)
     for v in kernel_basis(m).rows:
-        assert m.apply(v) == {}
+        assert apply(m, v) == {}
 
 
 def test_echelon_coordinates_track_inserted_vectors():
@@ -152,3 +123,16 @@ def test_echelon_coordinates_track_inserted_vectors():
     combo = ech.coordinates({0: Fraction(2), 1: Fraction(7), 3: Fraction(3)})
     assert combo == {0: Fraction(2), 1: Fraction(3)}
     assert ech.coordinates({2: Fraction(1)}) is None
+
+
+def test_echelon_copy_grows_independently():
+    ech = Echelon(3)
+    ech.insert({0: Fraction(1), 2: Fraction(1)})
+    ech.insert({1: Fraction(1), 2: Fraction(1)})
+    grown = ech.copy()
+    assert grown.insert({2: Fraction(1)})
+    assert grown.rows == [{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}]
+    # back-elimination in the copy leaves the original's rows untouched
+    assert ech.rank == 2
+    assert ech.rows == [{0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: Fraction(1)}]
+    assert ech.n_inserted == 2 and grown.n_inserted == 3
