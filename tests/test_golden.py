@@ -1,8 +1,8 @@
-"""Frozen records output of `homology` and `inert`, compared byte for byte.
+"""Frozen records output of every command, compared byte for byte.
 
 Each case's `--format records` output is pinned in tests/golden/ as
-`<command>-<input>.records`.  The files change only with an intended change
-of printed output.  Regenerate them with:
+`<command>-<input>[-<window>].records`.  The files change only with an
+intended change of printed output.  Regenerate them with:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,12 +17,21 @@ GOLDEN = Path(__file__).parent / "golden"
 CRITERION6 = str(GOLDEN / "criterion6.lt")
 
 # (record file stem, CLI arguments); the built-in examples run at their
-# default windows, and lemaire28's default (4,2) is the window with witnesses
+# default windows, and lemaire28's default (4,2) is the window with witnesses;
+# the other commands and the larger windows each run in well under a second
 CASES = [
     (f"{command}-{name}", [command, "--file", name])
     for command in ("homology", "inert")
     for name in cli.BUILTIN_EXAMPLES
     if (command, name) != ("inert", "wedge-circles")
+] + [
+    ("lcs-wedge-circles", ["lcs", "--file", "wedge-circles"]),
+    ("logword-wedge-circles", ["logword", "cmt", "--file", "wedge-circles"]),
+    ("bch-torus-5-3", ["bch", "a b", "a^-1 b^-1", "--file", "torus", "--window", "5", "3"]),
+    ("homology-torus-8-3", ["homology", "--file", "torus", "--window", "8", "3"]),
+] + [
+    (f"sullivan-{name}-{w}-{d}", ["sullivan", "--file", name, "--window", str(w), str(d)])
+    for name, w, d in (("torus", 4, 2), ("cp2", 6, 6), ("wedge-circles", 3, 2))
 ] + [
     (f"{command}-criterion6", [command, "--file", CRITERION6, "--window", "4", "3"])
     for command in ("homology", "inert")
