@@ -2,7 +2,11 @@
 a weight/degree-truncated tensor algebra over Q.
 
 Lie elements are tensor elements certified to lie in the span of left-normed
-bracket bases; there is no abstract bracket-tree normal form.  All results
+bracket bases; there is no abstract bracket-tree normal form.  Each
+(weight, degree) slice is eliminated in super-Lyndon coordinates: the
+standard bracketings of Lyndon words, and squares of odd-degree ones, are
+triangular against their leading words, so coordinates and membership come
+from peeling off leading words in integers.  All results
 are relative to a truncation window (max weight, max degree): arithmetic
 silently drops terms beyond the window, which makes every computation here a
 computation in a finite-dimensional nilpotent quotient.
@@ -17,6 +21,8 @@ from __future__ import annotations
 import os
 import threading
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import lcm
 
 from .qlinalg import Echelon, SubspaceBasis, Vector
 
@@ -267,16 +273,22 @@ class TensorElement:
         return f"TensorElement({format_tensor(self)})"
 
 
+def _sized_terms(t: TensorElement) -> list[tuple[Word, Fraction, int, int]]:
+    """(word, coefficient, weight, degree) for every term of t."""
+    return [(v, c, word_weight(v), word_degree(v)) for v, c in t.terms.items()]
+
+
 def mul(a: TensorElement, b: TensorElement) -> TensorElement:
     """Concatenation product, truncated to the window."""
     window = _check_same_window(a.window, b.window)
     max_w, max_d = window.max_weight, window.max_degree
+    right = _sized_terms(b)
     out: dict[Word, Fraction] = {}
     limit = term_limit()
-    for u, cu in a.terms.items():
-        lu, du = word_weight(u), word_degree(u)
-        for v, cv in b.terms.items():
-            if lu + word_weight(v) > max_w or du + word_degree(v) > max_d:
+    for u, cu, wu, du in _sized_terms(a):
+        room_w, room_d = max_w - wu, max_d - du
+        for v, cv, wv, dv in right:
+            if wv > room_w or dv > room_d:
                 continue
             word = u + v
             s = out.get(word, ZERO) + cu * cv
@@ -295,11 +307,12 @@ def commutator(a: TensorElement, b: TensorElement) -> TensorElement:
     """Graded commutator a.b - (-1)^{|u||v|} b.a, per homogeneous word pair."""
     window = _check_same_window(a.window, b.window)
     max_w, max_d = window.max_weight, window.max_degree
+    right = _sized_terms(b)
     out: dict[Word, Fraction] = {}
-    for u, cu in a.terms.items():
-        lu, du = word_weight(u), word_degree(u)
-        for v, cv in b.terms.items():
-            if lu + word_weight(v) > max_w or du + word_degree(v) > max_d:
+    for u, cu, wu, du in _sized_terms(a):
+        room_w, room_d = max_w - wu, max_d - du
+        for v, cv, wv, dv in right:
+            if wv > room_w or dv > room_d:
                 continue
             c = cu * cv
             word = u + v
@@ -308,9 +321,8 @@ def commutator(a: TensorElement, b: TensorElement) -> TensorElement:
                 out[word] = s
             else:
                 out.pop(word, None)
-            sign = -ONE if (du * word_degree(v)) % 2 == 0 else ONE
             word = v + u
-            s = out.get(word, ZERO) + sign * c
+            s = out.get(word, ZERO) + (c if du & dv & 1 else -c)
             if s:
                 out[word] = s
             else:
@@ -390,8 +402,20 @@ class LieSlice:
 
     words      -- all tensor words of this weight and degree, in monomial order
     trees      -- left-normed bracket trees of the accepted basis elements
-    kept_terms -- raw term dicts of those elements (windowless)
-    tracked    -- echelon over word coordinates, tracking bracket-basis coords
+    kept_terms -- raw term dicts of those elements (windowless, integral)
+    expansions -- integer expansion of the standard bracketing of each
+                  leading word, keyed by the word
+    tracked    -- echelon over super-Lyndon coordinates, tracking
+                  bracket-basis coords
+
+    The slice is eliminated in super-Lyndon coordinates: its leading words
+    are the Lyndon words (generators compared in declaration order) and the
+    squares ww of odd-degree Lyndon words w.  The standard bracketing of a
+    leading word (half the bracket, for a square) expands to that word with
+    coefficient 1 plus words later in the monomial order, so an element's
+    coordinates are read off by peeling leading words in integers (vector).
+    The left-normed trees are accepted by independence of their coordinates,
+    which does not depend on the coordinate system.
     """
 
     def __init__(self, gens: tuple[Generator, ...], weight: int, degree: int):
@@ -401,22 +425,88 @@ class LieSlice:
         self.words = _slice_words(gens, weight, degree)
         self.word_index = {w: i for i, w in enumerate(self.words)}
         self.trees: list[Tree] = []
-        self.kept_terms: list[dict[Word, Fraction]] = []
-        self.tracked = Echelon(len(self.words), track=True)
+        self.kept_terms: list[dict[Word, int]] = []
+        self.expansions: dict[Word, dict[Word, int]] = {}
+        # word index of a leading word -> (its coordinate, the rest of its
+        # expansion as (word index, coefficient) pairs)
+        self._peel: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+        pos = {g: i for i, g in enumerate(gens)}
+        for n, word in enumerate(self.words):
+            expansion = self._standard_expansion(word, [pos[g] for g in word])
+            if expansion is not None:
+                self.expansions[word] = expansion
+                tail = [(self.word_index[w], c) for w, c in expansion.items() if w != word]
+                self._peel[n] = (len(self._peel), tail)
+        self.tracked = Echelon(len(self._peel), track=True)
         self._accept_map: dict[int, int] = {}
+
+    def _standard_expansion(self, word: Word, key: list[int]) -> dict[Word, int] | None:
+        """The expansion P(word) of a leading word, None for any other word.
+
+        key is the word as generator positions.  A Lyndon word uv, with v its
+        lexicographically smallest proper suffix, expands as [P(u), P(v)]; a
+        square ww of an odd-degree Lyndon word w as half of [P(w), P(w)].
+        """
+        if _is_lyndon(key):
+            if len(word) == 1:
+                return {word: 1}
+            j = min(range(1, len(key)), key=lambda j: key[j:])
+            u, v = word[:j], word[j:]
+            return _word_commutator(self._factor(u), word_degree(u), self._factor(v), word_degree(v))
+        h = len(word) // 2
+        u = word[:h]
+        if len(word) % 2 == 0 and word[h:] == u and word_degree(u) % 2 and _is_lyndon(key[:h]):
+            pu, du = self._factor(u), word_degree(u)
+            return {w: c // 2 for w, c in _word_commutator(pu, du, pu, du).items()}
+        return None
+
+    def _factor(self, u: Word) -> dict[Word, int]:
+        # a factor of a leading word lives in a slice that lie_slice built on
+        # its way down to this one
+        return _slice_cache[(self.gens, word_weight(u), word_degree(u))].expansions[u]
 
     @property
     def dim(self) -> int:
         return len(self.trees)
 
-    def vector(self, terms: dict[Word, Fraction]) -> Vector:
+    def vector(self, terms: dict[Word, Fraction | int]) -> Vector | None:
+        """Super-Lyndon coordinates of slice-homogeneous terms, or None if
+        they are not a Lie element.
+
+        The smallest remaining word is peeled off with a multiple of its
+        leading word's expansion; that adds only later words, so the loop
+        ends, and it fails exactly when the smallest word leads nothing.
+        """
+        den = lcm(*(c.denominator for c in terms.values()))
+        index = self.word_index
+        rest = {index[w]: c.numerator * (den // c.denominator) for w, c in terms.items()}
+        heap = list(rest)
+        heapify(heap)
+        peel = self._peel
         out: Vector = {}
-        for word, coeff in terms.items():
-            out[self.word_index[word]] = coeff
+        while heap:
+            i = heappop(heap)
+            c = rest.pop(i)
+            if not c:
+                continue
+            entry = peel.get(i)
+            if entry is None:
+                return None
+            k, tail = entry
+            out[k] = Fraction(c, den)
+            for j, e in tail:
+                old = rest.get(j)
+                if old is None:
+                    rest[j] = -c * e
+                    heappush(heap, j)
+                else:
+                    rest[j] = old - c * e
         return out
 
-    def _try_insert(self, tree: Tree, terms: dict[Word, Fraction]) -> None:
+    def _try_insert(self, tree: Tree, terms: dict[Word, int]) -> None:
         vec = self.vector(terms)
+        if vec is None:
+            raise RuntimeError("a bracket left the Lie slice; this is a bug")
         idx = self.tracked.n_inserted
         if vec and self.tracked.insert(vec):
             self._accept_map[idx] = len(self.trees)
@@ -425,16 +515,21 @@ class LieSlice:
 
     def coordinates(self, terms: dict[Word, Fraction]) -> Vector | None:
         """Coordinates over the bracket basis, or None if not in the slice span."""
-        combo = self.tracked.coordinates(self.vector(terms))
-        if combo is None:
+        vec = self.vector(terms)
+        if vec is None:
             return None
+        combo = self.tracked.coordinates(vec)
         return {self._accept_map[i]: c for i, c in combo.items()}
 
     def contains(self, terms: dict[Word, Fraction]) -> bool:
-        return self.tracked.contains(self.vector(terms))
+        return self.vector(terms) is not None
 
     def basis(self) -> SubspaceBasis:
-        return self.tracked.basis()
+        """Reduced echelon basis of the slice in word coordinates."""
+        ech = Echelon(len(self.words))
+        for terms in self.kept_terms:
+            ech.insert({self.word_index[w]: c for w, c in terms.items()})
+        return ech.basis()
 
 
 def _slice_words(gens: tuple[Generator, ...], weight: int, degree: int) -> list[Word]:
@@ -455,6 +550,27 @@ def _slice_words(gens: tuple[Generator, ...], weight: int, degree: int) -> list[
     return out
 
 
+def _is_lyndon(key: list[int]) -> bool:
+    """Strictly smaller than each of its proper suffixes."""
+    return all(key < key[j:] for j in range(1, len(key)))
+
+
+def _word_commutator(a: dict[Word, int], da: int, b: dict[Word, int], db: int) -> dict[Word, int]:
+    """[a, b] for integral raw terms a of degree da and b of degree db (no window)."""
+    out: dict[Word, int] = {}
+    sign = 1 if da & db & 1 else -1
+    for u, cu in a.items():
+        for v, cv in b.items():
+            c = cu * cv
+            w = u + v
+            out[w] = out.get(w, 0) + c
+            w = v + u
+            out[w] = out.get(w, 0) + sign * c
+    for w in [w for w, c in out.items() if not c]:
+        del out[w]
+    return out
+
+
 _slice_cache: dict[tuple[tuple[Generator, ...], int, int], LieSlice] = {}
 _slice_lock = threading.Lock()
 
@@ -471,40 +587,23 @@ def lie_slice(gens: tuple[Generator, ...] | list[Generator], weight: int, degree
     cached = _slice_cache.get(key)
     if cached is not None:
         return cached
+    subs = [
+        (i, g, lie_slice(gens, weight - g.weight, degree - g.degree))
+        for i, g in enumerate(gens)
+        if g.weight < weight and g.degree <= degree
+    ]
     slc = LieSlice(gens, weight, degree)
     for i, g in enumerate(gens):
         if g.weight == weight and g.degree == degree:
-            slc._try_insert(i, {(g,): ONE})
-    for i, g in enumerate(gens):
-        if g.weight >= weight or g.degree > degree:
-            continue
-        sub = lie_slice(gens, weight - g.weight, degree - g.degree)
+            slc._try_insert(i, {(g,): 1})
+    for i, g, sub in subs:
         for tree_b, terms_b in zip(sub.trees, sub.kept_terms):
-            terms = _letter_commutator(g, terms_b)
-            slc._try_insert((i, tree_b), terms)
+            slc._try_insert((i, tree_b), _word_commutator({(g,): 1}, g.degree, terms_b, sub.degree))
+    if slc.dim != slc.tracked.ambient:
+        raise RuntimeError(f"slice ({weight}, {degree}) has {slc.dim} basis trees for "
+                           f"{slc.tracked.ambient} leading words; this is a bug")
     with _slice_lock:
         return _slice_cache.setdefault(key, slc)
-
-
-def _letter_commutator(g: Generator, terms: dict[Word, Fraction]) -> dict[Word, Fraction]:
-    """[g, t] for slice-homogeneous t, as raw terms (no window)."""
-    out: dict[Word, Fraction] = {}
-    for v, c in terms.items():
-        dv = word_degree(v)
-        word = (g,) + v
-        s = out.get(word, ZERO) + c
-        if s:
-            out[word] = s
-        else:
-            out.pop(word, None)
-        sign = -ONE if (g.degree * dv) % 2 == 0 else ONE
-        word = v + (g,)
-        s = out.get(word, ZERO) + sign * c
-        if s:
-            out[word] = s
-        else:
-            out.pop(word, None)
-    return out
 
 
 def slice_element(slc: LieSlice, k: int, window: Window) -> LieElement:

@@ -32,20 +32,19 @@ def witt(k: int, w: int) -> int:
     return total // w
 
 
-def dense_rank(rows: list[list]) -> int:
-    """Plain dense Gaussian elimination over Fraction."""
+def dense_rref(rows: list[list]) -> tuple[list[list[Fraction]], list[int]]:
+    """Plain dense Gauss-Jordan elimination over Fraction: the nonzero rows
+    of the reduced row-echelon form, and their pivot columns."""
     m = [[Fraction(x) for x in row] for row in rows]
+    pivots: list[int] = []
     if not m:
-        return 0
+        return [], pivots
     n_rows, n_cols = len(m), len(m[0])
-    rank = 0
     row = 0
     for col in range(n_cols):
-        piv = None
-        for r in range(row, n_rows):
-            if m[r][col]:
-                piv = r
-                break
+        if row == n_rows:
+            break
+        piv = next((r for r in range(row, n_rows) if m[r][col]), None)
         if piv is None:
             continue
         m[row], m[piv] = m[piv], m[row]
@@ -55,11 +54,64 @@ def dense_rank(rows: list[list]) -> int:
             if r != row and m[r][col]:
                 f = m[r][col]
                 m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
         row += 1
-        rank += 1
-        if row == n_rows:
-            break
-    return rank
+    return m[:row], pivots
+
+
+def dense_rank(rows: list[list]) -> int:
+    return len(dense_rref(rows)[1])
+
+
+def dense_solve(columns: list[list], target: list) -> list[Fraction] | None:
+    """The x with sum_k x[k] columns[k] = target, for independent columns,
+    or None when target is outside their span."""
+    n = len(columns)
+    augmented = [[col[i] for col in columns] + [target[i]] for i in range(len(target))]
+    reduced, pivots = dense_rref(augmented)
+    if n in pivots:
+        return None
+    assert pivots == list(range(n)), "columns are dependent"
+    return [row[n] for row in reduced]
+
+
+def super_witt(degrees: list[int], weight: int, degree: int, weights: list[int] | None = None) -> int:
+    """dim of the (weight, degree) slice of the free graded Lie algebra on
+    generators of the given degrees (and weights, default 1), summed over
+    multidegrees alpha of that weight and degree:
+
+        (1/|a|) sum_{d | alpha} mu(d) (-1)^{|a|_1 + |a|_1/d} (|a|/d)! / prod_i (alpha_i/d)!
+
+    with |a| the number of letters and |a|_1 the number of odd-degree ones.
+    """
+    from math import factorial, gcd, prod
+
+    weights = weights or [1] * len(degrees)
+    total = 0
+
+    def multidegrees(i: int, left: int):
+        if i == len(weights):
+            if left == 0:
+                yield ()
+            return
+        for a in range(left // weights[i] + 1):
+            for rest in multidegrees(i + 1, left - a * weights[i]):
+                yield (a, *rest)
+
+    for alpha in multidegrees(0, weight):
+        if sum(a * g for a, g in zip(alpha, degrees)) != degree:
+            continue
+        letters = sum(alpha)
+        odd = sum(a for a, g in zip(alpha, degrees) if g % 2)
+        common = gcd(*alpha)
+        s = 0
+        for d in range(1, common + 1):
+            if common % d == 0:
+                terms = factorial(letters // d) // prod(factorial(a // d) for a in alpha)
+                s += mobius(d) * (-1) ** (odd + odd // d) * terms
+        assert s % letters == 0
+        total += s // letters
+    return total
 
 
 def bareiss_rank(rows: list[list[int]]) -> int:

@@ -25,7 +25,7 @@ from lietop.freelie import (
     slice_element,
 )
 
-from oracles import brute_force_lie_dim, witt
+from oracles import brute_force_lie_dim, dense_rref, dense_solve, super_witt, witt
 
 A = Generator("a", 0)
 B = Generator("b", 0)
@@ -92,6 +92,77 @@ def test_mixed_degree_slice_against_brute_force():
     for w in (2, 3):
         for d in range(0, 3 * w + 1):
             assert lie_slice(gens, w, d).dim == brute_force_lie_dim([1, 2], w, d)
+
+
+@pytest.mark.parametrize("degrees", [[1], [0, 1], [1, 1], [1, 2], [0, 1, 2], [1, 1, 2]])
+def test_super_witt_against_brute_force(degrees):
+    for w in range(1, 5):
+        for d in range(0, w * max(degrees) + 1):
+            assert super_witt(degrees, w, d) == brute_force_lie_dim(degrees, w, d)
+
+
+def test_slice_dims_against_super_witt():
+    # mixed parity, plus a weight-2 generator of odd degree
+    gens = (A, X1, Generator("y", 2), Generator("c", 1, weight=2))
+    degrees, weights = [g.degree for g in gens], [g.weight for g in gens]
+    for w in range(1, 8):
+        for d in range(0, 2 * w + 1):
+            assert lie_slice(gens, w, d).dim == super_witt(degrees, w, d, weights)
+
+
+# generator sets of the coordinate oracle test: mixed parity, and a weight-2 cell
+ORACLE_GENS = [
+    (A, X1, Generator("y", 2)),
+    (A, X1, Generator("sx", 1, weight=2)),
+]
+
+
+def random_bracket(rng, gens, window, size):
+    """A bracket of `size` random generators, in a random shape."""
+    if size == 1:
+        return gen_el(rng.choice(gens), window)
+    k = rng.randint(1, size - 1)
+    return bracket(random_bracket(rng, gens, window, k), random_bracket(rng, gens, window, size - k))
+
+
+def dense_coordinates(slc, terms):
+    """Coordinates of terms over the slice's basis by a dense word-space solve."""
+    columns = [[t.get(word, 0) for word in slc.words] for t in slc.kept_terms]
+    x = dense_solve(columns, [terms.get(word, 0) for word in slc.words])
+    return None if x is None else {k: c for k, c in enumerate(x) if c}
+
+
+@pytest.mark.parametrize("gens", ORACLE_GENS, ids=["a0-x1-y2", "a0-x1-sx1w2"])
+def test_slice_coordinates_against_dense_solve(gens):
+    rng = random.Random(20)
+    window = Window(5, 6)
+    for w in range(1, 6):
+        for d in range(0, 7):
+            slc = lie_slice(gens, w, d)
+            if not slc.words:
+                continue
+            rows, pivots = dense_rref([[t.get(word, 0) for word in slc.words] for t in slc.kept_terms])
+            basis = lie_basis(gens, w, d)
+            assert basis.pivots == pivots
+            assert [[r.get(j, 0) for j in range(len(slc.words))] for r in basis.rows] == rows
+    words = [word for w in range(1, 6) for d in range(7) for word in lie_slice(gens, w, d).words]
+    for _ in range(30):
+        el = TensorElement.zero(window)
+        for _ in range(rng.randint(2, 8)):
+            el = el + Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * random_bracket(
+                rng, gens, window, rng.randint(1, 5)
+            ).value
+        # perturb one word: usually, but not always, leaves the Lie subspace
+        noise = TensorElement(window, {rng.choice(words): Fraction(rng.choice([1, -2]))})
+        for t in (el, el + noise):
+            member = True
+            for (w, d), terms in t.bislices().items():
+                slc = lie_slice(gens, w, d)
+                expected = dense_coordinates(slc, terms)
+                assert slc.coordinates(terms) == expected
+                assert slc.contains(terms) == (expected is not None)
+                member = member and expected is not None
+            assert (certify_lie(t, gens) is not None) == member
 
 
 def test_lie_basis_is_echelon():
