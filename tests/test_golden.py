@@ -31,7 +31,9 @@ CASES = [
     ("homology-torus-8-3", ["homology", "--file", "torus", "--window", "8", "3"]),
 ] + [
     (f"sullivan-{name}-{w}-{d}", ["sullivan", "--file", name, "--window", str(w), str(d)])
-    for name, w, d in (("torus", 4, 2), ("cp2", 6, 6), ("wedge-circles", 3, 2))
+    for name, w, d in (
+        ("torus", 4, 2), ("torus", 6, 2), ("cp2", 6, 6), ("wedge-circles", 3, 2), ("lemaire28", 3, 2),
+    )
 ] + [
     (f"{command}-criterion6", [command, "--file", CRITERION6, "--window", "4", "3"])
     for command in ("homology", "inert")
