@@ -51,6 +51,17 @@ class NilpotentLieData:
     graded Jacobi, degree homogeneity, nilpotency (the lower central series
     must reach zero), and for the differential d^2 = 0 plus the
     right-derivation rule.
+
+    Each identity is checked exactly, but only on the index tuples where one
+    of its terms can be nonzero, in the same ascending order as a full sweep,
+    so the first failure reported is the one a full sweep finds.  With
+    P(x) = {y : (x, y) bracketed}:
+    - antisymmetry and homogeneity visit the bracketed pairs and their
+      mirrors;
+    - Jacobi visits (i, j, k) for k in P(i), P(j) or P(m), m in [e_i, e_j];
+    - d^2 = 0 visits the basis elements with a differential;
+    - the derivation rule visits (i, j) for all j if d e_i != 0, else for
+      j in P(i) or with d e_j != 0.
     """
 
     def __init__(
@@ -103,22 +114,26 @@ class NilpotentLieData:
     def validate(self) -> None:
         n = self.dim
         deg = self.degrees
+        partners: list[list[int]] = [[] for _ in range(n)]
+        for i, j in self.brackets:
+            partners[i].append(j)
+        for i, j in sorted(set(self.brackets) | {(j, i) for i, j in self.brackets}):
+            left = self.bracket_of(i, j)
+            sign = -ONE if (deg[i] * deg[j]) % 2 == 0 else ONE
+            mirrored = {k: sign * c for k, c in self.bracket_of(j, i).items()}
+            if left != mirrored:
+                raise ValueError(f"antisymmetry fails on pair ({i},{j})")
+            for k in left:
+                if deg[k] != deg[i] + deg[j]:
+                    raise ValueError(f"bracket ({i},{j}) not degree-homogeneous")
         for i in range(n):
             for j in range(n):
-                left = self.bracket_of(i, j)
-                sign = -ONE if (deg[i] * deg[j]) % 2 == 0 else ONE
-                mirrored = {k: sign * c for k, c in self.bracket_of(j, i).items()}
-                if left != mirrored:
-                    raise ValueError(f"antisymmetry fails on pair ({i},{j})")
-                for k in left:
-                    if deg[k] != deg[i] + deg[j]:
-                        raise ValueError(f"bracket ({i},{j}) not degree-homogeneous")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
+                ij = self.bracket_of(i, j)
+                ks = set(partners[i]).union(partners[j], *(partners[m] for m in ij))
+                sign = ONE if (deg[i] * deg[j]) % 2 == 0 else -ONE
+                for k in sorted(ks):
                     lhs = self.bracket_elems({i: ONE}, self.bracket_of(j, k))
-                    rhs = self.bracket_elems(self.bracket_of(i, j), {k: ONE})
-                    sign = ONE if (deg[i] * deg[j]) % 2 == 0 else -ONE
+                    rhs = self.bracket_elems(ij, {k: ONE})
                     for m, c in self.bracket_elems({j: ONE}, self.bracket_of(i, k)).items():
                         _acc(rhs, m, sign * c)
                     if lhs != rhs:
@@ -128,11 +143,12 @@ class NilpotentLieData:
             for k in cs:
                 if deg[k] != deg[j] - 1:
                     raise ValueError(f"diff of basis element {j} has wrong degree")
-        for j in range(n):
-            if self.diff_elem(self.diff.get(j, {})):
+        for j in sorted(self.diff):
+            if self.diff_elem(self.diff[j]):
                 raise ValueError(f"d^2 != 0 on basis element {j}")
         for i in range(n):
-            for j in range(n):
+            js = range(n) if i in self.diff else sorted(self.diff.keys() | partners[i])
+            for j in js:
                 lhs = self.diff_elem(self.bracket_of(i, j))
                 rhs: Coeffs = {}
                 sign = ONE if deg[j] % 2 == 0 else -ONE
@@ -202,8 +218,9 @@ class SullivanData:
 def cochains(L: NilpotentLieData) -> SullivanData:
     """The dual semi-quadratic Sullivan algebra of a nilpotent (d)gl.
 
-    Re-validates the input, so Jacobi violations and non-nilpotent data are
-    rejected here even if constructed unchecked.
+    This is where Lie data is validated on its way to a Sullivan algebra:
+    Jacobi violations and non-nilpotent data are rejected here, also when
+    they were constructed unchecked (as truncation_lie_data does).
     """
     L.validate()
     degs = L.degrees
@@ -321,6 +338,12 @@ class SullivanReport:
         return not self.d_squared_violations and self.filtration_exhausts
 
 
+def _pair_index(n: int) -> dict[tuple[int, int], int]:
+    """Row positions of the Lambda^2 V coordinates v_i v_j, i <= j < n."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    return {pair: pos for pos, pair in enumerate(pairs)}
+
+
 def check_sullivan(sd: SullivanData) -> SullivanReport:
     """Verify d^2 = 0 on generators (enough: d^2 is a derivation) and that
     the filtration V_0 = V cap ker d1, V_{n+1} = d1^{-1}(Lambda^2 V_n)
@@ -333,10 +356,7 @@ def check_sullivan(sd: SullivanData) -> SullivanReport:
             violations.append((name, dd))
 
     n = sd.dim
-    pair_index: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        for j in range(i, n):
-            pair_index[(i, j)] = len(pair_index)
+    pair_index = _pair_index(n)
 
     current = Echelon(n)
     levels: list[int] = []
@@ -445,23 +465,26 @@ def wedge_homology(sd: SullivanData, max_wedge: int = 3) -> dict[int, dict[int, 
 def _monomials_by_degree(degs: list[int], max_degree: int) -> dict[int, list[Monomial]]:
     """All Lambda(V) monomials of cohomological degree <= max_degree.
 
-    Finite because every generator has degree >= 1.
+    Finite because every generator has degree >= 1; for the same reason a
+    monomial of degree max_degree is never extended.
     """
     out: dict[int, list[Monomial]] = {0: [()]}
-    frontier: list[Monomial] = [()]
+    frontier: dict[int, list[Monomial]] = {0: [()]}
     while frontier:
-        nxt = []
-        for m in frontier:
-            start = m[-1] if m else 0
-            for i in range(start, len(degs)):
-                if m and i == m[-1] and degs[i] % 2:
-                    continue
-                d = mono_degree(m, degs) + degs[i]
-                if d > max_degree:
-                    continue
-                mm = m + (i,)
-                out.setdefault(d, []).append(mm)
-                nxt.append(mm)
+        nxt: dict[int, list[Monomial]] = {}
+        for known, ms in frontier.items():
+            for m in ms:
+                start = m[-1] if m else 0
+                for i in range(start, len(degs)):
+                    if m and i == m[-1] and degs[i] % 2:
+                        continue
+                    d = known + degs[i]
+                    if d > max_degree:
+                        continue
+                    mm = m + (i,)
+                    out.setdefault(d, []).append(mm)
+                    if d < max_degree:
+                        nxt.setdefault(d, []).append(mm)
         frontier = nxt
     return {d: sorted(ms) for d, ms in out.items()}
 
@@ -491,10 +514,7 @@ def semiquadratic_homology(
 
     # right table: d0-homology of V cap ker d1, degree by degree
     n = sd.dim
-    pair_index: dict[tuple[int, int], int] = {}
-    for i in range(n):
-        for j in range(i, n):
-            pair_index[(i, j)] = len(pair_index)
+    pair_index = _pair_index(n)
     by_degree: dict[int, list[int]] = {}
     for k in range(n):
         by_degree.setdefault(degs[k], []).append(k)
@@ -544,6 +564,7 @@ def truncation_lie_data(p) -> NilpotentLieData:
     degree cap alone is not stable under brackets and the differential, so
     only the pure weight quotient is an honest nilpotent dgl.  Meant for
     desk-scale truncations: the construction is quadratic in the dimension.
+    The result is not validated here; cochains validates it.
     """
     from .freelie import Window, lie_slice, slice_element, tree_str
 
@@ -595,4 +616,4 @@ def truncation_lie_data(p) -> NilpotentLieData:
         img = p.derive(el)
         if not img.is_zero():
             diff[j] = coords_of(img.value)
-    return NilpotentLieData(basis, brackets, diff)
+    return NilpotentLieData(basis, brackets, diff, validate=False)

@@ -281,3 +281,98 @@ def brute_force_homology(gens: list[tuple[int, int]], diffs: dict, max_weight: i
     for d in range(0, max_degree):
         dims[d] = chain_dim[d] - bnd_rank[d] - bnd_rank.get(d + 1, 0)
     return dims
+
+
+def dense_lie_violation(degrees: list[int], brackets: dict, diff: dict) -> str | None:
+    """The first identity a (d)gl given by structure constants breaks, as the
+    message NilpotentLieData.validate raises, or None when it is valid.
+
+    brackets: (i, j) -> {k: c} with [e_i, e_j] = sum c e_k; diff: j -> {k: m}
+    with d e_j = sum m e_k.  Every pair and triple of basis indices is
+    visited in ascending order, checks in this order: graded antisymmetry
+    [e_i, e_j] = -(-1)^{|i||j|} [e_j, e_i] and degree homogeneity per pair,
+    graded Jacobi [e_i, [e_j, e_k]] = [[e_i, e_j], e_k] + (-1)^{|i||j|}
+    [e_j, [e_i, e_k]] per triple, nilpotency by dense ranks of the lower
+    central series, the degree of d, d^2 = 0, and the derivation rule
+    d[e_i, e_j] = (-1)^{|j|} [d e_i, e_j] + [e_i, d e_j] per pair.
+    """
+    n = len(degrees)
+    zero = Fraction(0)
+
+    def clean(v: dict) -> dict:
+        return {k: Fraction(c) for k, c in v.items() if c}
+
+    br = {pair: clean(v) for pair, v in brackets.items()}
+    dd = {j: clean(v) for j, v in diff.items()}
+
+    def add(out: dict, v: dict, scale) -> None:
+        for k, c in v.items():
+            out[k] = out.get(k, zero) + scale * c
+
+    def bracket(a: dict, b: dict) -> dict:
+        out: dict = {}
+        for i, ca in a.items():
+            for j, cb in b.items():
+                add(out, br.get((i, j), {}), ca * cb)
+        return {k: c for k, c in out.items() if c}
+
+    def d(a: dict) -> dict:
+        out: dict = {}
+        for j, c in a.items():
+            add(out, dd.get(j, {}), c)
+        return {k: c for k, c in out.items() if c}
+
+    def e(i: int) -> dict:
+        return {i: Fraction(1)}
+
+    for i in range(n):
+        for j in range(n):
+            sign = -1 if (degrees[i] * degrees[j]) % 2 == 0 else 1
+            mirrored = {k: sign * c for k, c in br.get((j, i), {}).items()}
+            if br.get((i, j), {}) != mirrored:
+                return f"antisymmetry fails on pair ({i},{j})"
+            if any(degrees[k] != degrees[i] + degrees[j] for k in br.get((i, j), {})):
+                return f"bracket ({i},{j}) not degree-homogeneous"
+    table = [[br.get((i, j), {}) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            sign = 1 if (degrees[i] * degrees[j]) % 2 == 0 else -1
+            for k in range(n):
+                # lhs - rhs, expanded over the structure constants
+                diffs: dict = {}
+                for m, c in table[j][k].items():
+                    add(diffs, table[i][m], c)
+                for m, c in table[i][j].items():
+                    add(diffs, table[m][k], -c)
+                for m, c in table[i][k].items():
+                    add(diffs, table[j][m], -sign * c)
+                if any(diffs.values()):
+                    return f"Jacobi fails on triple ({i},{j},{k})"
+    # L^1 = L, L^{c+1} = [L, L^c]; a step that keeps the dimension stays put
+    layer = [[Fraction(int(a == b)) for b in range(n)] for a in range(n)]
+    while layer:
+        spans = []
+        for row in layer:
+            v = {k: c for k, c in enumerate(row) if c}
+            for i in range(n):
+                w = bracket(e(i), v)
+                if w:
+                    spans.append([w.get(k, zero) for k in range(n)])
+        nxt = dense_rref(spans)[0]
+        if len(nxt) == len(layer):
+            return "lower central series does not terminate: not nilpotent"
+        layer = nxt
+    for j in range(n):
+        if any(degrees[k] != degrees[j] - 1 for k in dd.get(j, {})):
+            return f"diff of basis element {j} has wrong degree"
+    for j in range(n):
+        if d(d(e(j))):
+            return f"d^2 != 0 on basis element {j}"
+    for i in range(n):
+        for j in range(n):
+            rhs = {}
+            add(rhs, bracket(d(e(i)), e(j)), 1 if degrees[j] % 2 == 0 else -1)
+            add(rhs, bracket(e(i), d(e(j))), 1)
+            if d(bracket(e(i), e(j))) != {k: c for k, c in rhs.items() if c}:
+                return f"derivation rule fails on pair ({i},{j})"
+    return None

@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from lietop import cli
 from lietop.dgl import DglPresentation, free_presentation
 from lietop.freelie import Generator, Window, bracket, generator_element
 from lietop.sullivan import (
@@ -16,6 +18,7 @@ from lietop.sullivan import (
     truncation_lie_data,
     wedge_homology,
 )
+from oracles import dense_lie_violation
 
 ONE = Fraction(1)
 
@@ -113,6 +116,105 @@ def test_diff_derivation_rule_checked():
     diff.pop(idx_gh, None)
     with pytest.raises(ValueError, match="derivation rule"):
         NilpotentLieData(data.basis, data.brackets, diff)
+
+
+def example_truncation(name, weight, degree):
+    _, text = cli._load_source(name)
+    return truncation_lie_data(cli.build(cli.parse(text), Window(weight, degree)).attached)
+
+
+def corrupt(data, rng):
+    """Copies of data's brackets and diff with one constant moved by +-1:
+    a bracket with or without its mirror, or a diff entry; the target index
+    mostly keeps the degree, so the deeper identities get exercised."""
+    n, deg = data.dim, data.degrees
+    brackets = {pair: dict(cs) for pair, cs in data.brackets.items()}
+    diff = {j: dict(cs) for j, cs in data.diff.items()}
+    kind = rng.choice(("mirrored", "unmirrored", "diff"))
+    delta = rng.choice((-1, 1))
+    if kind == "diff":
+        j = rng.choice(sorted(data.diff)) if rng.random() < 0.5 else rng.randrange(n)
+        fits = [k for k in range(n) if deg[k] == deg[j] - 1]
+        k = rng.choice(fits) if fits and rng.random() < 0.8 else rng.randrange(n)
+        image = diff.setdefault(j, {})
+        image[k] = image.get(k, 0) + delta
+        return brackets, diff
+    if rng.random() < 0.5:
+        i, j = rng.choice(sorted(data.brackets))
+    else:
+        i, j = rng.randrange(n), rng.randrange(n)
+    fits = [k for k in range(n) if deg[k] == deg[i] + deg[j]]
+    k = rng.choice(fits) if fits and rng.random() < 0.8 else rng.randrange(n)
+    image = brackets.setdefault((i, j), {})
+    image[k] = image.get(k, 0) + delta
+    if kind == "mirrored":
+        sign = -1 if (deg[i] * deg[j]) % 2 == 0 else 1
+        brackets.setdefault((j, i), {})[k] = sign * image[k]
+    return brackets, diff
+
+
+def test_validation_matches_dense_oracle_on_corrupted_truncations():
+    # validate visits only the tuples where a term can be nonzero; the
+    # oracle sweeps every pair and triple, so they must fail alike
+    checks = ("antisymmetry", "homogeneous", "Jacobi", "wrong degree", "d^2", "derivation rule")
+    failures = set()
+    for name, weight, degree, trials in (
+        ("torus", 4, 2, 100), ("cp2", 6, 6, 100), ("lemaire28", 3, 2, 4),
+    ):
+        data = example_truncation(name, weight, degree)
+        rng = random.Random(name)
+        cases = [(data.brackets, data.diff)] + [corrupt(data, rng) for _ in range(trials)]
+        for brackets, diff in cases:
+            expected = dense_lie_violation(data.degrees, brackets, diff)
+            if expected is None:
+                NilpotentLieData(data.basis, brackets, diff)
+                continue
+            with pytest.raises(ValueError) as err:
+                NilpotentLieData(data.basis, brackets, diff)
+            assert str(err.value) == expected, (name, expected)
+            failures.update(check for check in checks if check in expected)
+    assert failures == set(checks)
+
+
+@pytest.mark.parametrize(
+    "degrees, products, diff",
+    [
+        ([0] * 5, {(1, 2): 3, (0, 3): 4}, {}),
+        ([0] * 5, {(0, 1): 2, (2, 3): 4}, {}),
+        ([0] * 5, {(0, 2): 3, (1, 3): 4}, {}),
+        ([1, 0, 0, 0], {(2, 1): 3}, {0: {2: 1}}),
+        ([0, 0, 1, 0], {(0, 1): 3}, {2: {1: 1}}),
+        ([2, 1, 0], {}, {0: {1: 1}, 1: {2: 1}}),
+    ],
+    ids=["jacobi-lhs", "jacobi-bracket-first", "jacobi-bracket-second",
+         "derivation-d-left", "derivation-d-right", "d-squared-first"],
+)
+def test_validation_matches_dense_oracle_on_single_term_violations(degrees, products, diff):
+    # [e_i, e_j] = e_k for each (i, j): k, mirrored; each case breaks one
+    # identity through one term alone, first at a tuple only that term reaches
+    brackets = {}
+    for (i, j), k in products.items():
+        brackets[(i, j)] = {k: 1}
+        brackets[(j, i)] = {k: 1 if (degrees[i] * degrees[j]) % 2 else -1}
+    expected = dense_lie_violation(degrees, brackets, diff)
+    assert expected is not None
+    with pytest.raises(ValueError) as err:
+        NilpotentLieData([(f"e{i}", d) for i, d in enumerate(degrees)], brackets, diff)
+    assert str(err.value) == expected
+
+
+def test_sullivan_command_validates_once(monkeypatch):
+    calls = []
+    validate = NilpotentLieData.validate
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(NilpotentLieData, "validate", counted)
+    code, _ = cli.run(["sullivan", "--file", "torus", "--window", "4", "2"])
+    assert code == 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------
