@@ -18,7 +18,7 @@ CRITERION6 = str(GOLDEN / "criterion6.lt")
 
 # (record file stem, CLI arguments); the built-in examples run at their
 # default windows, and lemaire28's default (4,2) is the window with witnesses;
-# the other commands and the larger windows each run in well under a second
+# the larger inert windows are those of the benchmark's attach-inert cases
 CASES = [
     (f"{command}-{name}", [command, "--file", name])
     for command in ("homology", "inert")
@@ -29,6 +29,9 @@ CASES = [
     ("logword-wedge-circles", ["logword", "cmt", "--file", "wedge-circles"]),
     ("bch-torus-5-3", ["bch", "a b", "a^-1 b^-1", "--file", "torus", "--window", "5", "3"]),
     ("homology-torus-8-3", ["homology", "--file", "torus", "--window", "8", "3"]),
+] + [
+    (f"inert-{name}-{w}-{d}", ["inert", "--file", name, "--window", str(w), str(d)])
+    for name, w, d in (("genus2", 6, 3), ("anick29", 6, 3), ("cp2", 12, 12))
 ] + [
     (f"sullivan-{name}-{w}-{d}", ["sullivan", "--file", name, "--window", str(w), str(d)])
     for name, w, d in (
