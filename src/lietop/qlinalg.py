@@ -5,23 +5,24 @@ here is exact; there is no floating point anywhere in the package.  Column
 indices are plain ints; callers fix their meaning (for the Lie modules a
 column is a tensor word under the global monomial order, which makes pivots,
 and hence reported bases and representative cycles, deterministic).
+
+Inside, elimination runs in integers: an Echelon stores primitive integer
+rows in semi-echelon form and reduces fraction-free, in the style of Bareiss
+(Math. Comp. 1968).  Fractions appear only where values are handed to
+callers: residuals, coordinates and the reduced row-echelon basis, which is
+built on demand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 Vector = dict[int, Fraction]
+IntVector = dict[int, int]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def vec_add(a: Vector, b: Vector, scale: Fraction = ONE) -> Vector:
-    """a + scale*b as a new dict, dropping entries that cancel."""
-    out = dict(a)
-    _acc(out, b, scale)
-    return out
 
 
 def _acc(out: Vector, b: Vector, scale: Fraction) -> None:
@@ -36,10 +37,67 @@ def _acc(out: Vector, b: Vector, scale: Fraction) -> None:
             out.pop(col, None)
 
 
-def vec_scale(a: Vector, scale: Fraction) -> Vector:
-    if not scale:
-        return {}
-    return {col: scale * val for col, val in a.items()}
+def _integral(v: Vector) -> tuple[IntVector, int]:
+    """(x, den) with x = den*v integral; den is the lcm of v's denominators.
+    Entries may be Fractions or ints."""
+    den = lcm(*(c.denominator for c in v.values()))
+    if den == 1:
+        return {col: c.numerator for col, c in v.items()}, 1
+    return {col: c.numerator * (den // c.denominator) for col, c in v.items()}, den
+
+
+def _fractions(x: IntVector, den: int) -> Vector:
+    """x/den as Fractions, zero entries dropped; den > 0."""
+    if den == 1:
+        return {col: Fraction(c) for col, c in x.items() if c}
+    return {col: Fraction(c, den) for col, c in x.items() if c}
+
+
+def _eliminate(
+    x: IntVector, rows: dict[int, IntVector], combos: dict[int, IntVector] | None = None
+) -> tuple[int, IntVector]:
+    """Clears x, in place, at every column that keys a row of `rows`.
+
+    Each row's smallest column is its key and has a positive coefficient, so
+    clearing column p adds entries only after p; the keys present in x are
+    visited in ascending order through a heap.  Each step is fraction-free,
+    x <- a*x - b*row with a > 0 and gcd(a, b) = 1.  Returns (scale, combo):
+    x ends as scale*x_in minus a combination of rows, which is
+    sum_k combo[k]*inserted[k] when `combos` gives each row over the inserted
+    vectors (combo is empty without them).  Entries that cancel stay as 0.
+    """
+    scale = 1
+    combo: IntVector = {}
+    heap = [c for c in x if c in rows]
+    heapify(heap)
+    while heap:
+        p = heappop(heap)
+        b = x[p]
+        if not b:
+            continue
+        row = rows[p]
+        lead = row[p]
+        if lead != 1:
+            g = gcd(b, lead)
+            a, b = lead // g, b // g
+            if a != 1:
+                for c in x:
+                    x[c] *= a
+                scale *= a
+                for k in combo:
+                    combo[k] *= a
+        for c, e in row.items():
+            old = x.get(c)
+            if old is None:
+                x[c] = -b * e
+                if c in rows:
+                    heappush(heap, c)
+            else:
+                x[c] = old - b * e
+        if combos is not None:
+            for k, e in combos[p].items():
+                combo[k] = combo.get(k, 0) + b * e
+    return scale, combo
 
 
 class SparseMatrix:
@@ -108,24 +166,29 @@ class SubspaceBasis:
 
 
 class Echelon:
-    """Incremental reduced row-echelon form.
+    """Incremental echelon form of a subspace of Q^ambient, in integers.
 
     Insert vectors one at a time; each is reduced against the rows so far and
-    kept if independent, with back-elimination preserving the reduced form.
-    With track=True every stored row carries its expression over the vectors
-    as originally inserted (keyed by insertion index), so membership tests
-    double as coordinate computations.
+    kept if independent.  Stored rows are primitive integer vectors (content
+    divided out, positive pivot coefficient) keyed by pivot column, their
+    smallest column.  They form a semi-echelon: a row is never reduced
+    against a later one, nor changed at all once stored, so `copy` shares
+    them.  A residual still comes out zero at every pivot column, and the
+    span meets that coordinate subspace only in 0, so residuals and
+    coordinates are those of the reduced row-echelon form; `basis` and
+    `rows` build that form on demand.
 
-    Rows are stored keyed by pivot column.  Reduction touches only the pivot
-    columns present in the input: in reduced form, eliminating a pivot fills
-    in at non-pivot columns only, so no new pivots ever appear mid-pass.
+    With track=True every stored row carries its expression over the vectors
+    as originally inserted (keyed by insertion index, integer coefficients
+    sharing the row's content), so membership tests double as coordinate
+    computations.
     """
 
     def __init__(self, ambient: int, track: bool = False):
         self.ambient = ambient
         self.track = track
-        self._rows: dict[int, Vector] = {}
-        self._combos: dict[int, Vector] = {}
+        self._rows: dict[int, IntVector] = {}
+        self._combos: dict[int, IntVector] = {}
         self.n_inserted = 0
 
     @property
@@ -138,41 +201,36 @@ class Echelon:
 
     @property
     def rows(self) -> list[Vector]:
-        return [self._rows[p] for p in sorted(self._rows)]
+        return self.basis().rows
 
     def reduce(self, v: Vector) -> tuple[Vector, Vector]:
         """Returns (residual, combo) with residual = v - sum combo[k]*inserted[k]."""
-        residual = dict(v)
-        combo: Vector = {}
-        rows = self._rows
-        for pivot in sorted(c for c in residual if c in rows):
-            coef = residual.get(pivot)
-            if coef:
-                _acc(residual, rows[pivot], -coef)
-                if self.track:
-                    _acc(combo, self._combos[pivot], coef)
-        return residual, combo
+        x, den = _integral(v)
+        scale, combo = _eliminate(x, self._rows, self._combos if self.track else None)
+        den *= scale
+        return _fractions(x, den), _fractions(combo, den)
 
     def insert(self, v: Vector) -> bool:
         """Insert v; returns True if it enlarged the span."""
         idx = self.n_inserted
         self.n_inserted += 1
-        residual, combo = self.reduce(v)
-        if not residual:
+        x, den = _integral(v)
+        scale, combo = _eliminate(x, self._rows, self._combos if self.track else None)
+        row = {c: e for c, e in x.items() if e}
+        if not row:
             return False
-        pivot = min(residual)
-        lead = residual[pivot]
-        row = vec_scale(residual, 1 / lead)
+        pivot = min(row)
         if self.track:
-            combo = vec_scale(vec_add({idx: ONE}, combo, -ONE), 1 / lead)
-        for p, existing in self._rows.items():
-            coef = existing.get(pivot)
-            if coef:
-                _acc(existing, row, -coef)
-                if self.track:
-                    _acc(self._combos[p], combo, -coef)
+            combo = {k: -e for k, e in combo.items() if e}
+            combo[idx] = scale * den
+        g = gcd(*row.values(), *combo.values())
+        if row[pivot] < 0:
+            g = -g
+        if g != 1:
+            row = {c: e // g for c, e in row.items()}
+            combo = {k: e // g for k, e in combo.items()}
         self._rows[pivot] = row
-        self._combos[pivot] = combo if self.track else {}
+        self._combos[pivot] = combo
         return True
 
     def coordinates(self, v: Vector) -> Vector | None:
@@ -191,14 +249,28 @@ class Echelon:
     def copy(self) -> "Echelon":
         """An independent echelon with the same rows, ready to grow."""
         out = Echelon(self.ambient, self.track)
-        out._rows = {p: dict(row) for p, row in self._rows.items()}
-        out._combos = {p: dict(combo) for p, combo in self._combos.items()}
+        out._rows = dict(self._rows)
+        out._combos = dict(self._combos)
         out.n_inserted = self.n_inserted
         return out
 
+    def _reduced(self) -> dict[int, IntVector]:
+        """The reduced row-echelon rows as primitive integer vectors, by
+        pivot: back-substitution from the top pivot down, so each row is
+        cleared against rows that are already reduced."""
+        out: dict[int, IntVector] = {}
+        for p in sorted(self._rows, reverse=True):
+            x = dict(self._rows[p])
+            _eliminate(x, out)
+            g = gcd(*x.values())
+            out[p] = {c: e // g for c, e in x.items() if e}
+        return out
+
     def basis(self) -> SubspaceBasis:
-        pivots = sorted(self._rows)
-        return SubspaceBasis(self.ambient, [dict(self._rows[p]) for p in pivots], pivots)
+        reduced = self._reduced()
+        pivots = sorted(reduced)
+        rows = [_fractions(reduced[p], reduced[p][p]) for p in pivots]
+        return SubspaceBasis(self.ambient, rows, pivots)
 
 
 def rref(m: SparseMatrix) -> tuple[SubspaceBasis, int]:
@@ -215,17 +287,23 @@ def kernel_basis(m: SparseMatrix) -> SubspaceBasis:
 
     The basis is the leftmost-pivot reduced echelon form of the null space,
     which fixes the cycles that homology representatives are reduced from.
+    It is eliminated from the null vectors e_f - sum_p row_p[f] e_p of the
+    free columns f, in ascending f, with row_p the reduced rows of m.
     """
-    b, rank = rref(m)
-    pivot_set = set(b.pivots)
     ech = Echelon(m.cols)
+    for row in m.row_vectors():
+        ech.insert(row)
+    reduced = ech._reduced()
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for p, row in reduced.items():
+        for c, e in row.items():
+            if c != p:
+                by_col.setdefault(c, []).append((p, e))
+    null = Echelon(m.cols)
     for f in range(m.cols):
-        if f in pivot_set:
+        if f in reduced:
             continue
-        v: Vector = {f: ONE}
-        for p, row in zip(b.pivots, b.rows):
-            c = row.get(f)
-            if c:
-                v[p] = -c
-        ech.insert(v)
-    return ech.basis()
+        entries = by_col.get(f, ())
+        den = lcm(*(reduced[p][p] for p, _ in entries))
+        null.insert({f: den, **{p: -e * (den // reduced[p][p]) for p, e in entries}})
+    return null.basis()

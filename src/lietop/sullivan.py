@@ -605,12 +605,18 @@ def truncation_lie_data(p) -> NilpotentLieData:
 
     from .freelie import bracket
 
+    # each unordered pair is bracketed once; graded antisymmetry gives the
+    # mirror, [e_j, e_i] = -(-1)^{|e_i||e_j|} [e_i, e_j]
     brackets: dict[tuple[int, int], Coeffs] = {}
     for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            br = bracket(a, b)
-            if not br.is_zero():
-                brackets[(i, j)] = coords_of(br.value)
+        for j in range(i, len(elements)):
+            br = bracket(a, elements[j])
+            if br.is_zero():
+                continue
+            cs = brackets[(i, j)] = coords_of(br.value)
+            if j != i:
+                odd = basis[i][1] * basis[j][1] % 2
+                brackets[(j, i)] = cs if odd else {k: -c for k, c in cs.items()}
     diff: dict[int, Coeffs] = {}
     for j, el in enumerate(elements):
         img = p.derive(el)

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from lietop.qlinalg import (
 )
 
 from helpers import apply, from_dense
-from oracles import bareiss_rank, dense_rank
+from oracles import bareiss_rank, dense_rank, dense_rref, dense_solve
 
 
 def test_rref_identity():
@@ -132,7 +134,111 @@ def test_echelon_copy_grows_independently():
     grown = ech.copy()
     assert grown.insert({2: Fraction(1)})
     assert grown.rows == [{0: Fraction(1)}, {1: Fraction(1)}, {2: Fraction(1)}]
-    # back-elimination in the copy leaves the original's rows untouched
+    # growing the copy leaves the original's rows untouched
     assert ech.rank == 2
     assert ech.rows == [{0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: Fraction(1)}]
     assert ech.n_inserted == 2 and grown.n_inserted == 3
+
+
+def sparse(row: list) -> dict:
+    return {j: Fraction(c) for j, c in enumerate(row) if c}
+
+
+# non-integral entries, half of them zero so that rows are often dependent
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(min_value=-60, max_value=60), st.integers(min_value=1, max_value=9)),
+)
+
+
+@st.composite
+def rational_systems(draw):
+    """Up to 8x8 rational rows plus one more vector of the same width."""
+    cols = draw(st.integers(min_value=1, max_value=8))
+    row = st.lists(rationals, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=1, max_size=8)), draw(row)
+
+
+@given(rational_systems())
+@settings(max_examples=150, deadline=None)
+def test_echelon_matches_dense_rref_on_rationals(system):
+    rows, v = system
+    ech = Echelon(len(v))
+    for row in rows:
+        ech.insert(sparse(row))
+    # stored rows: primitive integer vectors led by a positive pivot entry
+    for p, row in ech._rows.items():
+        assert min(row) == p and row[p] > 0 and gcd(*row.values()) == 1
+        assert all(type(c) is int for c in row.values())
+    reduced, pivots = dense_rref(rows)
+    assert ech.pivots == pivots
+    assert ech.rows == [sparse(r) for r in reduced]
+    # the residual is the reduced-form normal form v - sum_p v[p] row_p
+    normal = [x - sum(v[p] * r[j] for p, r in zip(pivots, reduced)) for j, x in enumerate(v)]
+    residual, combo = ech.reduce(sparse(v))
+    assert residual == sparse(normal)
+    assert combo == {}
+    assert ech.contains(sparse(v)) == (not residual)
+
+
+@given(rational_systems(), st.lists(st.integers(min_value=-3, max_value=3), min_size=8, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_tracked_coordinates_match_dense_solve_on_rationals(system, weights):
+    rows, v = system
+    ech = Echelon(len(v), track=True)
+    accepted = [k for k, row in enumerate(rows) if ech.insert(sparse(row))]
+    inside = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(len(v))]
+    for target in (inside, v):
+        combo = ech.coordinates(sparse(target))
+        expected = dense_solve([rows[k] for k in accepted], target)
+        if expected is None:
+            assert combo is None
+            continue
+        assert combo == {k: c for k, c in zip(accepted, expected) if c}
+        rebuilt = [sum(c * rows[k][j] for k, c in combo.items()) for j in range(len(v))]
+        assert rebuilt == target
+
+
+@given(rational_systems(), st.integers(min_value=0, max_value=8), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_grown_copy_leaves_original_unchanged_on_rationals(system, split, track):
+    rows, v = system
+    ech = Echelon(len(v), track=track)
+    for row in rows[:split]:
+        ech.insert(sparse(row))
+    before = (ech.rows, ech.rank, ech.reduce(sparse(v)))
+    grown = ech.copy()
+    for row in rows[split:] + [v]:
+        grown.insert(sparse(row))
+    assert (ech.rows, ech.rank, ech.reduce(sparse(v))) == before
+    assert grown.rank == dense_rank(rows + [v])
+
+
+def large_integral_matrix(rng: random.Random) -> list[list[int]]:
+    """A 12x12 integer matrix with entries up to 10^6 in absolute value, of
+    random rank: the rows after the first k are sums or differences of two
+    earlier rows, whose entries are then kept below 5*10^5."""
+    k = rng.randint(1, 12)
+    bound = 10**6 if k == 12 else 5 * 10**5
+    rows = [[rng.randint(-bound, bound) for _ in range(12)] for _ in range(k)]
+    while len(rows) < 12:
+        a, b = rng.sample(rows[:k], 2) if k > 1 else (rows[0], rows[0])
+        sign = rng.choice((1, -1))
+        rows.append([x + sign * y for x, y in zip(a, b)])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_large_coefficients_rank_and_kernel():
+    ranks = set()
+    for seed in range(30):
+        rows = large_integral_matrix(random.Random(seed))
+        m = from_dense(rows)
+        _, rank = rref(m)
+        assert rank == bareiss_rank(rows) == dense_rank(rows)
+        ker = kernel_basis(m)
+        assert rank + ker.dim == 12
+        for v in ker.rows:
+            assert apply(m, v) == {}
+        ranks.add(rank)
+    assert len(ranks) > 5
