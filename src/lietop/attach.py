@@ -33,10 +33,8 @@ from .freelie import (
     TensorElement,
     Window,
     Word,
-    bracket,
-    generator_element,
 )
-from .qlinalg import Echelon
+from .qlinalg import Echelon, Vector
 
 INERT_UP_TO_WINDOW = "inert-up-to-window"
 NOT_INERT = "not-inert"
@@ -189,14 +187,15 @@ def saturate_ideal(
     """Per-degree echelons of the closed ideal generated by the elements.
 
     Breadth-first: bracket every accepted spanning vector with each
-    generator; every round raises weight, so the window bound terminates
-    the saturation.  Jacobi makes generator brackets sufficient.
+    generator, through the chain complex's ad_g columns; every round raises
+    weight, so the window bound terminates the saturation.  Jacobi makes
+    generator brackets sufficient.
     """
     window = base.window
     if cx is None:
         cx = ChainComplex(base)
     echelons: dict[int, Echelon] = {}
-    frontier: list[LieElement] = []
+    frontier: list[tuple[int, Vector]] = []
     for element in elements:
         t = element.value.rewindow(window)
         if t.is_zero():
@@ -204,22 +203,19 @@ def saturate_ideal(
         d = t.degree()
         if d is None:
             raise ValueError("ideal generators must be degree-homogeneous")
-        ech = echelons.setdefault(d, Echelon(cx.dim(d)))
-        if ech.insert(cx.coordinates(t, d)):
-            frontier.append(LieElement(t))
+        v = cx.coordinates(t, d)
+        if echelons.setdefault(d, Echelon(cx.dim(d))).insert(v):
+            frontier.append((d, v))
     while frontier:
-        new_frontier: list[LieElement] = []
-        for element in frontier:
-            for g in base.generators:
-                br = bracket(generator_element(g, window), element)
-                if br.is_zero():
+        new_frontier: list[tuple[int, Vector]] = []
+        for d, v in frontier:
+            for i, g in enumerate(base.generators):
+                br = cx.ad_vector(i, d, v)
+                if not br:
                     continue
-                d = br.value.degree()
-                if d > window.max_degree:
-                    continue
-                ech = echelons.setdefault(d, Echelon(cx.dim(d)))
-                if ech.insert(cx.coordinates(br.value, d)):
-                    new_frontier.append(br)
+                ech = echelons.setdefault(d + g.degree, Echelon(cx.dim(d + g.degree)))
+                if ech.insert(br):
+                    new_frontier.append((d + g.degree, br))
         frontier = new_frontier
     return echelons
 

@@ -11,6 +11,14 @@ honest finite-dimensional nilpotent dgl because differentials never lower
 weight.  The top degree of the window is omitted from homology tables: its
 incoming boundaries are not fully visible.
 
+Boundaries are assembled in bracket coordinates over the chain basis (the
+left-normed bracket bases of the window's slices) from the columns of
+ad_g, one matrix per generator g; the same coordinate bracket serves the
+ideal saturation of module attach, the indecomposables here, and the
+structure constants of sullivan.truncation_lie_data.  Only the generators'
+differential images pass through tensor words, once each; derive works on
+tensor words and remains for d^2 checks and tensor-given inputs.
+
 A ChainComplex eliminates each boundary space once, column by column, and
 every consumer reads that one echelon: the ranks of both weight stages,
 the homology representatives, and the inertness verdicts of module attach.
@@ -36,9 +44,8 @@ from .freelie import (
     certify_lie,
     lie_slice,
     merge_windows,
-    slice_element,
 )
-from .qlinalg import Echelon, SparseMatrix, Vector, kernel_basis
+from .qlinalg import Echelon, SparseMatrix, Vector, add_scaled, kernel_basis
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -209,13 +216,19 @@ class HomologyTable:
         return {d: [self.complex.element(v, d) for v in vs] for d, vs in self.cycles.items()}
 
 
-class ChainComplex:
-    """Chain data of a presentation on its window, assembled degree by degree.
+class ChainBasis:
+    """Coordinates of a presentation's truncated free Lie algebra over its
+    chain basis, with brackets and boundaries computed in them.
 
     Degree-d chains are the direct sum of the (w, d) Lie slices, w <= N, in
-    ascending weight.  Columns are indexed by bracket-basis elements; each
-    column remembers its weight so ranks of the (N-1)-stage come from the
-    same elimination as the full ranks.
+    ascending weight; chain index j of degree d names a left-normed basis
+    tree of its slice.  The algebra is generated by its letters, so the
+    columns of ad_{g_i} determine every bracket: a basis tree [g_i, b]
+    brackets by  [[g_i, b], y] = [g_i, [b, y]] - (-1)^{|g_i||b|} [b, [g_i, y]],
+    and boundaries follow  d[g_i, b] = [g_i, db] + (-1)^{|b|} [dg_i, b].
+    Only the generators' diffs pass through tensor words, once each.
+    Brackets beyond the window are dropped, as in word space.  Columns are
+    memoised on the object; returned vectors must not be mutated.
     """
 
     def __init__(self, p: DglPresentation):
@@ -224,9 +237,17 @@ class ChainComplex:
         self._slices: dict[int, list[LieSlice]] = {}
         self._offsets: dict[int, list[int]] = {}
         self._col_weights: dict[int, list[int]] = {}
-        self._boundaries: dict[int, SparseMatrix] = {}
-        self._images: dict[int, Echelon] = {}
-        self._stage_ranks: dict[int, int] = {}
+        self._slots: dict[int, dict[int, tuple[LieSlice, int]]] = {}  # degree -> weight -> (slice, offset)
+        # degree -> per chain index (i, None, None) for the generator g_i, or
+        # (i, d_b, b) for the tree [g_i, e_b], e_b of degree d_b
+        self._factors: dict[int, list[tuple[int, int | None, int | None]]] = {}
+        # (degree, weight) -> (i, k) -> basis index in that slice of the
+        # accepted tree [g_i, b_k], b_k the k-th tree of the slice below
+        self._accepted: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+        self._ad: dict[tuple[int, int, int], Vector] = {}  # columns that needed a solve
+        self._brackets: dict[tuple[int, int, int, int], Vector] = {}
+        self._columns: dict[tuple[int, int], Vector] = {}
+        self._diffs: dict[int, Vector] = {}
 
     def slices(self, degree: int) -> list[LieSlice]:
         cached = self._slices.get(degree)
@@ -247,40 +268,56 @@ class ChainComplex:
             weights.extend([slc.weight] * slc.dim)
         self._offsets[degree] = offsets
         self._col_weights[degree] = weights
+        self._slots[degree] = {slc.weight: (slc, off) for slc, off in zip(out, offsets)}
         return out
 
-    def dim(self, degree: int, max_weight: int | None = None) -> int:
+    def _slot(self, degree: int, weight: int) -> tuple[LieSlice, int] | None:
+        """The (weight, degree) slice and its offset, or None if it is zero
+        or outside the window."""
+        if not 0 <= degree <= self.window.max_degree:
+            return None
         self.slices(degree)
+        return self._slots[degree].get(weight)
+
+    def _locate(self, degree: int, j: int) -> tuple[LieSlice, int]:
+        """The slice holding degree-d chain index j, and its offset."""
+        offsets = self._offsets[degree]
+        k = bisect_right(offsets, j) - 1
+        return self._slices[degree][k], offsets[k]
+
+    def weights(self, degree: int) -> list[int]:
+        """The weight of every degree-d chain-basis element."""
+        self.slices(degree)
+        return self._col_weights[degree]
+
+    def dim(self, degree: int, max_weight: int | None = None) -> int:
+        weights = self.weights(degree)
         if max_weight is None:
-            return len(self._col_weights[degree])
-        return sum(1 for w in self._col_weights[degree] if w <= max_weight)
+            return len(weights)
+        return sum(1 for w in weights if w <= max_weight)
 
     def coordinates(self, t: TensorElement, degree: int) -> Vector:
         """Coordinates of a degree-d Lie tensor element over the chain basis."""
-        slices = self.slices(degree)
         out: Vector = {}
-        by_weight = {slc.weight: k for k, slc in enumerate(slices)}
         for (w, d), terms in t.bislices().items():
             if d != degree:
                 raise ValueError(f"component of degree {d} in degree-{degree} chains")
-            k = by_weight.get(w)
-            coords = None if k is None else slices[k].coordinates(terms)
+            slot = self._slot(degree, w)
+            coords = None if slot is None else slot[0].coordinates(terms)
             if coords is None:
                 raise ValueError("component is not in the Lie subspace")
-            off = self._offsets[degree][k]
             for i, c in coords.items():
-                out[off + i] = c
+                out[slot[1] + i] = c
         return out
 
     def element(self, coords: Vector, degree: int) -> LieElement:
         """The Lie element with these coordinates over the degree-d chain basis."""
-        slices = self.slices(degree)
-        offsets = self._offsets[degree]
+        self.slices(degree)
         terms: dict[Word, Fraction] = {}
         for j in sorted(coords):
             c = coords[j]
-            k = bisect_right(offsets, j) - 1
-            for word, v in slices[k].kept_terms[j - offsets[k]].items():
+            slc, off = self._locate(degree, j)
+            for word, v in slc.kept_terms[j - off].items():
                 s = terms.get(word, ZERO) + c * v
                 if s:
                     terms[word] = s
@@ -288,24 +325,148 @@ class ChainComplex:
                     terms.pop(word, None)
         return LieElement(TensorElement(self.window, terms))
 
+    def _matched(self, degree: int) -> list[tuple[int, int | None, int | None]]:
+        """The factors of every degree-d basis tree, recording per slice which
+        candidates [g_i, b_k] were accepted.  lie_slice accepts a slice's
+        generators first, then candidates in order of i and k, so one walk
+        over the candidates pairs each tree with its factors."""
+        factors = self._factors.get(degree)
+        if factors is None:
+            factors = self._factors[degree] = []
+            for slc in self.slices(degree):
+                w, trees = slc.weight, slc.trees
+                out: list = [(tree, None, None) for tree in trees if isinstance(tree, int)]
+                accepted = self._accepted[(degree, w)] = {}
+                for i, g in enumerate(self.p.generators):
+                    slot = self._slot(degree - g.degree, w - g.weight)
+                    if slot is None:
+                        continue
+                    sub, off = slot
+                    for k, tree in enumerate(sub.trees):
+                        if len(out) < len(trees) and trees[len(out)] == (i, tree):
+                            accepted[(i, k)] = len(out)
+                            out.append((i, degree - g.degree, off + k))
+                factors.extend(out)
+        return factors
+
+    def ad(self, i: int, degree: int, j: int) -> Vector:
+        """Column j of ad_{g_i}: [g_i, e_j] for e_j of degree `degree`, over
+        the chain basis of degree + deg g_i: a unit vector when the tree was
+        accepted there, else a solve, memoised."""
+        key = (i, degree, j)
+        col = self._ad.get(key)
+        if col is not None:
+            return col
+        g = self.p.generators[i]
+        target, weight = degree + g.degree, self.weights(degree)[j] + g.weight
+        slot = self._slot(target, weight)
+        if slot is None:
+            return {}
+        slc, off = slot
+        sub, sub_off = self._locate(degree, j)
+        self._matched(target)
+        k = self._accepted[(target, weight)].get((i, j - sub_off))
+        if k is not None:
+            return {off + k: ONE}
+        col = slc.generator_bracket(i, sub, j - sub_off)
+        col = self._ad[key] = {off + c: v for c, v in col.items()}
+        return col
+
+    def ad_vector(self, i: int, degree: int, v: Vector) -> Vector:
+        """[g_i, v] for a chain v of degree `degree`."""
+        out: Vector = {}
+        for j, c in v.items():
+            add_scaled(out, self.ad(i, degree, j), c)
+        return out
+
+    def _basis_bracket(self, da: int, a: int, db: int, b: int) -> Vector:
+        """[e_a, e_b] over the chain basis of degree da + db, for e_a of
+        degree da and e_b of degree db."""
+        key = (da, a, db, b)
+        out = self._brackets.get(key)
+        if out is None:
+            out = {}
+            window = self.window
+            if (
+                da + db <= window.max_degree
+                and self.weights(da)[a] + self.weights(db)[b] <= window.max_weight
+            ):
+                i, ds, s = self._matched(da)[a]
+                if ds is None:
+                    out = self.ad(i, db, b)
+                else:
+                    g = self.p.generators[i]
+                    out = self.ad_vector(i, ds + db, self._basis_bracket(ds, s, db, b))
+                    sign = 1 if g.degree * ds % 2 else -1
+                    for c, v in self.ad(i, db, b).items():
+                        add_scaled(out, self._basis_bracket(ds, s, db + g.degree, c), sign * v)
+            self._brackets[key] = out
+        return out
+
+    def bracket(self, x: Vector, dx: int, y: Vector, dy: int) -> Vector:
+        """[x, y] for chains x of degree dx and y of degree dy, over the chain
+        basis of degree dx + dy."""
+        out: Vector = {}
+        for a, ca in x.items():
+            for b, cb in y.items():
+                add_scaled(out, self._basis_bracket(dx, a, dy, b), ca * cb)
+        return out
+
+    def _diff(self, i: int) -> Vector:
+        col = self._diffs.get(i)
+        if col is None:
+            g = self.p.generators[i]
+            img = self.p.diff.get(g)
+            col = {} if img is None else self.coordinates(img.value, g.degree - 1)
+            self._diffs[i] = col
+        return col
+
+    def boundary_column(self, degree: int, j: int) -> Vector:
+        """d e_j for e_j of degree `degree` >= 1, over the chain basis of
+        degree - 1."""
+        key = (degree, j)
+        col = self._columns.get(key)
+        if col is None:
+            i, ds, s = self._matched(degree)[j]
+            if ds is None:
+                col = self._diff(i)
+            else:
+                col = self.ad_vector(i, ds - 1, self.boundary_column(ds, s)) if ds else {}
+                sign = -1 if ds % 2 else 1
+                dg_degree = self.p.generators[i].degree - 1
+                for t, c in self._diff(i).items():
+                    add_scaled(col, self._basis_bracket(dg_degree, t, ds, s), sign * c)
+            self._columns[key] = col
+        return col
+
+
+class ChainComplex(ChainBasis):
+    """Chain data of a presentation on its window, assembled degree by degree.
+
+    The boundary matrices are those of the chain basis, in ascending weight;
+    each column remembers its weight so ranks of the (N-1)-stage come from
+    the same elimination as the full ranks.
+    """
+
+    def __init__(self, p: DglPresentation):
+        super().__init__(p)
+        self._boundaries: dict[int, SparseMatrix] = {}
+        self._images: dict[int, Echelon] = {}
+        self._stage_ranks: dict[int, int] = {}
+
     def boundary(self, degree: int) -> SparseMatrix:
         """The matrix of d: C_degree -> C_{degree-1}."""
         cached = self._boundaries.get(degree)
         if cached is not None:
             return cached
-        slices = self.slices(degree)
+        cols = self.dim(degree)
         rows = self.dim(degree - 1) if degree >= 1 else 0
         entries: dict[tuple[int, int], Fraction] = {}
-        col = 0
-        for slc in slices:
-            for k in range(slc.dim):
-                if degree >= 1:
-                    img = self.p.derive(slice_element(slc, k, self.window))
-                    if not img.is_zero():
-                        for i, c in self.coordinates(img.value, degree - 1).items():
-                            entries[(i, col)] = c
-                col += 1
-        m = SparseMatrix(rows, self.dim(degree), entries)
+        if degree >= 1:
+            for j in range(cols):
+                for i, c in self.boundary_column(degree, j).items():
+                    entries[(i, j)] = c
+        m = SparseMatrix(rows, cols, entries)
         self._boundaries[degree] = m
         return m
 
@@ -316,10 +477,7 @@ class ChainComplex:
         cached = self._images.get(degree)
         if cached is not None:
             return cached
-        bnd = self.boundary(degree + 1)
-        cols: list[Vector] = [{} for _ in range(bnd.cols)]
-        for (i, j), c in bnd.entries.items():
-            cols[j][i] = c
+        cols = [self.boundary_column(degree + 1, j) for j in range(self.dim(degree + 1))]
         # Columns and rows run in ascending weight, so once the (N-1)-stage
         # columns are in, the pivots in (N-1)-stage rows count the rank of
         # the (N-1)-stage boundary.
@@ -408,8 +566,6 @@ def indecomposable_dims(p: DglPresentation, table: HomologyTable | None = None) 
     [H,H]_d is spanned by classes of brackets of representatives; each
     bracket is reduced against the boundary space before counting.
     """
-    from .freelie import bracket  # local import avoids a cycle at module load
-
     if table is None:
         table = homology(p)
     cx = table.complex
@@ -419,14 +575,13 @@ def indecomposable_dims(p: DglPresentation, table: HomologyTable | None = None) 
         base_rank = ech.rank
         for p_deg in range(0, d + 1):
             q_deg = d - p_deg
-            if p_deg not in table.representatives or q_deg not in table.representatives:
+            if p_deg not in table.cycles or q_deg not in table.cycles:
                 continue
-            for r1 in table.representatives[p_deg]:
-                for r2 in table.representatives[q_deg]:
-                    br = bracket(r1, r2)
-                    if br.is_zero():
-                        continue
-                    ech.insert(cx.coordinates(br.value, d))
+            for r1 in table.cycles[p_deg]:
+                for r2 in table.cycles[q_deg]:
+                    br = cx.bracket(r1, p_deg, r2, q_deg)
+                    if br:
+                        ech.insert(br)
         out[d] = table.dims[d] - (ech.rank - base_rank)
     return out
 

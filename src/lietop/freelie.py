@@ -524,6 +524,13 @@ class LieSlice:
     def contains(self, terms: dict[Word, Fraction]) -> bool:
         return self.vector(terms) is not None
 
+    def generator_bracket(self, i: int, sub: "LieSlice", k: int) -> Vector:
+        """Coordinates of [g_i, b_k] over this slice's basis, where b_k is the
+        k-th basis element of sub, the slice just below this one by g_i."""
+        g = self.gens[i]
+        terms = _word_commutator({(g,): 1}, g.degree, sub.kept_terms[k], sub.degree)
+        return self.coordinates(terms) if terms else {}
+
     def basis(self) -> SubspaceBasis:
         """Reduced echelon basis of the slice in word coordinates."""
         ech = Echelon(len(self.words))
@@ -604,11 +611,6 @@ def lie_slice(gens: tuple[Generator, ...] | list[Generator], weight: int, degree
                            f"{slc.tracked.ambient} leading words; this is a bug")
     with _slice_lock:
         return _slice_cache.setdefault(key, slc)
-
-
-def slice_element(slc: LieSlice, k: int, window: Window) -> LieElement:
-    """The k-th bracket-basis element of the slice, as a certified element."""
-    return LieElement(TensorElement(window, slc.kept_terms[k]))
 
 
 def lie_basis(gens, weight: int, degree: int) -> SubspaceBasis:

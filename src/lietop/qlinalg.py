@@ -25,8 +25,8 @@ IntVector = dict[int, int]
 ZERO = Fraction(0)
 
 
-def _acc(out: Vector, b: Vector, scale: Fraction) -> None:
-    """out += scale*b in place."""
+def add_scaled(out: Vector, b: Vector, scale: Fraction | int) -> None:
+    """out += scale*b in place, dropping entries that cancel."""
     if not scale:
         return
     for col, val in b.items():
@@ -153,7 +153,7 @@ class SubspaceBasis:
         coords = [v.get(p, ZERO) for p in self.pivots]
         residual = dict(v)
         for c, row in zip(coords, self.rows):
-            _acc(residual, row, -c)
+            add_scaled(residual, row, -c)
         if residual:
             return None
         return coords
@@ -277,7 +277,8 @@ def rref(m: SparseMatrix) -> tuple[SubspaceBasis, int]:
     """Reduced row-echelon basis of the row space of m, with its rank."""
     ech = Echelon(m.cols)
     for row in m.row_vectors():
-        ech.insert(row)
+        if row:
+            ech.insert(row)
     b = ech.basis()
     return b, b.dim
 
@@ -292,7 +293,8 @@ def kernel_basis(m: SparseMatrix) -> SubspaceBasis:
     """
     ech = Echelon(m.cols)
     for row in m.row_vectors():
-        ech.insert(row)
+        if row:
+            ech.insert(row)
     reduced = ech._reduced()
     by_col: dict[int, list[tuple[int, int]]] = {}
     for p, row in reduced.items():

@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
+from .dgl import ChainBasis
 from .qlinalg import Echelon, SparseMatrix, Vector, kernel_basis
 
 ZERO = Fraction(0)
@@ -206,7 +208,7 @@ class SullivanData:
                 if c and i == j and degs[i] % 2 == 1:
                     raise ValueError("square of an odd basis vector is zero")
 
-    @property
+    @cached_property
     def degrees(self) -> list[int]:
         return [d for _, d in self.basis]
 
@@ -283,10 +285,11 @@ Monomial = tuple[int, ...]
 Poly = dict[Monomial, Fraction]
 
 
-def mono_normalize(seq: tuple[int, ...], degs: list[int]) -> tuple[Monomial, Fraction] | None:
-    """Sort a raw index tuple, tracking the Koszul sign; None if it vanishes."""
+def mono_normalize(seq: tuple[int, ...], degs: list[int]) -> tuple[Monomial, int] | None:
+    """Sort a raw index tuple, tracking the Koszul sign (+1 or -1); None if
+    it vanishes."""
     items = list(seq)
-    sign = ONE
+    sign = 1
     for a in range(1, len(items)):
         b = a
         while b > 0 and items[b - 1] > items[b]:
@@ -307,23 +310,29 @@ def mono_degree(m: Monomial, degs: list[int]) -> int:
 def sd_diff(sd: SullivanData, p: Poly) -> Poly:
     """d0 + d1 extended to Lambda(V) as a derivation."""
     degs = sd.degrees
+    images: dict[int, list[tuple[Monomial, Fraction]]] = {}  # d v_k, built once per call
     out: Poly = {}
     for m, coeff in p.items():
-        prefix_deg = 0
-        for t in range(len(m)):
-            sign = -ONE if prefix_deg % 2 else ONE
-            dv: dict[tuple[int, ...], Fraction] = {}
-            for j, c in sd.d0.get(m[t], {}).items():
-                _acc(dv, (j,), c)
-            for (i, j), c in sd.d1.get(m[t], {}).items():
-                _acc(dv, (i, j), c)
-            for dm, dc in dv.items():
-                norm = mono_normalize(m[:t] + dm + m[t + 1 :], degs)
+        prefix_sign = 1  # (-1)^{degree left of position t}
+        for t, k in enumerate(m):
+            image = images.get(k)
+            if image is None:
+                dv: Poly = {}
+                for j, c in sd.d0.get(k, {}).items():
+                    _acc(dv, (j,), c)
+                for pair, c in sd.d1.get(k, {}).items():
+                    _acc(dv, pair, c)
+                image = images[k] = list(dv.items())
+            head, tail = m[:t], m[t + 1 :]
+            for dm, dc in image:
+                norm = mono_normalize(head + dm + tail, degs)
                 if norm is None:
                     continue
-                mm, s2 = norm
-                _acc(out, mm, coeff * sign * s2 * dc)
-            prefix_deg += degs[m[t]]
+                mm, sign = norm
+                c = coeff * dc
+                _acc(out, mm, c if sign == prefix_sign else -c)
+            if degs[k] % 2:
+                prefix_sign = -prefix_sign
     return out
 
 
@@ -557,16 +566,17 @@ def semiquadratic_homology(
 def truncation_lie_data(p) -> NilpotentLieData:
     """NilpotentLieData of a presentation's weight-<=N truncation.
 
-    Basis elements are the bracket-basis elements of all (weight, degree)
-    slices, named by their bracket expressions; structure constants and the
-    differential matrix are computed by exact reduction.  The degree cap is
-    widened to the largest degree reachable within the weight bound: the
-    degree cap alone is not stable under brackets and the differential, so
-    only the pure weight quotient is an honest nilpotent dgl.  Meant for
-    desk-scale truncations: the construction is quadratic in the dimension.
-    The result is not validated here; cochains validates it.
+    Basis elements are the chain-basis elements of every degree (dgl
+    ChainBasis), named by their bracket expressions; structure constants are
+    their brackets and the differential matrix their boundary columns, all
+    computed in chain coordinates.  The degree cap is widened to the largest
+    degree reachable within the weight bound: the degree cap alone is not
+    stable under brackets and the differential, so only the pure weight
+    quotient is an honest nilpotent dgl.  Meant for desk-scale truncations:
+    the construction is quadratic in the dimension.  The result is not
+    validated here; cochains validates it.
     """
-    from .freelie import Window, lie_slice, slice_element, tree_str
+    from .freelie import Window, tree_str
 
     # unbounded knapsack: the largest word degree a weight budget allows
     best = [0] * (p.window.max_weight + 1)
@@ -577,49 +587,38 @@ def truncation_lie_data(p) -> NilpotentLieData:
     reachable = best[p.window.max_weight]
     if reachable > p.window.max_degree:
         p = p.rewindow(Window(p.window.max_weight, reachable))
-    window = p.window
-    entries = []  # (degree, weight, slice, k)
-    for d in range(0, window.max_degree + 1):
-        for w in range(1, window.max_weight + 1):
-            slc = lie_slice(p.generators, w, d)
-            for k in range(slc.dim):
-                entries.append((d, w, slc, k))
+    max_weight, max_degree = p.window.max_weight, p.window.max_degree
+    chains = ChainBasis(p)
     basis = []
-    elements = []
-    index_of: dict[tuple[int, int, int], int] = {}
-    for pos, (d, w, slc, k) in enumerate(entries):
-        basis.append((tree_str(slc.trees[k], p.generators), d))
-        elements.append(slice_element(slc, k, window))
-        index_of[(d, w, k)] = pos
+    cells = []  # (degree, chain index, weight) of each basis element
+    start: dict[int, int] = {}  # degree -> index of its first basis element
+    for d in range(0, max_degree + 1):
+        start[d] = len(basis)
+        for slc in chains.slices(d):
+            basis.extend((tree_str(tree, p.generators), d) for tree in slc.trees)
+        cells.extend((d, j, w) for j, w in enumerate(chains.weights(d)))
 
-    def coords_of(t) -> Coeffs:
-        out: Coeffs = {}
-        for (w, d), terms in t.bislices().items():
-            slc = lie_slice(p.generators, w, d)
-            local = slc.coordinates(terms)
-            if local is None:
-                raise ValueError("element left the Lie subspace")
-            for k, c in local.items():
-                out[index_of[(d, w, k)]] = c
-        return out
-
-    from .freelie import bracket
+    def globally(v: Vector, degree: int) -> Coeffs:
+        return {start[degree] + j: c for j, c in v.items()}
 
     # each unordered pair is bracketed once; graded antisymmetry gives the
     # mirror, [e_j, e_i] = -(-1)^{|e_i||e_j|} [e_i, e_j]
     brackets: dict[tuple[int, int], Coeffs] = {}
-    for i, a in enumerate(elements):
-        for j in range(i, len(elements)):
-            br = bracket(a, elements[j])
-            if br.is_zero():
+    for i, (da, a, wa) in enumerate(cells):
+        for j in range(i, len(cells)):
+            db, b, wb = cells[j]
+            if wa + wb > max_weight or da + db > max_degree:
                 continue
-            cs = brackets[(i, j)] = coords_of(br.value)
+            br = chains.bracket({a: ONE}, da, {b: ONE}, db)
+            if not br:
+                continue
+            cs = brackets[(i, j)] = globally(br, da + db)
             if j != i:
-                odd = basis[i][1] * basis[j][1] % 2
-                brackets[(j, i)] = cs if odd else {k: -c for k, c in cs.items()}
+                brackets[(j, i)] = cs if da * db % 2 else {k: -c for k, c in cs.items()}
     diff: dict[int, Coeffs] = {}
-    for j, el in enumerate(elements):
-        img = p.derive(el)
-        if not img.is_zero():
-            diff[j] = coords_of(img.value)
+    for i, (d, a, _) in enumerate(cells):
+        if d:
+            img = chains.boundary_column(d, a)
+            if img:
+                diff[i] = globally(img, d - 1)
     return NilpotentLieData(basis, brackets, diff, validate=False)

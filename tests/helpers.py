@@ -1,7 +1,10 @@
-"""Small matrix helpers shared by the tests."""
+"""Small matrix, Lie-slice and subprocess helpers shared by the tests."""
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
+from lietop.freelie import LieElement, LieSlice, TensorElement, Window
 from lietop.qlinalg import SparseMatrix, Vector
 
 
@@ -20,3 +23,16 @@ def apply(m: SparseMatrix, v: Vector) -> Vector:
         if x:
             out[i] = out.get(i, 0) + val * x
     return {i: c for i, c in out.items() if c}
+
+
+def slice_element(slc: LieSlice, k: int, window: Window) -> LieElement:
+    """The k-th bracket-basis element of the slice, as a certified element."""
+    return LieElement(TensorElement(window, slc.kept_terms[k]))
+
+
+def checkout_env() -> dict[str, str]:
+    """The environment with this checkout's src first on PYTHONPATH, so a
+    child `python -m lietop` runs the code under test, not an installed copy."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    rest = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + rest if rest else src}

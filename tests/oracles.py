@@ -376,3 +376,30 @@ def dense_lie_violation(degrees: list[int], brackets: dict, diff: dict) -> str |
             if d(bracket(e(i), e(j))) != {k: c for k, c in rhs.items() if c}:
                 return f"derivation rule fails on pair ({i},{j})"
     return None
+
+
+def word_space_boundary(cx, degree: int):
+    """The matrix of d: C_degree -> C_{degree-1} of a ChainComplex, assembled
+    the word-space way: each chain-basis element is expanded into tensor
+    words, differentiated letter by letter with DglPresentation.derive, and
+    peeled back into chain coordinates with ChainComplex.coordinates.
+
+    Unlike the other oracles it shares the slices and their coordinates with
+    the package; it checks the assembly of boundaries from ad_g columns and
+    the bracket rule, which it does not use.
+    """
+    from lietop.freelie import TensorElement
+    from lietop.qlinalg import SparseMatrix
+
+    rows = cx.dim(degree - 1) if degree >= 1 else 0
+    entries = {}
+    col = 0
+    for slc in cx.slices(degree):
+        for terms in slc.kept_terms:
+            if degree >= 1:
+                img = cx.p.derive(TensorElement(cx.window, terms))
+                if not img.is_zero():
+                    for i, c in cx.coordinates(img, degree - 1).items():
+                        entries[(i, col)] = c
+            col += 1
+    return SparseMatrix(rows, col, entries)

@@ -42,7 +42,6 @@ from lietop.freelie import (
     log,
     log_group_word,
     mul,
-    slice_element,
 )
 from lietop.sullivan import (
     check_sullivan,
@@ -52,6 +51,7 @@ from lietop.sullivan import (
     truncation_lie_data,
 )
 
+from helpers import checkout_env, slice_element
 from oracles import witt
 
 
@@ -332,7 +332,7 @@ def test_criterion_10_sequential():
 @record(11, "deterministic output: lietop examples is byte-identical across runs")
 def test_criterion_11_determinism():
     cmd = [sys.executable, "-m", "lietop", "examples"]
-    r1 = subprocess.run(cmd, capture_output=True, check=True)
-    r2 = subprocess.run(cmd, capture_output=True, check=True)
+    r1 = subprocess.run(cmd, capture_output=True, check=True, env=checkout_env())
+    r2 = subprocess.run(cmd, capture_output=True, check=True, env=checkout_env())
     assert r1.stdout == r2.stdout
     assert r1.stdout

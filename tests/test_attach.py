@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from lietop.attach import (
     inert_homological,
     leading_word,
     quotient_consistency,
+    saturate_ideal,
     sequential_attach,
 )
 from lietop.dgl import DglPresentation, free_presentation, homology
@@ -25,8 +27,9 @@ from lietop.freelie import (
     bracket,
     generator_element,
     lie_slice,
-    slice_element,
 )
+
+from helpers import slice_element
 
 A = Generator("a", 0)
 B = Generator("b", 0)
@@ -562,3 +565,29 @@ def test_inclusion_matches_tensor_round_trip():
         if model.amap.cells:
             with pytest.raises(ValueError, match="prefix"):
                 base_cx.inclusion(att_cx, 0)
+
+
+# per-degree ranks of the saturated target ideal on the base at the default
+# windows (criterion6 at (4,3)), as computed with word-space generator
+# brackets before they moved to ad_g columns
+IDEAL_RANKS = {
+    "cp2": {2: 1},
+    "torus": {0: 21},
+    "genus2": {0: 80},
+    "lemaire28": {0: 182},
+    "anick29": {0: 14},
+    "criterion6.lt": {0: 24},
+}
+
+
+@pytest.mark.parametrize("name", list(IDEAL_RANKS))
+def test_saturate_ideal_ranks_unchanged(name):
+    from lietop import cli
+
+    source, window = name, None
+    if name.endswith(".lt"):
+        source, window = str(Path(__file__).parent / "golden" / name), Window(4, 3)
+    model = cli.build(cli.parse(cli._load_source(source)[1]), window)
+    base = model.base.rewindow(model.window)
+    echelons = saturate_ideal(base, [t for _, t in model.amap.cells])
+    assert {d: ech.rank for d, ech in echelons.items()} == IDEAL_RANKS[name]

@@ -16,8 +16,9 @@ from lietop.freelie import (
     format_lie,
     generator_element,
     lie_slice,
-    slice_element,
 )
+
+from helpers import checkout_env, slice_element
 
 A = Generator("a", 0)
 B = Generator("b", 0)
@@ -271,8 +272,8 @@ def test_examples_deterministic_in_process():
 
 def test_examples_deterministic_subprocess():
     cmd = [sys.executable, "-m", "lietop", "examples"]
-    r1 = subprocess.run(cmd, capture_output=True, check=True)
-    r2 = subprocess.run(cmd, capture_output=True, check=True)
+    r1 = subprocess.run(cmd, capture_output=True, check=True, env=checkout_env())
+    r2 = subprocess.run(cmd, capture_output=True, check=True, env=checkout_env())
     assert r1.stdout == r2.stdout
     assert r1.stdout
 

@@ -1,10 +1,13 @@
 import random
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from lietop import cli
 from lietop.dgl import (
+    ChainComplex,
     DglPresentation,
     free_presentation,
     free_product,
@@ -21,11 +24,10 @@ from lietop.freelie import (
     bracket,
     generator_element,
     lie_slice,
-    slice_element,
 )
 
-from helpers import apply
-from oracles import witt
+from helpers import apply, slice_element
+from oracles import witt, word_space_boundary
 
 A = Generator("a", 0)
 B = Generator("b", 0)
@@ -453,6 +455,77 @@ def test_regrade_certification_guard():
         regrade(p, {a: 1, b: 1, szg: 3})
 
 
+# a basis of the weight-1..3 part of the free Lie algebra on a, b, c
+CRITERION6_TERMS = (
+    "a", "b", "c", "[a,b]", "[a,c]", "[b,c]",
+    "[a,[a,b]]", "[a,[a,c]]", "[b,[a,b]]", "[b,[a,c]]",
+    "[b,[b,c]]", "[c,[a,b]]", "[c,[a,c]]", "[c,[b,c]]",
+)
+
+
+def seeded_criterion6(seed: int) -> str:
+    """A weight-inhomogeneous cell target: every basis term with a random
+    sign, so the cell has weight 1 and its boundary spans three weights."""
+    rng = random.Random(seed)
+    target = "".join(f" {rng.choice('+-')} {term}" for term in CRITERION6_TERMS)
+    gens = "".join(f"generator {g} degree 0\n" for g in "abc")
+    return f"{gens}cell s degree 1 attach {target.lstrip(' +')}\n"
+
+
+GOLDEN_CRITERION6 = str(Path(__file__).parent / "golden" / "criterion6.lt")
+
+# every built-in example at its default window, the criterion-6 golden file
+# at (4,3), and a seeded weight-inhomogeneous target at (5,3)
+BOUNDARY_CASES = [(name, None) for name in cli.BUILTIN_EXAMPLES] + [
+    (GOLDEN_CRITERION6, Window(4, 3)),
+    ("seeded", Window(5, 3)),
+]
+
+
+@pytest.mark.parametrize("name, window", BOUNDARY_CASES, ids=[Path(n).name for n, _ in BOUNDARY_CASES])
+def test_boundary_matches_word_space_oracle(name, window):
+    text = seeded_criterion6(6) if name == "seeded" else cli._load_source(name)[1]
+    p = cli.build(cli.parse(text), window).attached
+    cx, oracle = ChainComplex(p), ChainComplex(p)
+    for d in range(p.window.max_degree + 1):
+        assert cx.boundary(d) == word_space_boundary(oracle, d), d
+
+
+def random_chain(rng, cx, degree, max_weight):
+    """Random coefficients on a random few chain-basis elements of weight
+    at most max_weight."""
+    columns = [j for j, w in enumerate(cx.weights(degree)) if w <= max_weight]
+    picked = rng.sample(columns, min(len(columns), rng.randint(1, 3)))
+    return {j: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for j in picked}
+
+
+@pytest.mark.parametrize("presentation", [cp2, torus, lambda: free_presentation([A, X], Window(5, 4))],
+                         ids=["cp2", "torus", "free-mixed"])
+def test_chain_bracket_matches_word_space_bracket(presentation):
+    # seeded random pairs, odd x odd included (cp2, free-mixed): the
+    # coordinate bracket against freelie.bracket of the built elements
+    p = presentation()
+    cx = ChainComplex(p)
+    rng = random.Random(5)
+    N, D = p.window.max_weight, p.window.max_degree
+    pairs = [(dx, dy) for dx in range(D + 1) for dy in range(D + 1 - dx) if cx.dim(dx) and cx.dim(dy)]
+    nonzero = odd_pairs = 0
+    for _ in range(60):
+        dx, dy = rng.choice(pairs)
+        wx = rng.randint(min(cx.weights(dx)), N)
+        if wx + min(cx.weights(dy)) > N:
+            continue
+        x, y = random_chain(rng, cx, dx, wx), random_chain(rng, cx, dy, N - wx)
+        got = cx.bracket(x, dx, y, dy)
+        br = bracket(cx.element(x, dx), cx.element(y, dy))
+        assert got == cx.coordinates(br.value, dx + dy), (dx, dy)
+        nonzero += bool(got)
+        odd_pairs += bool(got) and dx % 2 == 1 and dy % 2 == 1
+    assert nonzero >= 20
+    if presentation is not torus:
+        assert odd_pairs
+
+
 # ---------------------------------------------------------------------------
 # indecomposables
 # ---------------------------------------------------------------------------
@@ -467,6 +540,27 @@ def test_indecomposables_of_torus():
     p = torus()
     ind = indecomposable_dims(p)
     assert ind[0] == 2
+
+
+# dims of H/[H,H] at the default windows (criterion6 at (4,3)), as computed
+# with word-space brackets of the representatives before brackets moved to
+# chain coordinates
+INDECOMPOSABLES = {
+    "cp2": {0: 0, 1: 1, 2: 0, 3: 0, 4: 1, 5: 0},
+    "torus": {0: 2, 1: 0, 2: 0},
+    "genus2": {0: 4, 1: 0, 2: 0},
+    "lemaire28": {0: 5, 1: 2},
+    "anick29": {0: 3, 1: 0, 2: 0},
+    "wedge-circles": {0: 3, 1: 0},
+    GOLDEN_CRITERION6: {0: 2, 1: 0, 2: 0},
+}
+
+
+@pytest.mark.parametrize("name", list(INDECOMPOSABLES), ids=[Path(n).name for n in INDECOMPOSABLES])
+def test_indecomposables_unchanged(name):
+    window = Window(4, 3) if name == GOLDEN_CRITERION6 else None
+    p = cli.build(cli.parse(cli._load_source(name)[1]), window).attached
+    assert indecomposable_dims(p) == INDECOMPOSABLES[name]
 
 
 def test_homology_against_brute_force_oracle():
@@ -544,7 +638,8 @@ def test_homology_random_against_brute_force():
         degrees = [rng.choice([0, 1]) for _ in range(n_base)]
         gens = [Generator(f"g{i}", d) for i, d in enumerate(degrees)]
         W = Window(3, 3)
-        from lietop.freelie import lie_slice as ls, slice_element as se
+        from lietop.freelie import lie_slice as ls
+        se = slice_element
         from lietop.attach import AttachingMap, attach_cells
         from lietop.dgl import free_presentation as fp
 

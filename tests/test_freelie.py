@@ -22,9 +22,9 @@ from lietop.freelie import (
     log,
     log_group_word,
     mul,
-    slice_element,
 )
 
+from helpers import slice_element
 from oracles import brute_force_lie_dim, dense_rref, dense_solve, super_witt, witt
 
 A = Generator("a", 0)

@@ -18,6 +18,7 @@ from lietop.sullivan import (
     truncation_lie_data,
     wedge_homology,
 )
+from helpers import slice_element
 from oracles import dense_lie_violation
 
 ONE = Fraction(1)
@@ -462,7 +463,7 @@ def test_duality_on_random_presentations():
 
     from lietop.attach import AttachingMap, attach_cells
     from lietop.dgl import free_presentation
-    from lietop.freelie import LieElement, TensorElement, lie_slice, slice_element
+    from lietop.freelie import LieElement, TensorElement, lie_slice
 
     rng = random.Random(77)
     for trial in range(8):
