@@ -30,6 +30,12 @@ CASES = [
     ("logword-wedge-circles", ["logword", "cmt", "--file", "wedge-circles"]),
     ("bch-torus-5-3", ["bch", "a b", "a^-1 b^-1", "--file", "torus", "--window", "5", "3"]),
     ("homology-torus-8-3", ["homology", "--file", "torus", "--window", "8", "3"]),
+    # the free-lie benchmark's windows: its lcs case and one fixed bch pair with its inverse pair
+    ("lcs-wedge-circles-8-0", ["lcs", "--file", "wedge-circles", "--window", "8", "0"]),
+    ("bch-torus-7-3", ["bch", "a b^-1 a^-1 b", "b a b^-1 a", "--file", "torus", "--window", "7", "3"]),
+    ("bch-inverse-torus-7-3",
+     ["bch", "a^-1 b a^-1 b^-1", "b^-1 a b a^-1", "--file", "torus", "--window", "7", "3"]),
+    ("logword-wedge-circles-6-2", ["logword", "cmt", "--file", "wedge-circles", "--window", "6", "2"]),
 ] + [
     (f"inert-{name}-{w}-{d}", ["inert", "--file", name, "--window", str(w), str(d)])
     for name, w, d in (("genus2", 6, 3), ("anick29", 6, 3), ("cp2", 12, 12), ("torus", 10, 3))
