@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import lcm
@@ -59,6 +60,10 @@ def _reset_term_limit_cache() -> None:
     _term_limit_cache = None
 
 
+_generators: weakref.WeakValueDictionary[tuple[str, int, int], Generator] = weakref.WeakValueDictionary()
+_generators_lock = threading.Lock()
+
+
 class Generator:
     """A named generator with a nonnegative homological degree.
 
@@ -67,30 +72,35 @@ class Generator:
     of attachment models inherit the weight of their attaching target, so
     that differentials never lower weight and the weight-<=N stages are
     complete finite complexes.
+
+    Generators are interned and immutable: constructing one returns the live
+    instance with the same (name, degree, weight), so generators compare
+    and hash by identity and words hash as plain tuples.
     """
 
-    __slots__ = ("name", "degree", "weight", "_hash")
+    __slots__ = ("name", "degree", "weight", "__weakref__")
 
-    def __init__(self, name: str, degree: int, weight: int = 1):
+    def __new__(cls, name: str, degree: int, weight: int = 1):
         if degree < 0:
             raise ValueError(f"generator {name}: degree must be >= 0")
         if weight < 1:
             raise ValueError(f"generator {name}: weight must be >= 1")
-        self.name = name
-        self.degree = degree
-        self.weight = weight
-        self._hash = hash((name, degree, weight))
+        key = (name, degree, weight)
+        with _generators_lock:
+            g = _generators.get(key)
+            if g is None:
+                g = _generators[key] = super().__new__(cls)
+                for attr, value in zip(cls.__slots__, key):
+                    object.__setattr__(g, attr, value)
+        return g
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Generator)
-            and self.name == other.name
-            and self.degree == other.degree
-            and self.weight == other.weight
-        )
+    def __setattr__(self, attr, *value):
+        raise AttributeError(f"generator {self.name}: {attr} is read-only")
 
-    def __hash__(self):
-        return self._hash
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Generator, (self.name, self.degree, self.weight)
 
     def __repr__(self):
         if self.weight != 1:
@@ -173,7 +183,7 @@ class TensorElement:
         self.terms: dict[Word, Fraction] = {}
         if terms:
             for word, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if coeff and window.admits(word):
                     self.terms[word] = coeff
         if len(self.terms) > term_limit():
@@ -273,25 +283,28 @@ class TensorElement:
         return f"TensorElement({format_tensor(self)})"
 
 
-def _sized_terms(t: TensorElement) -> list[tuple[Word, Fraction, int, int]]:
-    """(word, coefficient, weight, degree) for every term of t."""
-    return [(v, c, word_weight(v), word_degree(v)) for v, c in t.terms.items()]
+def _scaled_terms(t: TensorElement) -> tuple[list[tuple[Word, int, int, int]], int]:
+    """(word, integer coefficient, weight, degree) for every term of t, with
+    the common denominator the integer coefficients are over."""
+    den = lcm(*(c.denominator for c in t.terms.values()))
+    return [(v, c.numerator * (den // c.denominator), word_weight(v), word_degree(v))
+            for v, c in t.terms.items()], den
 
 
 def mul(a: TensorElement, b: TensorElement) -> TensorElement:
     """Concatenation product, truncated to the window."""
     window = _check_same_window(a.window, b.window)
     max_w, max_d = window.max_weight, window.max_degree
-    right = _sized_terms(b)
-    out: dict[Word, Fraction] = {}
+    (left, da), (right, db) = _scaled_terms(a), _scaled_terms(b)
+    out: dict[Word, int] = {}
     limit = term_limit()
-    for u, cu, wu, du in _sized_terms(a):
+    for u, cu, wu, du in left:
         room_w, room_d = max_w - wu, max_d - du
         for v, cv, wv, dv in right:
             if wv > room_w or dv > room_d:
                 continue
             word = u + v
-            s = out.get(word, ZERO) + cu * cv
+            s = out.get(word, 0) + cu * cv
             if s:
                 out[word] = s
                 if len(out) > limit:
@@ -300,34 +313,34 @@ def mul(a: TensorElement, b: TensorElement) -> TensorElement:
                     )
             else:
                 out.pop(word, None)
-    return TensorElement(window, out)
+    return TensorElement(window, {w: Fraction(c, da * db) for w, c in out.items()})
 
 
 def commutator(a: TensorElement, b: TensorElement) -> TensorElement:
     """Graded commutator a.b - (-1)^{|u||v|} b.a, per homogeneous word pair."""
     window = _check_same_window(a.window, b.window)
     max_w, max_d = window.max_weight, window.max_degree
-    right = _sized_terms(b)
-    out: dict[Word, Fraction] = {}
-    for u, cu, wu, du in _sized_terms(a):
+    (left, da), (right, db) = _scaled_terms(a), _scaled_terms(b)
+    out: dict[Word, int] = {}
+    for u, cu, wu, du in left:
         room_w, room_d = max_w - wu, max_d - du
         for v, cv, wv, dv in right:
             if wv > room_w or dv > room_d:
                 continue
             c = cu * cv
             word = u + v
-            s = out.get(word, ZERO) + c
+            s = out.get(word, 0) + c
             if s:
                 out[word] = s
             else:
                 out.pop(word, None)
             word = v + u
-            s = out.get(word, ZERO) + (c if du & dv & 1 else -c)
+            s = out.get(word, 0) + (c if du & dv & 1 else -c)
             if s:
                 out[word] = s
             else:
                 out.pop(word, None)
-    return TensorElement(window, out)
+    return TensorElement(window, {w: Fraction(c, da * db) for w, c in out.items()})
 
 
 class LieElement:
@@ -623,7 +636,7 @@ def certify_lie(t: TensorElement, gens=None) -> LieElement | None:
     if t.unit_coefficient():
         return None
     if gens is None:
-        gens = tuple(sorted(t.letters(), key=lambda g: (g.name, g.degree)))
+        gens = tuple(sorted(t.letters(), key=lambda g: (g.name, g.degree, g.weight)))
     else:
         gens = tuple(gens)
         missing = t.letters() - set(gens)
@@ -755,7 +768,7 @@ def format_lie(el: LieElement, gens=None) -> str:
     if t.is_zero():
         return "0"
     if gens is None:
-        gens = tuple(sorted(t.letters(), key=lambda g: (g.name, g.degree)))
+        gens = tuple(sorted(t.letters(), key=lambda g: (g.name, g.degree, g.weight)))
     else:
         gens = tuple(gens)
     parts: list[tuple[Fraction, str]] = []

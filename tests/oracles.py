@@ -114,6 +114,40 @@ def super_witt(degrees: list[int], weight: int, degree: int, weights: list[int] 
     return total
 
 
+def plain_products(a: dict, b: dict, max_weight: int, max_degree: int) -> tuple[dict, dict]:
+    """The concatenation product a.b and the graded commutator
+    a.b - (-1)^{|u||v|} b.a of {word: coefficient} dicts, by a plain Fraction
+    double loop over term pairs.  Words are tuples of letters carrying
+    .weight and .degree; a pair whose concatenation leaves the window
+    (weight <= max_weight, degree <= max_degree) is skipped.  A sum that
+    reaches zero is removed and re-inserted at the end if it comes back, so
+    the key order of both results is fixed by the loop order alone.
+    """
+
+    def size(word):
+        return sum(g.weight for g in word), sum(g.degree for g in word)
+
+    def add(out, word, c):
+        s = out.get(word, Fraction(0)) + c
+        if s:
+            out[word] = s
+        else:
+            out.pop(word, None)
+
+    prod, comm = {}, {}
+    for u, cu in a.items():
+        wu, du = size(u)
+        for v, cv in b.items():
+            wv, dv = size(v)
+            if wu + wv > max_weight or du + dv > max_degree:
+                continue
+            c = Fraction(cu) * Fraction(cv)
+            add(prod, u + v, c)
+            add(comm, u + v, c)
+            add(comm, v + u, c if du % 2 and dv % 2 else -c)
+    return prod, comm
+
+
 def bareiss_rank(rows: list[list[int]]) -> int:
     """Fraction-free (Bareiss) elimination rank over the integers."""
     m = [list(map(int, row)) for row in rows]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -25,7 +27,7 @@ from lietop.freelie import (
 )
 
 from helpers import slice_element
-from oracles import brute_force_lie_dim, dense_rref, dense_solve, super_witt, witt
+from oracles import brute_force_lie_dim, dense_rref, dense_solve, plain_products, super_witt, witt
 
 A = Generator("a", 0)
 B = Generator("b", 0)
@@ -59,6 +61,73 @@ def random_homogeneous(rng, gens, window, weight, degree):
         if c:
             out = out + Fraction(c) * slice_element(slc, k, window).value
     return LieElement(out)
+
+
+# ---------------------------------------------------------------------------
+# generators
+# ---------------------------------------------------------------------------
+
+
+def test_generators_are_interned():
+    assert Generator("a", 0) is A
+    assert Generator("a", 0, weight=1) is A
+    assert Generator("a", 1) is not A
+    assert Generator("a", 0, weight=2) is not A
+    assert Generator("a", 0, weight=2) is Generator("a", 0, weight=2)
+    assert copy.deepcopy(X1) is X1
+    assert pickle.loads(pickle.dumps((A, X1))) == (A, X1)
+
+
+def test_generator_is_immutable():
+    with pytest.raises(AttributeError):
+        A.degree = 1
+    with pytest.raises(AttributeError):
+        del A.name
+    assert (A.name, A.degree, A.weight) == ("a", 0, 1)
+
+
+def test_generator_validation():
+    with pytest.raises(ValueError, match=r"^generator g: degree must be >= 0$"):
+        Generator("g", -1)
+    with pytest.raises(ValueError, match=r"^generator g: weight must be >= 1$"):
+        Generator("g", 0, weight=0)
+
+
+def test_generator_interning_across_threads():
+    import sys
+    import threading
+
+    barrier = threading.Barrier(8)
+    made = []
+
+    def work():
+        barrier.wait(timeout=10)
+        made.append(Generator("interned_by_threads", 2, weight=3))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(made) == 8
+    assert all(g is made[0] for g in made)
+
+
+def test_generator_table_holds_only_live_generators():
+    import gc
+
+    key = ("dropped_after_use", 5, 2)
+    g = Generator(*key)
+    assert fl._generators[key] is g
+    del g
+    gc.collect()
+    assert key not in fl._generators
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +306,40 @@ def test_window_mismatch_rejected():
     b = gen_el(B, Window(4, 0))
     with pytest.raises(ValueError, match="window mismatch"):
         bracket(a, b)
+
+
+def test_products_against_plain_oracle():
+    # mixed denominators, odd letters (odd x odd signs), a weight-2 letter,
+    # and words longer than the window allows, so products get truncated
+    Y1 = Generator("y", 1)
+    S = Generator("s", 2, weight=2)
+    letters = (A, B, X1, Y1, S)
+    rng = random.Random(7)
+
+    def random_element(window):
+        terms = {}
+        for _ in range(rng.randint(0, 7)):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 3)))
+            terms[word] = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 3, 4, 6)))
+        return TensorElement(window, terms)
+
+    # words that concatenate two ways, so term pairs cancel exactly
+    W = Window(4, 2)
+    cancelling = (
+        TensorElement(W, {(A,): 1, (A, B): Fraction(1, 2)}),
+        TensorElement(W, {(B, A): Fraction(1, 3), (A,): Fraction(-2, 3), (B,): 5}),
+    )
+    pairs = [cancelling, cancelling[::-1]]
+    for window in (Window(3, 1), Window(4, 2), Window(6, 4)):
+        pairs += [(random_element(window), random_element(window)) for _ in range(40)]
+    for a, b in pairs:
+        window = a.window
+        want_mul, want_comm = plain_products(a.terms, b.terms, window.max_weight, window.max_degree)
+        for got, want in ((mul(a, b), want_mul), (commutator(a, b), want_comm)):
+            assert got.window == window
+            assert list(got.terms.items()) == list(want.items())
+    prod, comm = plain_products(*(c.terms for c in cancelling), 4, 2)
+    assert (A, B, A) not in prod and (A, A) not in comm
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +552,24 @@ def test_term_budget(monkeypatch):
     fl._reset_term_limit_cache()
 
 
+def test_term_budget_counts_only_nonzero_terms(monkeypatch):
+    # a.b passes through 4 nonzero terms, a zero sum at a.b.a, then 4 again
+    W = Window(4, 0)
+    a = TensorElement(W, {(A,): 1, (A, B): 1})
+    b = TensorElement(W, {(B, A): 1, (A,): -1, (B,): 1})
+    try:
+        monkeypatch.setenv("LIETOP_MAX_TERMS", "4")
+        fl._reset_term_limit_cache()
+        assert len(mul(a, b).terms) == 4
+        monkeypatch.setenv("LIETOP_MAX_TERMS", "3")
+        fl._reset_term_limit_cache()
+        with pytest.raises(fl.TermBudgetExceeded, match="4 terms exceeds LIETOP_MAX_TERMS=3"):
+            mul(a, b)
+    finally:
+        monkeypatch.delenv("LIETOP_MAX_TERMS")
+        fl._reset_term_limit_cache()
+
+
 # ---------------------------------------------------------------------------
 # formatting
 # ---------------------------------------------------------------------------
@@ -470,6 +591,18 @@ def test_format_lie_negative_leading():
     a = gen_el(A, W)
     assert format_lie(Fraction(-1) * a, (A, B)) == "-a"
     assert format_lie(Fraction(-3, 2) * a, (A, B)) == "-3/2 a"
+
+
+def test_letters_ordered_by_weight_when_names_and_degrees_tie():
+    # without an explicit generator order the letters sort by (name, degree,
+    # weight); a tie left to set iteration order would flip the sign
+    W = Window(3, 0)
+    for i in range(8):
+        light, heavy = Generator(f"s{i}", 0), Generator(f"s{i}", 0, weight=2)
+        el = bracket(gen_el(light, W), gen_el(heavy, W))
+        assert certify_lie(el.value) == el
+        assert format_lie(el) == f"[s{i},s{i}]"
+        assert format_lie(-el) == f"-[s{i},s{i}]"
 
 
 # ---------------------------------------------------------------------------
