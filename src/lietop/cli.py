@@ -77,8 +77,6 @@ def _tokenize_line(text: str, line_no: int) -> list[Token]:
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch == "#":
-            break
         if ch.isspace():
             i += 1
             continue
@@ -208,6 +206,26 @@ def _parse_expr(cur: _Cursor):
     return ("sum", terms)
 
 
+def _parse_group_word(cur: _Cursor, start: Token) -> list[tuple[Token, int]]:
+    """The group word that fills the rest of the line, as (letter, exponent)
+    pairs; an empty word is reported at `start`."""
+    letters: list[tuple[Token, int]] = []
+    while not cur.at_end():
+        letter = cur.expect("name")
+        exponent = 1
+        if cur.peek().kind == "^":
+            cur.next()
+            cur.expect("-")
+            one = cur.expect("int")
+            if one.text != "1":
+                raise ParseError("only exponent -1 is supported", one.line, one.col)
+            exponent = -1
+        letters.append((letter, exponent))
+    if not letters:
+        raise ParseError("empty group word", start.line, start.col)
+    return letters
+
+
 # ---------------------------------------------------------------------------
 # File parsing
 # ---------------------------------------------------------------------------
@@ -230,7 +248,7 @@ def parse(text: str) -> PresentationFile:
     pf = PresentationFile()
     names: set[str] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw, line_no)
+        tokens = _tokenize_line(raw.partition("#")[0], line_no)
         cur = _Cursor(tokens)
         if cur.at_end():
             continue
@@ -264,24 +282,11 @@ def parse(text: str) -> PresentationFile:
         elif head.text == "word":
             name = cur.expect("name").text
             cur.expect("=")
-            letters: list[tuple[str, int]] = []
-            while not cur.at_end():
-                letter = cur.expect("name").text
-                exponent = 1
-                if cur.peek().kind == "^":
-                    cur.next()
-                    cur.expect("-")
-                    one = cur.expect("int")
-                    if one.text != "1":
-                        raise ParseError("only exponent -1 is supported", one.line, one.col)
-                    exponent = -1
-                letters.append((letter, exponent))
-            if not letters:
-                raise ParseError("empty group word", head.line, head.col)
+            letters = _parse_group_word(cur, head)
             if name in names:
                 raise ParseError(f"name {name!r} already declared", head.line, head.col)
             names.add(name)
-            pf.words[name] = letters
+            pf.words[name] = [(tok.text, exponent) for tok, exponent in letters]
             pf.word_order.append(name)
         elif head.text == "window":
             cur.expect_keyword("weight")
@@ -460,16 +465,12 @@ class Report:
         return "".join(f"{k.ljust(width)}  {v}\n" for k, v in self.pairs)
 
 
-def _fmt(el: LieElement, gens) -> str:
-    return format_lie(el, gens)
-
-
 def _report_homology(rep: Report, table: dgl_mod.HomologyTable, gens) -> None:
     for d in table.degrees:
         rep.add(f"homology.{d}.dim", table.dims[d])
         rep.add(f"homology.{d}.stabilized", table.stabilized[d])
         for i, r in enumerate(table.representatives[d]):
-            rep.add(f"homology.{d}.rep.{i}", _fmt(r, gens))
+            rep.add(f"homology.{d}.rep.{i}", format_lie(r, gens))
 
 
 def _report_verdict(rep: Report, prefix: str, v: attach_mod.InertnessVerdict, gens) -> None:
@@ -477,7 +478,7 @@ def _report_verdict(rep: Report, prefix: str, v: attach_mod.InertnessVerdict, ge
     rep.add(f"{prefix}.injective", v.injective)
     for i, (d, witness) in enumerate(v.failing):
         rep.add(f"{prefix}.failing.{i}.degree", d)
-        rep.add(f"{prefix}.failing.{i}.witness", _fmt(witness, gens))
+        rep.add(f"{prefix}.failing.{i}.witness", format_lie(witness, gens))
 
 
 # ---------------------------------------------------------------------------
@@ -588,14 +589,14 @@ def run(argv: list[str]) -> tuple[int, str]:
             raise ValueError("bch takes exactly two group words")
         x = _group_word_element(ns.args[0], model, window)
         y = _group_word_element(ns.args[1], model, window)
-        rep.add("bch", _fmt(freelie.bch(x, y), model.base.generators))
+        rep.add("bch", format_lie(freelie.bch(x, y), model.base.generators))
     elif ns.command == "logword":
         if len(ns.args) != 1:
             raise ValueError("logword takes exactly one word name")
         name = ns.args[0]
         if name not in model.logs:
             raise ValueError(f"no word directive named {name!r}")
-        rep.add(f"logword.{name}", _fmt(model.logs[name], model.base.generators))
+        rep.add(f"logword.{name}", format_lie(model.logs[name], model.base.generators))
     elif ns.command == "sullivan":
         data = sullivan.truncation_lie_data(model.attached)
         sd = sullivan.cochains(data)
@@ -638,18 +639,15 @@ def _coeff_name(c: Fraction, body: str) -> str:
 
 
 def _group_word_element(arg: str, model: BuiltModel, window: Window) -> LieElement:
+    """The log of a command-line group word, read as line 1 of a word directive."""
     by_name = {g.name: g for g in model.base.generators}
+    cur = _Cursor(_tokenize_line(arg, 1))
     letters: list[tuple[Generator, int]] = []
-    for piece in arg.split():
-        name, exponent = piece, 1
-        if piece.endswith("^-1"):
-            name, exponent = piece[:-3], -1
-        g = by_name.get(name)
+    for tok, exponent in _parse_group_word(cur, cur.peek()):
+        g = by_name.get(tok.text)
         if g is None:
-            raise ValueError(f"unknown generator {name!r} in group word {arg!r}")
+            raise ParseError(f"unknown generator {tok.text!r} in group word {arg!r}", tok.line, tok.col)
         letters.append((g, exponent))
-    if not letters:
-        raise ValueError("empty group word")
     return log_group_word(letters, model.base.generators, window)
 
 

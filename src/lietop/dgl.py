@@ -13,7 +13,8 @@ incoming boundaries are not fully visible.
 
 Boundaries are assembled in bracket coordinates over the chain basis (the
 left-normed bracket bases of the window's slices) from the columns of
-ad_g, one matrix per generator g; the same coordinate bracket serves the
+ad_g, one matrix per generator g, and each basis tree [g, b] is factored as
+its slice recorded on accepting it; the same coordinate bracket serves the
 ideal saturation of module attach, the indecomposables here, and the
 structure constants of sullivan.truncation_lie_data.  Only the generators'
 differential images pass through tensor words, once each; derive works on
@@ -241,9 +242,6 @@ class ChainBasis:
         # degree -> per chain index (i, None, None) for the generator g_i, or
         # (i, d_b, b) for the tree [g_i, e_b], e_b of degree d_b
         self._factors: dict[int, list[tuple[int, int | None, int | None]]] = {}
-        # (degree, weight) -> (i, k) -> basis index in that slice of the
-        # accepted tree [g_i, b_k], b_k the k-th tree of the slice below
-        self._accepted: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
         self._ad: dict[tuple[int, int, int], Vector] = {}  # columns that needed a solve
         self._brackets: dict[tuple[int, int, int, int], Vector] = {}
         self._columns: dict[tuple[int, int], Vector] = {}
@@ -326,27 +324,22 @@ class ChainBasis:
         return LieElement(TensorElement(self.window, terms))
 
     def _matched(self, degree: int) -> list[tuple[int, int | None, int | None]]:
-        """The factors of every degree-d basis tree, recording per slice which
-        candidates [g_i, b_k] were accepted.  lie_slice accepts a slice's
-        generators first, then candidates in order of i and k, so one walk
-        over the candidates pairs each tree with its factors."""
+        """The factors of every degree-d basis tree, read off the slices:
+        LieSlice.accepted names, in tree order, the generator g_i or the
+        candidate [g_i, b_k] that each tree is, and b_k is chain index k past
+        the offset of its slice in degree d - |g_i|."""
         factors = self._factors.get(degree)
         if factors is None:
-            factors = self._factors[degree] = []
+            factors = []
+            gens = self.p.generators
             for slc in self.slices(degree):
-                w, trees = slc.weight, slc.trees
-                out: list = [(tree, None, None) for tree in trees if isinstance(tree, int)]
-                accepted = self._accepted[(degree, w)] = {}
-                for i, g in enumerate(self.p.generators):
-                    slot = self._slot(degree - g.degree, w - g.weight)
-                    if slot is None:
-                        continue
-                    sub, off = slot
-                    for k, tree in enumerate(sub.trees):
-                        if len(out) < len(trees) and trees[len(out)] == (i, tree):
-                            accepted[(i, k)] = len(out)
-                            out.append((i, degree - g.degree, off + k))
-                factors.extend(out)
+                for i, k in slc.accepted:
+                    if k is None:
+                        factors.append((i, None, None))
+                    else:
+                        ds = degree - gens[i].degree
+                        factors.append((i, ds, self._slot(ds, slc.weight - gens[i].weight)[1] + k))
+            self._factors[degree] = factors
         return factors
 
     def ad(self, i: int, degree: int, j: int) -> Vector:
@@ -364,8 +357,7 @@ class ChainBasis:
             return {}
         slc, off = slot
         sub, sub_off = self._locate(degree, j)
-        self._matched(target)
-        k = self._accepted[(target, weight)].get((i, j - sub_off))
+        k = slc.accepted.get((i, j - sub_off))
         if k is not None:
             return {off + k: ONE}
         col = slc.generator_bracket(i, sub, j - sub_off)

@@ -415,11 +415,14 @@ class LieSlice:
 
     words      -- all tensor words of this weight and degree, in monomial order
     trees      -- left-normed bracket trees of the accepted basis elements
+    accepted   -- (i, k) -> tree index of the accepted candidate [g_i, b_k],
+                  b_k the k-th tree of the slice below by g_i, or (i, None)
+                  -> tree index of the generator g_i; entries in tree order
     kept_terms -- raw term dicts of those elements (windowless, integral)
     expansions -- integer expansion of the standard bracketing of each
                   leading word, keyed by the word
     tracked    -- echelon over super-Lyndon coordinates, tracking
-                  bracket-basis coords
+                  bracket-basis coords (its acceptance order is tree order)
 
     The slice is eliminated in super-Lyndon coordinates: its leading words
     are the Lyndon words (generators compared in declaration order) and the
@@ -438,6 +441,7 @@ class LieSlice:
         self.words = _slice_words(gens, weight, degree)
         self.word_index = {w: i for i, w in enumerate(self.words)}
         self.trees: list[Tree] = []
+        self.accepted: dict[tuple[int, int | None], int] = {}
         self.kept_terms: list[dict[Word, int]] = []
         self.expansions: dict[Word, dict[Word, int]] = {}
         # word index of a leading word -> (its coordinate, the rest of its
@@ -451,7 +455,6 @@ class LieSlice:
                 tail = [(self.word_index[w], c) for w, c in expansion.items() if w != word]
                 self._peel[n] = (len(self._peel), tail)
         self.tracked = Echelon(len(self._peel), track=True)
-        self._accept_map: dict[int, int] = {}
 
     def _standard_expansion(self, word: Word, key: list[int]) -> dict[Word, int] | None:
         """The expansion P(word) of a leading word, None for any other word.
@@ -516,13 +519,12 @@ class LieSlice:
                     rest[j] = old - c * e
         return out
 
-    def _try_insert(self, tree: Tree, terms: dict[Word, int]) -> None:
+    def _try_insert(self, key: tuple[int, int | None], tree: Tree, terms: dict[Word, int]) -> None:
         vec = self.vector(terms)
         if vec is None:
             raise RuntimeError("a bracket left the Lie slice; this is a bug")
-        idx = self.tracked.n_inserted
         if vec and self.tracked.insert(vec):
-            self._accept_map[idx] = len(self.trees)
+            self.accepted[key] = len(self.trees)
             self.trees.append(tree)
             self.kept_terms.append(terms)
 
@@ -531,8 +533,7 @@ class LieSlice:
         vec = self.vector(terms)
         if vec is None:
             return None
-        combo = self.tracked.coordinates(vec)
-        return {self._accept_map[i]: c for i, c in combo.items()}
+        return self.tracked.coordinates(vec)
 
     def contains(self, terms: dict[Word, Fraction]) -> bool:
         return self.vector(terms) is not None
@@ -615,10 +616,10 @@ def lie_slice(gens: tuple[Generator, ...] | list[Generator], weight: int, degree
     slc = LieSlice(gens, weight, degree)
     for i, g in enumerate(gens):
         if g.weight == weight and g.degree == degree:
-            slc._try_insert(i, {(g,): 1})
+            slc._try_insert((i, None), i, {(g,): 1})
     for i, g, sub in subs:
-        for tree_b, terms_b in zip(sub.trees, sub.kept_terms):
-            slc._try_insert((i, tree_b), _word_commutator({(g,): 1}, g.degree, terms_b, sub.degree))
+        for k, (tree_b, terms_b) in enumerate(zip(sub.trees, sub.kept_terms)):
+            slc._try_insert((i, k), (i, tree_b), _word_commutator({(g,): 1}, g.degree, terms_b, sub.degree))
     if slc.dim != slc.tracked.ambient:
         raise RuntimeError(f"slice ({weight}, {degree}) has {slc.dim} basis trees for "
                            f"{slc.tracked.ambient} leading words; this is a bug")

@@ -63,7 +63,7 @@ def _eliminate(
     visited in ascending order through a heap.  Each step is fraction-free,
     x <- a*x - b*row with a > 0 and gcd(a, b) = 1.  Returns (scale, combo):
     x ends as scale*x_in minus a combination of rows, which is
-    sum_k combo[k]*inserted[k] when `combos` gives each row over the inserted
+    sum_k combo[k]*accepted[k] when `combos` gives each row over the accepted
     vectors (combo is empty without them).  Entries that cancel stay as 0.
     """
     scale = 1
@@ -178,10 +178,11 @@ class Echelon:
     coordinates are those of the reduced row-echelon form; `basis` and
     `rows` build that form on demand.
 
-    With track=True every stored row carries its expression over the vectors
-    as originally inserted (keyed by insertion index, integer coefficients
-    sharing the row's content), so membership tests double as coordinate
-    computations.
+    With track=True every stored row carries its expression over the
+    accepted vectors as originally inserted (integer coefficients sharing the
+    row's content), keyed by acceptance order: the k-th vector that enlarged
+    the span is k, and rejected vectors are never referred to.  Membership
+    tests then double as coordinate computations.
     """
 
     def __init__(self, ambient: int, track: bool = False):
@@ -189,7 +190,6 @@ class Echelon:
         self.track = track
         self._rows: dict[int, IntVector] = {}
         self._combos: dict[int, IntVector] = {}
-        self.n_inserted = 0
 
     @property
     def rank(self) -> int:
@@ -204,7 +204,7 @@ class Echelon:
         return self.basis().rows
 
     def reduce(self, v: Vector) -> tuple[Vector, Vector]:
-        """Returns (residual, combo) with residual = v - sum combo[k]*inserted[k]."""
+        """Returns (residual, combo) with residual = v - sum combo[k]*accepted[k]."""
         x, den = _integral(v)
         scale, combo = _eliminate(x, self._rows, self._combos if self.track else None)
         den *= scale
@@ -212,8 +212,6 @@ class Echelon:
 
     def insert(self, v: Vector) -> bool:
         """Insert v; returns True if it enlarged the span."""
-        idx = self.n_inserted
-        self.n_inserted += 1
         x, den = _integral(v)
         scale, combo = _eliminate(x, self._rows, self._combos if self.track else None)
         row = {c: e for c, e in x.items() if e}
@@ -222,7 +220,7 @@ class Echelon:
         pivot = min(row)
         if self.track:
             combo = {k: -e for k, e in combo.items() if e}
-            combo[idx] = scale * den
+            combo[len(self._rows)] = scale * den
         g = gcd(*row.values(), *combo.values())
         if row[pivot] < 0:
             g = -g
@@ -234,7 +232,8 @@ class Echelon:
         return True
 
     def coordinates(self, v: Vector) -> Vector | None:
-        """Express v over the *inserted* vectors (track=True only)."""
+        """Express v over the accepted vectors, keyed by acceptance order
+        (track=True only)."""
         if not self.track:
             raise ValueError("echelon built without tracking")
         residual, combo = self.reduce(v)
@@ -251,7 +250,6 @@ class Echelon:
         out = Echelon(self.ambient, self.track)
         out._rows = dict(self._rows)
         out._combos = dict(self._combos)
-        out.n_inserted = self.n_inserted
         return out
 
     def _reduced(self) -> dict[int, IntVector]:

@@ -22,6 +22,7 @@ the d^2 = 0 checks and the exact roundtrip.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -186,7 +187,8 @@ class SullivanData:
     {(i, j): c} over ordered pairs i <= j meaning d1 v_k = sum c v_i v_j.
     Construction checks shape and degrees only; d^2 = 0 and the Sullivan
     filtration are the business of check_sullivan, so that corrupted data
-    can be built and then detected.
+    can be built and then detected.  Every basis degree must be >= 1, which
+    keeps each degree of Lambda(V) finite.
     """
 
     basis: list[tuple[str, int]]
@@ -195,6 +197,9 @@ class SullivanData:
 
     def __post_init__(self):
         degs = [d for _, d in self.basis]
+        for name, d in self.basis:
+            if d < 1:
+                raise ValueError(f"basis vector {name} has degree {d}; Sullivan generators need degree >= 1")
         for k, cs in self.d0.items():
             for j, c in cs.items():
                 if c and degs[j] != degs[k] + 1:
@@ -303,10 +308,6 @@ def mono_normalize(seq: tuple[int, ...], degs: list[int]) -> tuple[Monomial, int
     return tuple(items), sign
 
 
-def mono_degree(m: Monomial, degs: list[int]) -> int:
-    return sum(degs[i] for i in m)
-
-
 def sd_diff(sd: SullivanData, p: Poly) -> Poly:
     """d0 + d1 extended to Lambda(V) as a derivation."""
     degs = sd.degrees
@@ -408,19 +409,21 @@ def check_sullivan(sd: SullivanData) -> SullivanReport:
         current = nxt
 
 
-def _monomials_by_wedge(degs: list[int], top: int) -> dict[int, list[Monomial]]:
-    """Lambda^k V monomial lists for k <= top."""
-    out: dict[int, list[Monomial]] = {0: [()]}
+def _monomials(degs: list[int], max_wedge: int, max_degree: float) -> dict[tuple[int, int], list[Monomial]]:
+    """Lambda(V) monomials of wedge length <= max_wedge and degree <=
+    max_degree, keyed by (wedge length, degree), each list in lexicographic
+    order."""
+    out: dict[tuple[int, int], list[Monomial]] = {(0, 0): [()]}
     level: list[Monomial] = [()]
-    for k in range(1, top + 1):
+    for k in range(1, max_wedge + 1):
         nxt: list[Monomial] = []
         for m in level:
-            start = m[-1] if m else 0
-            for i in range(start, len(degs)):
-                if m and i == m[-1] and degs[i] % 2:
-                    continue
-                nxt.append(m + (i,))
-        out[k] = nxt
+            d = sum(degs[j] for j in m)
+            for i in range(m[-1] if m else 0, len(degs)):
+                if d + degs[i] <= max_degree and not (m and i == m[-1] and degs[i] % 2):
+                    mm = m + (i,)
+                    out.setdefault((k, d + degs[i]), []).append(mm)
+                    nxt.append(mm)
         level = nxt
     return out
 
@@ -441,61 +444,25 @@ def wedge_homology(sd: SullivanData, max_wedge: int = 3) -> dict[int, dict[int, 
 
     Quadratic case only (d0 = 0): the differential raises wedge degree by
     exactly one, so each H^[k] involves only the finite pieces
-    Lambda^{k-1}, Lambda^k, Lambda^{k+1}.
+    Lambda^{k-1}, Lambda^k, Lambda^{k+1}.  Each block of Lambda^k V in one
+    degree is ranked once, as the source of d1; its in-rank is the out-rank
+    of the block one wedge and one degree below.
     """
     if any(cs for cs in sd.d0.values()):
         raise ValueError("wedge_homology requires a quadratic Sullivan algebra (d0 = 0)")
-    degs = sd.degrees
-    wedges = _monomials_by_wedge(degs, max_wedge + 1)
-
-    def split(monos: list[Monomial]) -> dict[int, list[Monomial]]:
-        by_deg: dict[int, list[Monomial]] = {}
-        for m in monos:
-            by_deg.setdefault(mono_degree(m, degs), []).append(m)
-        return by_deg
-
-    result: dict[int, dict[int, int]] = {}
-    for k in range(0, max_wedge + 1):
-        here = split(wedges[k])
-        above = split(wedges[k + 1])
-        below = split(wedges[k - 1]) if k >= 1 else {}
-        dims: dict[int, int] = {}
-        for n in sorted(here):
-            dom = here[n]
-            rank_out = _rank_of_map(sd, dom, above.get(n + 1, []))
-            rank_in = _rank_of_map(sd, below.get(n - 1, []), dom)
-            h = len(dom) - rank_out - rank_in
-            if h:
-                dims[n] = h
-        result[k] = dims
+    monos = _monomials(sd.degrees, max_wedge + 1, math.inf)
+    # d1 maps block (k, n) of Lambda^k V in degree n to block (k+1, n+1);
+    # blocks go in ascending (k, n), so the in-rank of (k, n) is known
+    result: dict[int, dict[int, int]] = {k: {} for k in range(max_wedge + 1)}
+    rank_out: dict[tuple[int, int], int] = {}
+    for (k, n), dom in sorted(monos.items()):
+        if k > max_wedge:
+            break
+        rank_out[(k, n)] = _rank_of_map(sd, dom, monos.get((k + 1, n + 1), []))
+        h = len(dom) - rank_out[(k, n)] - rank_out.get((k - 1, n - 1), 0)
+        if h:
+            result[k][n] = h
     return result
-
-
-def _monomials_by_degree(degs: list[int], max_degree: int) -> dict[int, list[Monomial]]:
-    """All Lambda(V) monomials of cohomological degree <= max_degree.
-
-    Finite because every generator has degree >= 1; for the same reason a
-    monomial of degree max_degree is never extended.
-    """
-    out: dict[int, list[Monomial]] = {0: [()]}
-    frontier: dict[int, list[Monomial]] = {0: [()]}
-    while frontier:
-        nxt: dict[int, list[Monomial]] = {}
-        for known, ms in frontier.items():
-            for m in ms:
-                start = m[-1] if m else 0
-                for i in range(start, len(degs)):
-                    if m and i == m[-1] and degs[i] % 2:
-                        continue
-                    d = known + degs[i]
-                    if d > max_degree:
-                        continue
-                    mm = m + (i,)
-                    out.setdefault(d, []).append(mm)
-                    if d < max_degree:
-                        nxt.setdefault(d, []).append(mm)
-        frontier = nxt
-    return {d: sorted(ms) for d, ms in out.items()}
 
 
 def semiquadratic_homology(
@@ -509,17 +476,19 @@ def semiquadratic_homology(
     is omitted: its incoming boundaries are not fully visible.
     """
     degs = sd.degrees
-    monos = _monomials_by_degree(degs, max_degree)
+    monos: dict[int, list[Monomial]] = {}
+    # every basis degree is >= 1, so no monomial has more letters than degree
+    for (_, d), ms in _monomials(degs, max_degree, max_degree).items():
+        monos.setdefault(d, []).extend(ms)
+    for ms in monos.values():
+        ms.sort()  # the domain order feeds elimination
     ranks: dict[int, int] = {}
-    counts: dict[int, int] = {}
+    left: dict[int, int] = {}
     # the out-rank of the top degree is never needed (its target is cut off)
     for d in range(0, max_degree):
         dom = monos.get(d, [])
-        counts[d] = len(dom)
         ranks[d] = _rank_of_map(sd, dom, monos.get(d + 1, []))
-    left: dict[int, int] = {}
-    for d in range(0, max_degree):
-        left[d] = counts[d] - ranks[d] - (ranks[d - 1] if d >= 1 else 0)
+        left[d] = len(dom) - ranks[d] - ranks.get(d - 1, 0)
 
     # right table: d0-homology of V cap ker d1, degree by degree
     n = sd.dim

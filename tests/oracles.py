@@ -2,6 +2,7 @@
 the package internals they check."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 
 def mobius(n: int) -> int:
@@ -437,3 +438,20 @@ def word_space_boundary(cx, degree: int):
                         entries[(i, col)] = c
             col += 1
     return SparseMatrix(rows, col, entries)
+
+
+def lambda_monomial_counts(degrees: list[int], max_wedge: int, max_degree: int) -> dict[tuple[int, int], int]:
+    """Number of monomials of the free graded-commutative algebra on basis
+    vectors of the given degrees, per (wedge length, degree), for wedge
+    length <= max_wedge and degree <= max_degree: every multiset of basis
+    indices, dropping those that repeat an odd-degree index (its square is
+    zero)."""
+    counts: dict[tuple[int, int], int] = {}
+    for k in range(max_wedge + 1):
+        for combo in combinations_with_replacement(range(len(degrees)), k):
+            if any(degrees[i] % 2 and combo.count(i) > 1 for i in combo):
+                continue
+            d = sum(degrees[i] for i in combo)
+            if d <= max_degree:
+                counts[(k, d)] = counts.get((k, d), 0) + 1
+    return counts

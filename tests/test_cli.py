@@ -185,6 +185,24 @@ def test_run_bch_weight2():
     assert "bch: a + b + 1/2 [a,b]" in out
 
 
+def test_bch_arguments_use_the_word_grammar():
+    opts = ["--file", "torus", "--window", "3", "3", "--format", "records"]
+    assert run(["bch", "a ^-1", "b", *opts]) == run(["bch", "a^-1", "b", *opts])
+    assert run(["bch", "a^-1b", "a", *opts]) == run(["bch", "a^-1 b", "a", *opts])
+
+
+@pytest.mark.parametrize("word, message", [
+    ("a^-2", "line 1, col 4: only exponent -1 is supported"),
+    ("a c", "line 1, col 3: unknown generator 'c' in group word 'a c'"),
+    ("a ^", "line 1, col 4: expected -, got 'end of line'"),
+    ("", "line 1, col 1: empty group word"),
+    ("a # b", "line 1, col 3: unexpected character '#'"),
+])
+def test_bch_bad_argument_exit_2_with_column(capsys, word, message):
+    assert cli.main(["bch", word, "b", "--file", "torus"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_run_logword():
     code, out = run(["logword", "cmt", "--file", "wedge-circles", "--format", "records"])
     assert code == 0

@@ -491,6 +491,24 @@ def test_boundary_matches_word_space_oracle(name, window):
         assert cx.boundary(d) == word_space_boundary(oracle, d), d
 
 
+@pytest.mark.parametrize("name", cli.BUILTIN_EXAMPLES)
+def test_slices_record_their_factors(name):
+    # every slice of the example's default window lists, in tree order, the
+    # generator g_i or the candidate [g_i, b_k] that each of its trees is
+    p = cli.build(cli.parse(cli._load_source(name)[1])).attached
+    gens = p.generators
+    for w in range(1, p.window.max_weight + 1):
+        for d in range(p.window.max_degree + 1):
+            slc = lie_slice(gens, w, d)
+            assert list(slc.accepted.values()) == list(range(slc.dim)), (w, d)
+            for (i, k), t in slc.accepted.items():
+                if k is None:
+                    assert slc.trees[t] == i, (w, d)
+                else:
+                    sub = lie_slice(gens, w - gens[i].weight, d - gens[i].degree)
+                    assert slc.trees[t] == (i, sub.trees[k]), (w, d)
+
+
 def random_chain(rng, cx, degree, max_weight):
     """Random coefficients on a random few chain-basis elements of weight
     at most max_weight."""

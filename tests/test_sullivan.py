@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,9 +7,11 @@ import pytest
 from lietop import cli
 from lietop.dgl import DglPresentation, free_presentation
 from lietop.freelie import Generator, Window, bracket, generator_element
+from lietop import sullivan
 from lietop.sullivan import (
     NilpotentLieData,
     SullivanData,
+    _monomials,
     check_sullivan,
     cochains,
     homotopy_lie,
@@ -19,7 +22,7 @@ from lietop.sullivan import (
     wedge_homology,
 )
 from helpers import slice_element
-from oracles import dense_lie_violation
+from oracles import dense_lie_violation, lambda_monomial_counts
 
 ONE = Fraction(1)
 
@@ -371,12 +374,6 @@ def test_stage_inclusion_kills_h2():
     index = {p: k for k, p in enumerate(pairs)}
     from lietop.qlinalg import Echelon, SparseMatrix, kernel_basis
 
-    entries = {}
-    for col, (i, j) in enumerate(pairs):
-        img = sd_diff(sd2, {(i, j): ONE})
-        for m, c in img.items():
-            entries[(hash(m) % 10**9, col)] = c  # placeholder; replaced below
-    # rebuild with a proper codomain index
     cod = sorted({m for (i, j) in pairs for m in sd_diff(sd2, {(i, j): ONE})})
     cod_index = {m: k for k, m in enumerate(cod)}
     entries = {}
@@ -403,8 +400,45 @@ def test_stage_inclusion_kills_h2():
 
 
 # ---------------------------------------------------------------------------
-# semiquadratic homology
+# Lambda(V) monomials and semiquadratic homology
 # ---------------------------------------------------------------------------
+
+
+def test_sullivan_data_rejects_degree_below_one():
+    # a degree-0 vector would make every degree of Lambda(V) infinite, and
+    # semiquadratic_homology would never return
+    for degree in (0, -1):
+        with pytest.raises(ValueError, match=f"basis vector u has degree {degree}"):
+            SullivanData([("u", degree), ("v", 1)])
+
+
+@pytest.mark.parametrize("degs", [[1, 2, 2, 3, 1, 4], [2, 1, 1], [3, 3, 2, 5], [1, 1, 1, 1]])
+def test_monomials_match_brute_force_counts(degs):
+    # the wedge cap binding alone, the degree cap alone, then both
+    for max_wedge, max_degree in ((4, math.inf), (6, 6), (3, 5)):
+        monos = _monomials(degs, max_wedge, max_degree)
+        expected = lambda_monomial_counts(degs, max_wedge, min(max_degree, 4 * max(degs)))
+        assert {key: len(ms) for key, ms in monos.items()} == expected, (max_wedge, max_degree)
+        for (k, d), ms in monos.items():
+            assert ms == sorted(set(ms))
+            assert all(len(m) == k and sum(degs[i] for i in m) == d for m in ms)
+
+
+def test_sullivan_ranks_each_block_once(monkeypatch):
+    # wedge_homology ranks each (wedge, degree) block once and reads its
+    # in-rank from the block below: 4 of its blocks plus 3 degrees of
+    # semiquadratic_homology
+    calls = []
+    rank_of_map = sullivan._rank_of_map
+
+    def counted(*args):
+        calls.append(args)
+        return rank_of_map(*args)
+
+    monkeypatch.setattr(sullivan, "_rank_of_map", counted)
+    code, out = cli.run(["sullivan", "--file", "wedge-circles", "--window", "3", "2", "--format", "records"])
+    assert code == 0 and "sullivan.wedge.1.degree.1: 3" in out
+    assert len(calls) == 7
 
 
 def test_semiquadratic_d0_zero_case():
