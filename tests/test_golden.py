@@ -43,6 +43,7 @@ CASES = [
     (f"sullivan-{name}-{w}-{d}", ["sullivan", "--file", name, "--window", str(w), str(d)])
     for name, w, d in (
         ("torus", 4, 2), ("torus", 6, 2), ("cp2", 6, 6), ("wedge-circles", 3, 2), ("lemaire28", 3, 2),
+        ("cp2", 10, 12), ("genus2", 4, 2),
     )
 ] + [
     (f"{command}-criterion6", [command, "--file", CRITERION6, "--window", "4", "3"])
