@@ -515,6 +515,10 @@ def run(argv: list[str]) -> tuple[int, str]:
     parser.add_argument("--kmax", type=int, help="lcs: largest bracket length (default: window weight)")
     parser.add_argument("--max-wedge", type=int, default=3, help="sullivan: wedge-degree cap for tables")
     ns = parser.parse_args(argv)
+    if ns.kmax is not None and ns.kmax < 1:
+        raise ValueError(f"--kmax must be at least 1, got {ns.kmax}")
+    if ns.max_wedge < 0:
+        raise ValueError(f"--max-wedge must be at least 0, got {ns.max_wedge}")
 
     rep = Report()
     freelie._reset_term_limit_cache()

@@ -271,16 +271,6 @@ class Echelon:
         return SubspaceBasis(self.ambient, rows, pivots)
 
 
-def rref(m: SparseMatrix) -> tuple[SubspaceBasis, int]:
-    """Reduced row-echelon basis of the row space of m, with its rank."""
-    ech = Echelon(m.cols)
-    for row in m.row_vectors():
-        if row:
-            ech.insert(row)
-    b = ech.basis()
-    return b, b.dim
-
-
 def kernel_basis(m: SparseMatrix) -> SubspaceBasis:
     """Echelon basis of the null space {v : m v = 0}; dim = cols - rank.
 

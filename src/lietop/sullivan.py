@@ -45,6 +45,22 @@ def _acc(out: dict, key, val: Fraction) -> None:
         out.pop(key, None)
 
 
+def _scaled(table: dict) -> tuple[dict, int]:
+    """(rows, den): every row {k: c} of table as integers den*c, den the lcm
+    of all denominators in the table."""
+    den = math.lcm(*(c.denominator for cs in table.values() for c in cs.values()))
+    return {
+        key: {k: c.numerator * (den // c.denominator) for k, c in cs.items()} for key, cs in table.items()
+    }, den
+
+
+def _add(out: dict[int, int], v: dict[int, int] | None, scale: int) -> None:
+    """out += scale*v; entries that cancel stay as 0."""
+    if v:
+        for k, e in v.items():
+            out[k] = out.get(k, 0) + scale * e
+
+
 class NilpotentLieData:
     """A finite-dimensional nilpotent (d)gl by structure constants.
 
@@ -55,13 +71,26 @@ class NilpotentLieData:
     must reach zero), and for the differential d^2 = 0 plus the
     right-derivation rule.
 
-    Each identity is checked exactly, but only on the index tuples where one
-    of its terms can be nonzero, in the same ascending order as a full sweep,
-    so the first failure reported is the one a full sweep finds.  With
+    Immutable by convention: the constructor copies its input and also keeps
+    the integer form that validate() runs on, the bracket constants scaled
+    by the lcm B of their denominators and the differential's by the lcm M
+    of theirs.  Each identity is homogeneous in the constants (antisymmetry
+    of degree 1 in the brackets, Jacobi of degree 2, d^2 = 0 of degree 2 in
+    the differential, the derivation rule of degree 1 in each), so the
+    scaled identity is the original one times B, B^2, M^2 or B*M and holds
+    exactly when it does; scaling the brackets leaves every term of the
+    lower central series unchanged.
+
+    Each identity is checked only on the index tuples where one of its terms
+    can be nonzero, in the same ascending order as a full sweep, so the
+    first failure reported is the one a full sweep finds.  With
     P(x) = {y : (x, y) bracketed}:
     - antisymmetry and homogeneity visit the bracketed pairs and their
       mirrors;
-    - Jacobi visits (i, j, k) for k in P(i), P(j) or P(m), m in [e_i, e_j];
+    - Jacobi visits (i, j, k) for k in P(i), P(j) or P(m), m in [e_i, e_j],
+      and only i <= j <= k: once antisymmetry holds, each Jacobi expression
+      is a signed graded cyclic sum, so permuting a triple changes it only
+      by a sign, and the first failing triple of a full sweep is sorted;
     - d^2 = 0 visits the basis elements with a differential;
     - the derivation rule visits (i, j) for all j if d e_i != 0, else for
       j in P(i) or with d e_j != 0.
@@ -89,6 +118,11 @@ class NilpotentLieData:
             cs = {k: Fraction(c) for k, c in cs.items() if c}
             if cs:
                 self.diff[j] = cs
+        # _rows[i][j]: the scaled [e_i, e_j], so the keys of _rows[i] are P(i)
+        self._rows: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
+        for (i, j), cs in _scaled(self.brackets)[0].items():
+            self._rows[i][j] = cs
+        self._scaled_diff: dict[int, dict[int, int]] = _scaled(self.diff)[0]
         if validate:
             self.validate()
 
@@ -96,82 +130,77 @@ class NilpotentLieData:
     def dim(self) -> int:
         return len(self.basis)
 
-    def bracket_of(self, i: int, j: int) -> Coeffs:
-        return self.brackets.get((i, j), {})
-
-    def bracket_elems(self, a: Coeffs, b: Coeffs) -> Coeffs:
-        out: Coeffs = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                for k, c in self.bracket_of(i, j).items():
-                    _acc(out, k, ca * cb * c)
-        return out
-
-    def diff_elem(self, a: Coeffs) -> Coeffs:
-        out: Coeffs = {}
-        for i, ca in a.items():
-            for k, c in self.diff.get(i, {}).items():
-                _acc(out, k, ca * c)
-        return out
-
     def validate(self) -> None:
         n = self.dim
         deg = self.degrees
-        partners: list[list[int]] = [[] for _ in range(n)]
-        for i, j in self.brackets:
-            partners[i].append(j)
-        for i, j in sorted(set(self.brackets) | {(j, i) for i, j in self.brackets}):
-            left = self.bracket_of(i, j)
-            sign = -ONE if (deg[i] * deg[j]) % 2 == 0 else ONE
-            mirrored = {k: sign * c for k, c in self.bracket_of(j, i).items()}
+        rows, diff = self._rows, self._scaled_diff
+        pairs = {(i, j) for i in range(n) for j in rows[i]}
+        for i, j in sorted(pairs | {(j, i) for i, j in pairs}):
+            left = rows[i].get(j, {})
+            sign = -1 if (deg[i] * deg[j]) % 2 == 0 else 1
+            mirrored = {k: sign * c for k, c in rows[j].get(i, {}).items()}
             if left != mirrored:
                 raise ValueError(f"antisymmetry fails on pair ({i},{j})")
             for k in left:
                 if deg[k] != deg[i] + deg[j]:
                     raise ValueError(f"bracket ({i},{j}) not degree-homogeneous")
         for i in range(n):
-            for j in range(n):
-                ij = self.bracket_of(i, j)
-                ks = set(partners[i]).union(partners[j], *(partners[m] for m in ij))
-                sign = ONE if (deg[i] * deg[j]) % 2 == 0 else -ONE
-                for k in sorted(ks):
-                    lhs = self.bracket_elems({i: ONE}, self.bracket_of(j, k))
-                    rhs = self.bracket_elems(ij, {k: ONE})
-                    for m, c in self.bracket_elems({j: ONE}, self.bracket_of(i, k)).items():
-                        _acc(rhs, m, sign * c)
-                    if lhs != rhs:
+            ri = rows[i]
+            for j in range(i, n):
+                rj = rows[j]
+                ij = ri.get(j, {})
+                sign = 1 if (deg[i] * deg[j]) % 2 == 0 else -1
+                for k in sorted(k for k in set(ri).union(rj, *(rows[m] for m in ij)) if k >= j):
+                    # [e_i, [e_j, e_k]] - [[e_i, e_j], e_k] - (-1)^{|i||j|} [e_j, [e_i, e_k]]
+                    out: dict[int, int] = {}
+                    for m, c in rj.get(k, {}).items():
+                        _add(out, ri.get(m), c)
+                    for m, c in ij.items():
+                        _add(out, rows[m].get(k), -c)
+                    for m, c in ri.get(k, {}).items():
+                        _add(out, rj.get(m), -sign * c)
+                    if any(out.values()):
                         raise ValueError(f"Jacobi fails on triple ({i},{j},{k})")
         self._check_nilpotent()
-        for j, cs in self.diff.items():
-            for k in cs:
+        for j in sorted(diff):
+            for k in diff[j]:
                 if deg[k] != deg[j] - 1:
                     raise ValueError(f"diff of basis element {j} has wrong degree")
-        for j in sorted(self.diff):
-            if self.diff_elem(self.diff[j]):
+        for j in sorted(diff):
+            out = {}
+            for m, c in diff[j].items():
+                _add(out, diff.get(m), c)
+            if any(out.values()):
                 raise ValueError(f"d^2 != 0 on basis element {j}")
         for i in range(n):
-            js = range(n) if i in self.diff else sorted(self.diff.keys() | partners[i])
-            for j in js:
-                lhs = self.diff_elem(self.bracket_of(i, j))
-                rhs: Coeffs = {}
-                sign = ONE if deg[j] % 2 == 0 else -ONE
-                for k, c in self.bracket_elems(self.diff.get(i, {}), {j: ONE}).items():
-                    _acc(rhs, k, sign * c)
-                for k, c in self.bracket_elems({i: ONE}, self.diff.get(j, {})).items():
-                    _acc(rhs, k, c)
-                if lhs != rhs:
+            ri, di = rows[i], diff.get(i, {})
+            for j in range(n) if i in diff else sorted(diff.keys() | ri.keys()):
+                # d[e_i, e_j] - (-1)^{|j|} [d e_i, e_j] - [e_i, d e_j]
+                out = {}
+                for m, c in ri.get(j, {}).items():
+                    _add(out, diff.get(m), c)
+                sign = 1 if deg[j] % 2 == 0 else -1
+                for m, c in di.items():
+                    _add(out, rows[m].get(j), -sign * c)
+                for m, c in diff.get(j, {}).items():
+                    _add(out, ri.get(m), -c)
+                if any(out.values()):
                     raise ValueError(f"derivation rule fails on pair ({i},{j})")
 
     def _check_nilpotent(self) -> None:
-        n = self.dim
-        current: list[Coeffs] = [{i: ONE} for i in range(n)]
+        n, rows = self.dim, self._rows
+        current: list[dict[int, int]] = [{i: 1} for i in range(n)]
         for _ in range(n + 1):
             ech = Echelon(n)
-            nxt: list[Coeffs] = []
+            nxt: list[dict[int, int]] = []
             for vec in current:
-                for i in range(n):
-                    br = self.bracket_elems({i: ONE}, vec)
-                    if br and ech.insert(dict(br)):
+                # [e_i, e_m] != 0 only for i in P(m), by antisymmetry
+                for i in sorted(set().union(*(rows[m] for m in vec))):
+                    br: dict[int, int] = {}
+                    for m, c in vec.items():
+                        _add(br, rows[i].get(m), c)
+                    br = {k: c for k, c in br.items() if c}
+                    if br and ech.insert(br):
                         nxt.append(br)
             if not nxt:
                 return
@@ -308,33 +337,44 @@ def mono_normalize(seq: tuple[int, ...], degs: list[int]) -> tuple[Monomial, int
     return tuple(items), sign
 
 
-def sd_diff(sd: SullivanData, p: Poly) -> Poly:
-    """d0 + d1 extended to Lambda(V) as a derivation."""
-    degs = sd.degrees
-    images: dict[int, list[tuple[Monomial, Fraction]]] = {}  # d v_k, built once per call
-    out: Poly = {}
+Images = list[list[tuple[Monomial, int]]]
+
+
+def _images(sd: SullivanData) -> tuple[Images, int]:
+    """(images, den): images[k] lists the terms of den*(d0 + d1) v_k with
+    integer coefficients, den the lcm of all denominators of d0 and d1."""
+    dv: dict[int, dict[Monomial, Fraction]] = {}
+    for k in range(sd.dim):
+        img = {(j,): c for j, c in sd.d0.get(k, {}).items() if c}
+        img.update((pair, c) for pair, c in sd.d1.get(k, {}).items() if c)
+        dv[k] = img
+    scaled, den = _scaled(dv)
+    return [list(scaled[k].items()) for k in range(sd.dim)], den
+
+
+def _derive(images: Images, degs: list[int], p: dict) -> dict:
+    """den * (d0 + d1)(p), extended to Lambda(V) as a derivation, for the
+    images and den of _images; terms that cancel stay as 0."""
+    out: dict = {}
     for m, coeff in p.items():
         prefix_sign = 1  # (-1)^{degree left of position t}
         for t, k in enumerate(m):
-            image = images.get(k)
-            if image is None:
-                dv: Poly = {}
-                for j, c in sd.d0.get(k, {}).items():
-                    _acc(dv, (j,), c)
-                for pair, c in sd.d1.get(k, {}).items():
-                    _acc(dv, pair, c)
-                image = images[k] = list(dv.items())
             head, tail = m[:t], m[t + 1 :]
-            for dm, dc in image:
+            for dm, dc in images[k]:
                 norm = mono_normalize(head + dm + tail, degs)
                 if norm is None:
                     continue
                 mm, sign = norm
-                c = coeff * dc
-                _acc(out, mm, c if sign == prefix_sign else -c)
+                out[mm] = out.get(mm, 0) + (coeff * dc if sign == prefix_sign else -coeff * dc)
             if degs[k] % 2:
                 prefix_sign = -prefix_sign
     return out
+
+
+def sd_diff(sd: SullivanData, p: Poly) -> Poly:
+    """d0 + d1 extended to Lambda(V) as a derivation."""
+    images, den = _images(sd)
+    return {m: Fraction(c) / den for m, c in _derive(images, sd.degrees, p).items() if c}
 
 
 @dataclass
@@ -359,26 +399,46 @@ def check_sullivan(sd: SullivanData) -> SullivanReport:
     the filtration V_0 = V cap ker d1, V_{n+1} = d1^{-1}(Lambda^2 V_n)
     exhausts V (the Sullivan condition, checked on the quadratic part)."""
     degs = sd.degrees
+    images, den = _images(sd)
     violations = []
     for k, (name, _) in enumerate(sd.basis):
-        dd = sd_diff(sd, sd_diff(sd, {(k,): ONE}))
+        dd = _derive(images, degs, _derive(images, degs, {(k,): 1}))
+        dd = {m: Fraction(c, den * den) for m, c in dd.items() if c}
         if dd:
             violations.append((name, dd))
 
     n = sd.dim
     pair_index = _pair_index(n)
-
-    current = Echelon(n)
+    # den * d1 v_k in Lambda^2 V coordinates; the scale leaves each kernel as it is
+    quadratic = [{pair_index[dm]: c for dm, c in images[k] if len(dm) == 2} for k in range(n)]
+    # V_n only grows with n (V_n lies in V_{n+1}), and so does Lambda^2 V_n:
+    # it is spanned by the products of the vectors that enlarged `span`
+    span = Echelon(n)
+    basis: list[Vector] = []
+    wedge = Echelon(len(pair_index))
     levels: list[int] = []
     while True:
-        # Lambda^2 of the current subspace, spanned by products of its basis
-        wedge = Echelon(len(pair_index))
-        rows = [dict(r) for r in current.rows]
-        for a in range(len(rows)):
-            for b in range(a, len(rows)):
+        # V_{n+1} is the full preimage of Lambda^2 V_n: the kernel of d1
+        # reduced modulo it, as a subspace (not just the qualifying basis vectors)
+        entries: dict[tuple[int, int], Fraction] = {}
+        for k in range(n):
+            residual, _ = wedge.reduce(quadratic[k])
+            for row, c in residual.items():
+                entries[(row, k)] = c
+        preimage = kernel_basis(SparseMatrix(len(pair_index), n, entries))
+        levels.append(preimage.dim)
+        if preimage.dim == n:
+            return SullivanReport(violations, True, levels)
+        if preimage.dim == span.rank:
+            return SullivanReport(violations, False, levels)
+        for v in preimage.rows:
+            if not span.insert(v):
+                continue
+            basis.append(v)
+            for w in basis:
                 prod: Vector = {}
-                for i, ci in rows[a].items():
-                    for j, cj in rows[b].items():
+                for i, ci in v.items():
+                    for j, cj in w.items():
                         if i == j and degs[i] % 2:
                             continue
                         if i <= j:
@@ -388,25 +448,6 @@ def check_sullivan(sd: SullivanData) -> SullivanReport:
                             _acc(prod, pair_index[(j, i)], sign * ci * cj)
                 if prod:
                     wedge.insert(prod)
-        # V_{n+1} is the full preimage of that span: the kernel of d1 reduced
-        # modulo it, as a subspace (not just the qualifying basis vectors)
-        entries: dict[tuple[int, int], Fraction] = {}
-        for k in range(n):
-            img: Vector = {}
-            for (i, j), c in sd.d1.get(k, {}).items():
-                _acc(img, pair_index[(i, j)], c)
-            residual, _ = wedge.reduce(img)
-            for row, c in residual.items():
-                entries[(row, k)] = c
-        nxt = Echelon(n)
-        for v in kernel_basis(SparseMatrix(len(pair_index), n, entries)).rows:
-            nxt.insert(dict(v))
-        levels.append(nxt.rank)
-        if nxt.rank == n:
-            return SullivanReport(violations, True, levels)
-        if nxt.rank == current.rank:
-            return SullivanReport(violations, False, levels)
-        current = nxt
 
 
 def _monomials(degs: list[int], max_wedge: int, max_degree: float) -> dict[tuple[int, int], list[Monomial]]:
@@ -428,15 +469,30 @@ def _monomials(degs: list[int], max_wedge: int, max_degree: float) -> dict[tuple
     return out
 
 
-def _rank_of_map(sd: SullivanData, dom: list[Monomial], cod: list[Monomial]) -> int:
-    cod_index = {m: i for i, m in enumerate(cod)}
-    ech = Echelon(len(cod))
-    rank = 0
+def _rank_of_map(images: Images, degs: list[int], dom: list[Monomial]) -> int:
+    """Rank of d0 + d1 on the span of dom.
+
+    No codomain block is enumerated: a codomain monomial's column is the
+    integer whose base-(n+1) digits are its letters plus one, padded with
+    zeros to one letter more than dom's longest monomial.  Columns are then
+    in lexicographic order, as in a full enumeration of the block; numbered
+    by first appearance instead, the largest block of sullivan genus2 (5,2)
+    took 2.5 times as long to eliminate.
+    """
+    width = len(degs) + 1
+    length = max(map(len, dom), default=0) + 1
+    shift = [width ** (length - t) for t in range(length + 1)]
+
+    def column(mm: Monomial) -> int:
+        key = 0
+        for a in mm:
+            key = key * width + a + 1
+        return key * shift[len(mm)]
+
+    ech = Echelon(width**length)
     for m in dom:
-        vec = {cod_index[mm]: c for mm, c in sd_diff(sd, {m: ONE}).items()}
-        if ech.insert(vec):
-            rank += 1
-    return rank
+        ech.insert({column(mm): c for mm, c in _derive(images, degs, {m: 1}).items()})
+    return ech.rank
 
 
 def wedge_homology(sd: SullivanData, max_wedge: int = 3) -> dict[int, dict[int, int]]:
@@ -450,15 +506,16 @@ def wedge_homology(sd: SullivanData, max_wedge: int = 3) -> dict[int, dict[int, 
     """
     if any(cs for cs in sd.d0.values()):
         raise ValueError("wedge_homology requires a quadratic Sullivan algebra (d0 = 0)")
-    monos = _monomials(sd.degrees, max_wedge + 1, math.inf)
+    if max_wedge < 0:
+        raise ValueError("max_wedge must be >= 0")
+    degs = sd.degrees
+    images, _ = _images(sd)
     # d1 maps block (k, n) of Lambda^k V in degree n to block (k+1, n+1);
     # blocks go in ascending (k, n), so the in-rank of (k, n) is known
     result: dict[int, dict[int, int]] = {k: {} for k in range(max_wedge + 1)}
     rank_out: dict[tuple[int, int], int] = {}
-    for (k, n), dom in sorted(monos.items()):
-        if k > max_wedge:
-            break
-        rank_out[(k, n)] = _rank_of_map(sd, dom, monos.get((k + 1, n + 1), []))
+    for (k, n), dom in sorted(_monomials(degs, max_wedge, math.inf).items()):
+        rank_out[(k, n)] = _rank_of_map(images, degs, dom)
         h = len(dom) - rank_out[(k, n)] - rank_out.get((k - 1, n - 1), 0)
         if h:
             result[k][n] = h
@@ -476,18 +533,20 @@ def semiquadratic_homology(
     is omitted: its incoming boundaries are not fully visible.
     """
     degs = sd.degrees
+    images, _ = _images(sd)
     monos: dict[int, list[Monomial]] = {}
-    # every basis degree is >= 1, so no monomial has more letters than degree
-    for (_, d), ms in _monomials(degs, max_degree, max_degree).items():
+    # only degrees below max_degree are ranked (the top degree's target is
+    # cut off), and every basis degree is >= 1, so no monomial has more
+    # letters than degree
+    for (_, d), ms in _monomials(degs, max_degree - 1, max_degree - 1).items():
         monos.setdefault(d, []).extend(ms)
     for ms in monos.values():
         ms.sort()  # the domain order feeds elimination
     ranks: dict[int, int] = {}
     left: dict[int, int] = {}
-    # the out-rank of the top degree is never needed (its target is cut off)
     for d in range(0, max_degree):
         dom = monos.get(d, [])
-        ranks[d] = _rank_of_map(sd, dom, monos.get(d + 1, []))
+        ranks[d] = _rank_of_map(images, degs, dom)
         left[d] = len(dom) - ranks[d] - ranks.get(d - 1, 0)
 
     # right table: d0-homology of V cap ker d1, degree by degree

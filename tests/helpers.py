@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from lietop.freelie import LieElement, LieSlice, TensorElement, Window
-from lietop.qlinalg import SparseMatrix, Vector
+from lietop.qlinalg import Echelon, SparseMatrix, SubspaceBasis, Vector
 
 
 def from_dense(data: list[list]) -> SparseMatrix:
@@ -13,6 +13,16 @@ def from_dense(data: list[list]) -> SparseMatrix:
     cols = len(data[0]) if data else 0
     entries = {(i, j): Fraction(val) for i, row in enumerate(data) for j, val in enumerate(row) if val}
     return SparseMatrix(len(data), cols, entries)
+
+
+def rref(m: SparseMatrix) -> tuple[SubspaceBasis, int]:
+    """Reduced row-echelon basis of the row space of m, with its rank."""
+    ech = Echelon(m.cols)
+    for row in m.row_vectors():
+        if row:
+            ech.insert(row)
+    b = ech.basis()
+    return b, b.dim
 
 
 def apply(m: SparseMatrix, v: Vector) -> Vector:

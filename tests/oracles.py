@@ -440,18 +440,90 @@ def word_space_boundary(cx, degree: int):
     return SparseMatrix(rows, col, entries)
 
 
-def lambda_monomial_counts(degrees: list[int], max_wedge: int, max_degree: int) -> dict[tuple[int, int], int]:
-    """Number of monomials of the free graded-commutative algebra on basis
-    vectors of the given degrees, per (wedge length, degree), for wedge
-    length <= max_wedge and degree <= max_degree: every multiset of basis
-    indices, dropping those that repeat an odd-degree index (its square is
-    zero)."""
-    counts: dict[tuple[int, int], int] = {}
+def lambda_monomials(degrees: list[int], max_wedge: int, max_degree: float) -> dict[tuple[int, int], list]:
+    """Monomials of the free graded-commutative algebra on basis vectors of
+    the given degrees, as sorted index tuples keyed by (wedge length,
+    degree), for wedge length <= max_wedge and degree <= max_degree: every
+    multiset of basis indices, dropping those that repeat an odd-degree index
+    (its square is zero)."""
+    out: dict[tuple[int, int], list[tuple]] = {}
     for k in range(max_wedge + 1):
         for combo in combinations_with_replacement(range(len(degrees)), k):
             if any(degrees[i] % 2 and combo.count(i) > 1 for i in combo):
                 continue
             d = sum(degrees[i] for i in combo)
             if d <= max_degree:
-                counts[(k, d)] = counts.get((k, d), 0) + 1
-    return counts
+                out.setdefault((k, d), []).append(combo)
+    return out
+
+
+def lambda_monomial_counts(degrees: list[int], max_wedge: int, max_degree: int) -> dict[tuple[int, int], int]:
+    """The number of lambda_monomials per (wedge length, degree)."""
+    return {key: len(ms) for key, ms in lambda_monomials(degrees, max_wedge, max_degree).items()}
+
+
+def plain_sd_diff(degrees: list[int], d0: dict, d1: dict, poly: dict) -> dict:
+    """d = d0 + d1 applied to poly in the free graded-commutative algebra on
+    basis vectors v_0, v_1, ... of the given degrees, by a plain Fraction
+    derivation.
+
+    d0: k -> {j: c} and d1: k -> {(i, j): c} give d v_k = sum c v_j +
+    sum c v_i v_j; poly maps index tuples (products in that order) to
+    coefficients.  d(x_1 ... x_r) = sum_t (-1)^{|x_1| + ... + |x_{t-1}|}
+    x_1 ... d(x_t) ... x_r; each product is brought to sorted order with the
+    sign (-1)^(number of inverted pairs of odd-degree letters), and vanishes
+    when an odd-degree letter repeats.  Returns {sorted tuple: Fraction}
+    with zero coefficients dropped.
+    """
+
+    def sort_sign(word: tuple) -> tuple[tuple, int] | None:
+        odd = [i for i in word if degrees[i] % 2]
+        if len(set(odd)) < len(odd):
+            return None
+        inversions = sum(1 for p in range(len(odd)) for q in range(p + 1, len(odd)) if odd[p] > odd[q])
+        return tuple(sorted(word)), -1 if inversions % 2 else 1
+
+    out: dict = {}
+    for word, coeff in poly.items():
+        passed = 0
+        for t, k in enumerate(word):
+            image = [((j,), c) for j, c in d0.get(k, {}).items()]
+            image += [(pair, c) for pair, c in d1.get(k, {}).items()]
+            for letters, c in image:
+                sorted_sign = sort_sign(word[:t] + letters + word[t + 1 :])
+                if sorted_sign is None:
+                    continue
+                key, sign = sorted_sign
+                out[key] = out.get(key, Fraction(0)) + (-1) ** passed * sign * Fraction(c) * Fraction(coeff)
+            passed += degrees[k]
+    return {key: c for key, c in out.items() if c}
+
+
+def derivation_rank(degrees: list[int], d0: dict, d1: dict, dom: list[tuple], cod: list[tuple]) -> int:
+    """Rank of plain_sd_diff from the span of the monomials dom to the span
+    of the monomials cod, by dense_rank of each connected block of the
+    matrix (rows that share a column are in one block; the matrix is the
+    direct sum of its blocks).  Asserts that every image lies in span(cod)."""
+    cod_set = set(cod)
+    rows = [plain_sd_diff(degrees, d0, d1, {m: 1}) for m in dom]
+    owner: dict = {}  # union-find over codomain monomials
+
+    def find(x):
+        while owner.setdefault(x, x) != x:
+            x = owner[x]
+        return x
+
+    for row in rows:
+        assert set(row) <= cod_set, "an image leaves the codomain"
+        keys = list(row)
+        for other in keys[1:]:
+            owner[find(other)] = find(keys[0])
+    blocks: dict = {}
+    for row in rows:
+        if row:
+            blocks.setdefault(find(next(iter(row))), []).append(row)
+    rank = 0
+    for block in blocks.values():
+        columns = sorted({m for row in block for m in row})
+        rank += dense_rank([[row.get(m, 0) for m in columns] for row in block])
+    return rank

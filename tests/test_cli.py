@@ -328,6 +328,33 @@ def test_missing_file_flag_exit_2(capsys):
     assert "--file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lcs", "--file", "wedge-circles", "--kmax", "0"], "--kmax must be at least 1, got 0"),
+        (["lcs", "--file", "wedge-circles", "--kmax", "-2"], "--kmax must be at least 1, got -2"),
+        (
+            ["sullivan", "--file", "wedge-circles", "--max-wedge", "-1"],
+            "--max-wedge must be at least 0, got -1",
+        ),
+    ],
+)
+def test_out_of_range_caps_exit_2(argv, message, capsys):
+    # both used to print an empty table
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_zero_max_wedge_prints_wedge_zero_only():
+    argv = ["sullivan", "--file", "wedge-circles", "--window", "2", "2", "--max-wedge", "0"]
+    code, out = run([*argv, "--format", "records"])
+    assert code == 0
+    assert "sullivan.wedge.0.degree.0: 1" in out
+    assert "sullivan.wedge.1." not in out
+
+
 def test_lcs_rejects_cells(capsys):
     assert cli.main(["lcs", "--file", "cp2"]) == 2
     assert "free presentation" in capsys.readouterr().err

@@ -9,10 +9,9 @@ from lietop.qlinalg import (
     Echelon,
     SparseMatrix,
     kernel_basis,
-    rref,
 )
 
-from helpers import apply, from_dense
+from helpers import apply, from_dense, rref
 from oracles import bareiss_rank, dense_rank, dense_rref, dense_solve
 
 

@@ -22,7 +22,13 @@ from lietop.sullivan import (
     wedge_homology,
 )
 from helpers import slice_element
-from oracles import dense_lie_violation, lambda_monomial_counts
+from oracles import (
+    dense_lie_violation,
+    derivation_rank,
+    lambda_monomial_counts,
+    lambda_monomials,
+    plain_sd_diff,
+)
 
 ONE = Fraction(1)
 
@@ -127,15 +133,16 @@ def example_truncation(name, weight, degree):
     return truncation_lie_data(cli.build(cli.parse(text), Window(weight, degree)).attached)
 
 
-def corrupt(data, rng):
-    """Copies of data's brackets and diff with one constant moved by +-1:
-    a bracket with or without its mirror, or a diff entry; the target index
-    mostly keeps the degree, so the deeper identities get exercised."""
+def corrupt(data, rng, deltas=(-1, 1)):
+    """Copies of data's brackets and diff with one constant moved by one of
+    deltas: a bracket with or without its mirror, or a diff entry; the
+    target index mostly keeps the degree, so the deeper identities get
+    exercised."""
     n, deg = data.dim, data.degrees
     brackets = {pair: dict(cs) for pair, cs in data.brackets.items()}
     diff = {j: dict(cs) for j, cs in data.diff.items()}
     kind = rng.choice(("mirrored", "unmirrored", "diff"))
-    delta = rng.choice((-1, 1))
+    delta = rng.choice(deltas)
     if kind == "diff":
         j = rng.choice(sorted(data.diff)) if rng.random() < 0.5 else rng.randrange(n)
         fits = [k for k in range(n) if deg[k] == deg[j] - 1]
@@ -180,6 +187,43 @@ def test_validation_matches_dense_oracle_on_corrupted_truncations():
     assert failures == set(checks)
 
 
+def rescaled(data, rng):
+    """data in the basis lambda_i e_i, each lambda_i one of 1, 3, 1/5, 5/3:
+    an isomorphic (d)gl whose constants have denominators 3 and 5."""
+    lam = [rng.choice((1, 3, Fraction(1, 5), Fraction(5, 3))) for _ in range(data.dim)]
+    brackets = {
+        (i, j): {k: c * lam[i] * lam[j] / lam[k] for k, c in cs.items()}
+        for (i, j), cs in data.brackets.items()
+    }
+    diff = {j: {k: c * lam[j] / lam[k] for k, c in cs.items()} for j, cs in data.diff.items()}
+    return NilpotentLieData(data.basis, brackets, diff, validate=False)
+
+
+def test_validation_matches_dense_oracle_with_denominators_3_and_5():
+    # a rescaled truncation, one constant moved by a third, then one by a
+    # fifth: validate scales the brackets and the differential by their own
+    # common denominators
+    thirds = (Fraction(1, 3), Fraction(-2, 3))
+    fifths = (Fraction(1, 5), Fraction(-3, 5))
+    failures = set()
+    for name, weight, degree, trials in (("torus", 4, 2, 60), ("cp2", 6, 6, 60)):
+        data = example_truncation(name, weight, degree)
+        rng = random.Random(f"{name} 3 5")
+        for _ in range(trials):
+            scaled = rescaled(data, rng)
+            scaled.validate()
+            brackets, diff = corrupt(scaled, rng, thirds)
+            once = NilpotentLieData(data.basis, brackets, diff, validate=False)
+            brackets, diff = corrupt(once, rng, fifths)
+            expected = dense_lie_violation(data.degrees, brackets, diff)
+            assert expected is not None
+            with pytest.raises(ValueError) as err:
+                NilpotentLieData(data.basis, brackets, diff)
+            assert str(err.value) == expected, (name, expected)
+            failures.add(expected.split(" ")[0])
+    assert {"antisymmetry", "Jacobi", "derivation"} <= failures
+
+
 @pytest.mark.parametrize(
     "degrees, products, diff",
     [
@@ -205,6 +249,16 @@ def test_validation_matches_dense_oracle_on_single_term_violations(degrees, prod
     with pytest.raises(ValueError) as err:
         NilpotentLieData([(f"e{i}", d) for i, d in enumerate(degrees)], brackets, diff)
     assert str(err.value) == expected
+
+
+def test_diff_degree_failure_names_the_first_element():
+    # both diff entries have the wrong degree and arrive out of index
+    # order; the full sweep names the smaller index
+    degrees, diff = [0, 1, 0, 1], {3: {3: 1}, 1: {1: 1}}
+    assert dense_lie_violation(degrees, {}, diff) == "diff of basis element 1 has wrong degree"
+    with pytest.raises(ValueError) as err:
+        NilpotentLieData([(f"e{i}", d) for i, d in enumerate(degrees)], {}, diff)
+    assert str(err.value) == "diff of basis element 1 has wrong degree"
 
 
 def test_sullivan_command_validates_once(monkeypatch):
@@ -465,6 +519,106 @@ def test_semiquadratic_cp2_agreement():
     for d in right:
         if d < 6 and d >= 1:
             assert left[d] == right[d]
+
+
+SEEDED_COEFFS = (1, -1, Fraction(1, 2), Fraction(-1, 4), Fraction(3, 4), 2)
+
+
+def seeded_sullivan(seed, quadratic=False):
+    """SullivanData on seven vectors of degrees 1 to 3, with d0 (unless
+    quadratic) and d1 entries drawn at random from SEEDED_COEFFS; d^2 = 0
+    is not imposed."""
+    rng = random.Random(seed)
+    degs = [rng.choice((1, 1, 2, 3)) for _ in range(7)]
+    n = len(degs)
+    d0, d1 = {}, {}
+    for k, dk in enumerate(degs):
+        for j in range(n):
+            if not quadratic and degs[j] == dk + 1 and rng.random() < 0.4:
+                d0.setdefault(k, {})[j] = rng.choice(SEEDED_COEFFS)
+        for i in range(n):
+            for j in range(i, n):
+                if degs[i] + degs[j] == dk + 1 and not (i == j and degs[i] % 2) and rng.random() < 0.4:
+                    d1.setdefault(k, {})[(i, j)] = rng.choice(SEEDED_COEFFS)
+    return SullivanData([(f"v{i}", d) for i, d in enumerate(degs)], d0, d1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sd_diff_matches_plain_derivation(seed):
+    sd = seeded_sullivan(seed, quadratic=seed % 2 == 1)
+    rng = random.Random(seed)
+    monos = [m for ms in lambda_monomials(sd.degrees, 3, 6).values() for m in ms]
+    for _ in range(40):
+        p = {m: rng.choice(SEEDED_COEFFS) for m in rng.sample(monos, 3)}
+        assert sd_diff(sd, p) == plain_sd_diff(sd.degrees, sd.d0, sd.d1, p)
+    # d^2 on each generator, as the oracle finds it, in basis order
+    expected = []
+    for k, (name, _) in enumerate(sd.basis):
+        dd = plain_sd_diff(sd.degrees, sd.d0, sd.d1, plain_sd_diff(sd.degrees, sd.d0, sd.d1, {(k,): 1}))
+        if dd:
+            expected.append((name, dd))
+    assert expected
+    assert check_sullivan(sd).d_squared_violations == expected
+
+
+def test_sd_diff_odd_squares_vanish():
+    # d0 v1 = v0 / 2 with v0 odd: d(v0 v1) = -v0 v0 / 2 = 0, d(v1 v2) = v0 v2 / 2
+    sd = SullivanData([("v0", 3), ("v1", 2), ("v2", 2)], {1: {0: Fraction(1, 2)}}, {})
+    assert sd_diff(sd, {(0, 1): ONE}) == {}
+    assert sd_diff(sd, {(1, 2): ONE}) == {(0, 2): Fraction(1, 2)}
+    # d1 v2 = v0 v1 / 4 with v0, v1 odd: v0 v2 and v1 v2 are cycles, v2 is not
+    sd = SullivanData([("v0", 1), ("v1", 1), ("v2", 1)], {}, {2: {(0, 1): Fraction(1, 4)}})
+    assert sd_diff(sd, {(0, 2): ONE}) == sd_diff(sd, {(1, 2): ONE}) == {}
+    assert sd_diff(sd, {(2,): ONE}) == {(0, 1): Fraction(1, 4)}
+    for m in ((0, 2), (1, 2), (2,)):
+        assert plain_sd_diff(sd.degrees, sd.d0, sd.d1, {m: 1}) == sd_diff(sd, {m: ONE})
+
+
+def oracle_left_table(sd, max_degree):
+    """semiquadratic_homology's left table from derivation_rank over every
+    monomial of each degree."""
+    monos = {}
+    for (_, d), ms in lambda_monomials(sd.degrees, max_degree, max_degree).items():
+        monos.setdefault(d, []).extend(ms)
+    ranks, left = {}, {}
+    for d in range(max_degree):
+        dom = monos.get(d, [])
+        ranks[d] = derivation_rank(sd.degrees, sd.d0, sd.d1, dom, monos.get(d + 1, []))
+        left[d] = len(dom) - ranks[d] - ranks.get(d - 1, 0)
+    return left
+
+
+def oracle_wedge_table(sd, max_wedge):
+    """wedge_homology's table from derivation_rank over every block of
+    Lambda^k V in one degree, k <= max_wedge + 1."""
+    monos = lambda_monomials(sd.degrees, max_wedge + 1, math.inf)
+    ranks, table = {}, {k: {} for k in range(max_wedge + 1)}
+    for (k, n), dom in sorted(monos.items()):
+        if k > max_wedge:
+            continue
+        ranks[(k, n)] = derivation_rank(sd.degrees, sd.d0, sd.d1, dom, monos.get((k + 1, n + 1), []))
+        h = len(dom) - ranks[(k, n)] - ranks.get((k - 1, n - 1), 0)
+        if h:
+            table[k][n] = h
+    return table
+
+
+@pytest.mark.parametrize("name, weight, degree", [("torus", 4, 2), ("cp2", 6, 6), ("lemaire28", 3, 2)])
+def test_left_table_matches_dense_ranks_on_examples(name, weight, degree):
+    sd = cochains(example_truncation(name, weight, degree))
+    left, _ = semiquadratic_homology(sd, degree + 1)
+    assert left == oracle_left_table(sd, degree + 1)
+
+
+def test_tables_match_dense_ranks_on_seeded_data():
+    for seed in range(6):
+        sd = seeded_sullivan(seed)
+        left, _ = semiquadratic_homology(sd, 6)
+        assert left == oracle_left_table(sd, 6), seed
+        quadratic = seeded_sullivan(seed, quadratic=True)
+        assert wedge_homology(quadratic, 3) == oracle_wedge_table(quadratic, 3), seed
+    sd = cochains(example_truncation("wedge-circles", 3, 2))
+    assert wedge_homology(sd, 3) == oracle_wedge_table(sd, 3)
 
 
 def test_mono_normalize_signs():
