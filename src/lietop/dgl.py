@@ -313,14 +313,8 @@ class ChainBasis:
         self.slices(degree)
         terms: dict[Word, Fraction] = {}
         for j in sorted(coords):
-            c = coords[j]
             slc, off = self._locate(degree, j)
-            for word, v in slc.kept_terms[j - off].items():
-                s = terms.get(word, ZERO) + c * v
-                if s:
-                    terms[word] = s
-                else:
-                    terms.pop(word, None)
+            add_scaled(terms, slc.kept_terms[j - off], coords[j])
         return LieElement(TensorElement(self.window, terms))
 
     def _matched(self, degree: int) -> list[tuple[int, int | None, int | None]]:

@@ -22,7 +22,6 @@ import os
 import threading
 import weakref
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import lcm
 
 from .qlinalg import Echelon, SubspaceBasis, Vector
@@ -233,13 +232,6 @@ class TensorElement:
         """Shortest word length; length >= 2 means decomposable terms only."""
         return min((len(w) for w in self.terms), default=None)
 
-    def bislice(self, weight: int, degree: int) -> dict[Word, Fraction]:
-        return {
-            w: c
-            for w, c in self.terms.items()
-            if word_weight(w) == weight and word_degree(w) == degree
-        }
-
     def bislices(self) -> dict[tuple[int, int], dict[Word, Fraction]]:
         out: dict[tuple[int, int], dict[Word, Fraction]] = {}
         for w, c in self.terms.items():
@@ -419,8 +411,9 @@ class LieSlice:
                   b_k the k-th tree of the slice below by g_i, or (i, None)
                   -> tree index of the generator g_i; entries in tree order
     kept_terms -- raw term dicts of those elements (windowless, integral)
-    expansions -- integer expansion of the standard bracketing of each
-                  leading word, keyed by the word
+    peel       -- tracked echelon over word indices; its k-th row, keyed by
+                  the index of the k-th leading word, is the integer
+                  expansion of that word's standard bracketing
     tracked    -- echelon over super-Lyndon coordinates, tracking
                   bracket-basis coords (its acceptance order is tree order)
 
@@ -443,18 +436,15 @@ class LieSlice:
         self.trees: list[Tree] = []
         self.accepted: dict[tuple[int, int | None], int] = {}
         self.kept_terms: list[dict[Word, int]] = []
-        self.expansions: dict[Word, dict[Word, int]] = {}
-        # word index of a leading word -> (its coordinate, the rest of its
-        # expansion as (word index, coefficient) pairs)
-        self._peel: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+        # Each expansion has coefficient 1 at its smallest word and, inserted
+        # in word order, meets no earlier pivot, so it is stored unchanged.
+        self.peel = Echelon(len(self.words), track=True)
         pos = {g: i for i, g in enumerate(gens)}
-        for n, word in enumerate(self.words):
+        for word in self.words:
             expansion = self._standard_expansion(word, [pos[g] for g in word])
             if expansion is not None:
-                self.expansions[word] = expansion
-                tail = [(self.word_index[w], c) for w, c in expansion.items() if w != word]
-                self._peel[n] = (len(self._peel), tail)
-        self.tracked = Echelon(len(self._peel), track=True)
+                self.peel.insert({self.word_index[w]: c for w, c in expansion.items()})
+        self.tracked = Echelon(self.peel.rank, track=True)
 
     def _standard_expansion(self, word: Word, key: list[int]) -> dict[Word, int] | None:
         """The expansion P(word) of a leading word, None for any other word.
@@ -478,8 +468,11 @@ class LieSlice:
 
     def _factor(self, u: Word) -> dict[Word, int]:
         # a factor of a leading word lives in a slice that lie_slice built on
-        # its way down to this one
-        return _slice_cache[(self.gens, word_weight(u), word_degree(u))].expansions[u]
+        # its way down to this one, where its expansion is the peel row
+        # keyed by its own word
+        sub = _slice_cache[(self.gens, word_weight(u), word_degree(u))]
+        words = sub.words
+        return {words[j]: c for j, c in sub.peel._rows[sub.word_index[u]].items()}
 
     @property
     def dim(self) -> int:
@@ -487,37 +480,9 @@ class LieSlice:
 
     def vector(self, terms: dict[Word, Fraction | int]) -> Vector | None:
         """Super-Lyndon coordinates of slice-homogeneous terms, or None if
-        they are not a Lie element.
-
-        The smallest remaining word is peeled off with a multiple of its
-        leading word's expansion; that adds only later words, so the loop
-        ends, and it fails exactly when the smallest word leads nothing.
-        """
-        den = lcm(*(c.denominator for c in terms.values()))
+        they are not a Lie element (a word that leads nothing is left)."""
         index = self.word_index
-        rest = {index[w]: c.numerator * (den // c.denominator) for w, c in terms.items()}
-        heap = list(rest)
-        heapify(heap)
-        peel = self._peel
-        out: Vector = {}
-        while heap:
-            i = heappop(heap)
-            c = rest.pop(i)
-            if not c:
-                continue
-            entry = peel.get(i)
-            if entry is None:
-                return None
-            k, tail = entry
-            out[k] = Fraction(c, den)
-            for j, e in tail:
-                old = rest.get(j)
-                if old is None:
-                    rest[j] = -c * e
-                    heappush(heap, j)
-                else:
-                    rest[j] = old - c * e
-        return out
+        return self.peel.coordinates({index[w]: c for w, c in terms.items()})
 
     def _try_insert(self, key: tuple[int, int | None], tree: Tree, terms: dict[Word, int]) -> None:
         vec = self.vector(terms)
@@ -773,8 +738,7 @@ def format_lie(el: LieElement, gens=None) -> str:
     else:
         gens = tuple(gens)
     parts: list[tuple[Fraction, str]] = []
-    for (w, d) in sorted(t.bislices()):
-        terms = t.bislice(w, d)
+    for (w, d), terms in sorted(t.bislices().items()):
         slc = lie_slice(gens, w, d)
         coords = slc.coordinates(terms)
         if coords is None:

@@ -115,10 +115,11 @@ class SparseMatrix:
                 self.entries[(i, j)] = val
 
     def row_vectors(self) -> list[Vector]:
-        out: list[Vector] = [dict() for _ in range(self.rows)]
+        """The nonempty rows, in ascending row order."""
+        out: dict[int, Vector] = {}
         for (i, j), val in self.entries.items():
-            out[i][j] = val
-        return out
+            out.setdefault(i, {})[j] = val
+        return [out[i] for i in sorted(out)]
 
     def __eq__(self, other):
         return (
@@ -281,8 +282,7 @@ def kernel_basis(m: SparseMatrix) -> SubspaceBasis:
     """
     ech = Echelon(m.cols)
     for row in m.row_vectors():
-        if row:
-            ech.insert(row)
+        ech.insert(row)
     reduced = ech._reduced()
     by_col: dict[int, list[tuple[int, int]]] = {}
     for p, row in reduced.items():

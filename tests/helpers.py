@@ -19,8 +19,7 @@ def rref(m: SparseMatrix) -> tuple[SubspaceBasis, int]:
     """Reduced row-echelon basis of the row space of m, with its rank."""
     ech = Echelon(m.cols)
     for row in m.row_vectors():
-        if row:
-            ech.insert(row)
+        ech.insert(row)
     b = ech.basis()
     return b, b.dim
 

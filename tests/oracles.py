@@ -115,6 +115,48 @@ def super_witt(degrees: list[int], weight: int, degree: int, weights: list[int] 
     return total
 
 
+def standard_bracketing(word: tuple[int, ...], degrees: list[int]) -> dict[tuple[int, ...], int] | None:
+    """Expansion of the standard bracketing of a super-Lyndon word, None for
+    any other word.  Letters are generator positions, compared as integers.
+
+    A Lyndon word (smaller than each proper suffix) of length >= 2 is uv with
+    v its longest proper Lyndon suffix, and brackets as [P(u), P(v)]; the
+    square ww of an odd-degree Lyndon word w brackets as half of [P(w), P(w)].
+    [a, b] = ab - (-1)^{|a||b|} ba in plain integer arithmetic.
+    """
+
+    def lyndon(w):
+        return all(w < w[j:] for j in range(1, len(w)))
+
+    def deg(w):
+        return sum(degrees[g] for g in w)
+
+    def commutator(a, da, b, db):
+        sign = (-1) ** (da * db)
+        out = {}
+        for u, cu in a.items():
+            for v, cv in b.items():
+                out[u + v] = out.get(u + v, 0) + cu * cv
+                out[v + u] = out.get(v + u, 0) - sign * cu * cv
+        return {w: c for w, c in out.items() if c}
+
+    def p(w):
+        if len(w) == 1:
+            return {w: 1}
+        j = next(j for j in range(1, len(w)) if lyndon(w[j:]))
+        return commutator(p(w[:j]), deg(w[:j]), p(w[j:]), deg(w[j:]))
+
+    if lyndon(word):
+        return p(word)
+    h = len(word) // 2
+    w = word[:h]
+    if len(word) % 2 or word[h:] != w or not deg(w) % 2 or not lyndon(w):
+        return None
+    doubled = commutator(p(w), deg(w), p(w), deg(w))
+    assert all(c % 2 == 0 for c in doubled.values())
+    return {v: c // 2 for v, c in doubled.items()}
+
+
 def plain_products(a: dict, b: dict, max_weight: int, max_degree: int) -> tuple[dict, dict]:
     """The concatenation product a.b and the graded commutator
     a.b - (-1)^{|u||v|} b.a of {word: coefficient} dicts, by a plain Fraction

@@ -27,7 +27,15 @@ from lietop.freelie import (
 )
 
 from helpers import slice_element
-from oracles import brute_force_lie_dim, dense_rref, dense_solve, plain_products, super_witt, witt
+from oracles import (
+    brute_force_lie_dim,
+    dense_rref,
+    dense_solve,
+    plain_products,
+    standard_bracketing,
+    super_witt,
+    witt,
+)
 
 A = Generator("a", 0)
 B = Generator("b", 0)
@@ -232,6 +240,26 @@ def test_slice_coordinates_against_dense_solve(gens):
                 assert slc.contains(terms) == (expected is not None)
                 member = member and expected is not None
             assert (certify_lie(t, gens) is not None) == member
+
+
+@pytest.mark.parametrize("gens", [*ORACLE_GENS, (A, X1, Generator("y", 2), Generator("c", 1, weight=2))],
+                         ids=["a0-x1-y2", "a0-x1-sx1w2", "a0-x1-y2-c1w2"])
+def test_peel_rows_against_standard_bracketing(gens):
+    pos = {g: i for i, g in enumerate(gens)}
+    degrees, weights = [g.degree for g in gens], [g.weight for g in gens]
+    for w in range(1, 6):
+        for d in range(0, 2 * w + 1):
+            slc = lie_slice(gens, w, d)
+            rows = slc.peel._rows
+            for n, word in enumerate(slc.words):
+                expected = standard_bracketing(tuple(pos[g] for g in word), degrees)
+                if expected is None:
+                    assert n not in rows
+                    continue
+                row = rows[n]
+                assert min(row) == n and row[n] == 1
+                assert {tuple(pos[g] for g in slc.words[j]): c for j, c in row.items()} == expected
+            assert slc.peel.rank == super_witt(degrees, w, d, weights)
 
 
 def test_lie_basis_is_echelon():

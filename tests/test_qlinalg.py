@@ -36,6 +36,12 @@ def test_rref_dependent_rows():
     assert basis.rows == [{0: Fraction(1), 1: Fraction(2)}]
 
 
+def test_row_vectors_skip_empty_rows_in_row_order():
+    m = SparseMatrix(4, 3, {(3, 0): 5, (1, 2): 1, (1, 0): 2})
+    assert m.row_vectors() == [{2: Fraction(1), 0: Fraction(2)}, {0: Fraction(5)}]
+    assert SparseMatrix(2, 3, {}).row_vectors() == []
+
+
 def test_kernel_identity_empty():
     m = from_dense([[1, 0], [0, 1]])
     assert kernel_basis(m).dim == 0
