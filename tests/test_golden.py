@@ -30,6 +30,8 @@ CASES = [
     ("logword-wedge-circles", ["logword", "cmt", "--file", "wedge-circles"]),
     ("bch-torus-5-3", ["bch", "a b", "a^-1 b^-1", "--file", "torus", "--window", "5", "3"]),
     ("homology-torus-8-3", ["homology", "--file", "torus", "--window", "8", "3"]),
+    # the homology-reps benchmark's window: 654 representatives
+    ("homology-genus2-6-3", ["homology", "--file", "genus2", "--window", "6", "3"]),
     # the free-lie benchmark's windows: its lcs case and one fixed bch pair with its inverse pair
     ("lcs-wedge-circles-8-0", ["lcs", "--file", "wedge-circles", "--window", "8", "0"]),
     ("bch-torus-7-3", ["bch", "a b^-1 a^-1 b", "b a b^-1 a", "--file", "torus", "--window", "7", "3"]),
