@@ -465,12 +465,12 @@ class Report:
         return "".join(f"{k.ljust(width)}  {v}\n" for k, v in self.pairs)
 
 
-def _report_homology(rep: Report, table: dgl_mod.HomologyTable, gens) -> None:
+def _report_homology(rep: Report, table: dgl_mod.HomologyTable) -> None:
     for d in table.degrees:
         rep.add(f"homology.{d}.dim", table.dims[d])
         rep.add(f"homology.{d}.stabilized", table.stabilized[d])
-        for i, r in enumerate(table.representatives[d]):
-            rep.add(f"homology.{d}.rep.{i}", format_lie(r, gens))
+        for i, v in enumerate(table.cycles[d]):
+            rep.add(f"homology.{d}.rep.{i}", table.complex.format_vector(v, d))
 
 
 def _report_verdict(rep: Report, prefix: str, v: attach_mod.InertnessVerdict, gens) -> None:
@@ -544,7 +544,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     code = 0
     if ns.command == "homology":
         table = dgl_mod.homology(model.attached)
-        _report_homology(rep, table, model.attached.generators)
+        _report_homology(rep, table)
     elif ns.command == "lcs":
         if model.amap.cells or model.base.diff:
             raise ValueError("lcs requires a free presentation (no diffs, no cells)")

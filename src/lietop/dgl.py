@@ -23,8 +23,8 @@ tensor words and remains for d^2 checks and tensor-given inputs.
 A ChainComplex eliminates each boundary space once, column by column, and
 every consumer reads that one echelon: the ranks of both weight stages,
 the homology representatives, and the inertness verdicts of module attach.
-Representatives stay coordinate vectors over the chain basis; Lie elements
-are built from them only on access.
+Representatives stay coordinate vectors over the chain basis and print
+from them; Lie elements are built only when a library caller asks.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .freelie import (
     Window,
     Word,
     certify_lie,
+    format_trees,
     lie_slice,
     merge_windows,
 )
@@ -196,10 +197,11 @@ class HomologyTable:
 
     Degrees run from 0 to max_degree - 1; the top window degree is omitted.
     cycles[d] holds the canonical representatives as coordinate vectors over
-    the degree-d chain basis of `complex`; `representatives` builds their Lie
-    elements on first access.  stabilized[d] records whether the dimension is
-    unchanged between the (N-1) and N weight stages; it is a report, never a
-    convergence claim.
+    the degree-d chain basis of `complex`, which the CLI prints through
+    `complex.format_vector`; `representatives` builds their Lie elements on
+    first access, for library callers only.  stabilized[d] records whether
+    the dimension is unchanged between the (N-1) and N weight stages; it is
+    a report, never a convergence claim.
     """
 
     window: Window
@@ -316,6 +318,15 @@ class ChainBasis:
             slc, off = self._locate(degree, j)
             add_scaled(terms, slc.kept_terms[j - off], coords[j])
         return LieElement(TensorElement(self.window, terms))
+
+    def format_vector(self, coords: Vector, degree: int) -> str:
+        """format_lie's text for element(coords, degree), without building it."""
+        self.slices(degree)
+        parts = []
+        for j in sorted(coords):
+            slc, off = self._locate(degree, j)
+            parts.append((coords[j], slc.trees[j - off]))
+        return format_trees(parts, self.p.generators)
 
     def _matched(self, degree: int) -> list[tuple[int, int | None, int | None]]:
         """The factors of every degree-d basis tree, read off the slices:

@@ -731,21 +731,23 @@ def format_lie(el: LieElement, gens=None) -> str:
     The output re-parses (module cli) to the same TensorElement.
     """
     t = el.value if isinstance(el, LieElement) else el
-    if t.is_zero():
-        return "0"
     if gens is None:
         gens = tuple(sorted(t.letters(), key=lambda g: (g.name, g.degree, g.weight)))
     else:
         gens = tuple(gens)
-    parts: list[tuple[Fraction, str]] = []
+    parts: list[tuple[Fraction, Tree]] = []
     for (w, d), terms in sorted(t.bislices().items()):
         slc = lie_slice(gens, w, d)
         coords = slc.coordinates(terms)
         if coords is None:
             raise ValueError("element is not in the Lie subspace; cannot format")
-        for k in sorted(coords):
-            parts.append((coords[k], tree_str(slc.trees[k], gens)))
-    return _join_terms(parts)
+        parts.extend((coords[k], slc.trees[k]) for k in sorted(coords))
+    return format_trees(parts, gens)
+
+
+def format_trees(parts, gens: tuple[Generator, ...]) -> str:
+    """Render (coefficient, basis tree) pairs in order, as format_lie does; none render as 0."""
+    return _join_terms([(c, tree_str(tree, gens)) for c, tree in parts]) or "0"
 
 
 def _join_terms(parts: list[tuple[Fraction, str]]) -> str:

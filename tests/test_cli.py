@@ -2,10 +2,11 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lietop import cli
+from lietop import cli, dgl
 from lietop.cli import ParseError, build, eval_lie_expr, parse, run
 from lietop.freelie import (
     Generator,
@@ -155,6 +156,19 @@ def test_run_homology_cp2_records():
     assert lines["homology.4.dim"] == "1"
     assert lines["homology.4.rep.0"] == "[x,sy]"
     assert lines["homology.0.dim"] == "0"
+
+
+def test_homology_prints_from_chain_coordinates(monkeypatch):
+    # representatives print straight from their chain coordinates: no Lie
+    # element is built and format_lie is never called
+    def refuse(*args, **kwargs):
+        raise AssertionError("homology went through tensor words")
+
+    monkeypatch.setattr(dgl.ChainBasis, "element", refuse)
+    monkeypatch.setattr(cli, "format_lie", refuse)
+    code, out = run(["homology", "--file", "genus2", "--format", "records"])
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "homology-genus2.records").read_text()
 
 
 def test_run_inert_torus():

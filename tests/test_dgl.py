@@ -22,6 +22,7 @@ from lietop.freelie import (
     TensorElement,
     Window,
     bracket,
+    format_lie,
     generator_element,
     lie_slice,
 )
@@ -489,6 +490,26 @@ def test_boundary_matches_word_space_oracle(name, window):
     cx, oracle = ChainComplex(p), ChainComplex(p)
     for d in range(p.window.max_degree + 1):
         assert cx.boundary(d) == word_space_boundary(oracle, d), d
+
+
+def test_format_vector_matches_format_lie():
+    # every representative of every built-in example at its default window,
+    # and of the criterion-6 golden file at (4,3), prints as format_lie
+    # prints the Lie element built from it
+    fractional = multi_weight = positive_degree = False
+    for name, window in BOUNDARY_CASES[:-1]:
+        p = cli.build(cli.parse(cli._load_source(name)[1]), window).attached
+        table = homology(p)
+        cx = table.complex
+        for d in table.degrees:
+            weights = cx.weights(d)
+            for v, rep in zip(table.cycles[d], table.representatives[d]):
+                assert cx.format_vector(v, d) == format_lie(rep, p.generators), (name, d)
+                fractional |= any(c.denominator != 1 for c in v.values())
+                multi_weight |= len({weights[j] for j in v}) >= 2
+                positive_degree |= d > 0
+    assert fractional and multi_weight and positive_degree
+    assert cx.format_vector({}, 0) == format_lie(cx.element({}, 0), p.generators) == "0"
 
 
 @pytest.mark.parametrize("name", cli.BUILTIN_EXAMPLES)
