@@ -745,7 +745,7 @@ def format_lie(el: LieElement, gens=None) -> str:
     return format_trees(parts, gens)
 
 
-def format_trees(parts, gens: tuple[Generator, ...]) -> str:
+def format_trees(parts: list[tuple[Fraction, Tree]], gens: tuple[Generator, ...]) -> str:
     """Render (coefficient, basis tree) pairs in order, as format_lie does; none render as 0."""
     return _join_terms([(c, tree_str(tree, gens)) for c, tree in parts]) or "0"
 

@@ -497,7 +497,7 @@ def test_format_vector_matches_format_lie():
     # and of the criterion-6 golden file at (4,3), prints as format_lie
     # prints the Lie element built from it
     fractional = multi_weight = positive_degree = False
-    for name, window in BOUNDARY_CASES[:-1]:
+    for name, window in [case for case in BOUNDARY_CASES if case[0] != "seeded"]:
         p = cli.build(cli.parse(cli._load_source(name)[1]), window).attached
         table = homology(p)
         cx = table.complex
