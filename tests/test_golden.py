@@ -19,7 +19,8 @@ CRITERION6 = str(GOLDEN / "criterion6.lt")
 # (record file stem, CLI arguments); the built-in examples run at their
 # default windows, and lemaire28's default (4,2) is the window with witnesses;
 # the larger inert windows are those of the benchmark's attach-inert cases,
-# plus torus (10,3), the timing baseline of boundary assembly
+# plus torus (10,3), the timing baseline of boundary assembly, and genus2
+# (7,3), a window above the others where slice construction dominates
 CASES = [
     (f"{command}-{name}", [command, "--file", name])
     for command in ("homology", "inert")
@@ -40,7 +41,7 @@ CASES = [
     ("logword-wedge-circles-6-2", ["logword", "cmt", "--file", "wedge-circles", "--window", "6", "2"]),
 ] + [
     (f"inert-{name}-{w}-{d}", ["inert", "--file", name, "--window", str(w), str(d)])
-    for name, w, d in (("genus2", 6, 3), ("anick29", 6, 3), ("cp2", 12, 12), ("torus", 10, 3))
+    for name, w, d in (("genus2", 6, 3), ("anick29", 6, 3), ("cp2", 12, 12), ("torus", 10, 3), ("genus2", 7, 3))
 ] + [
     (f"sullivan-{name}-{w}-{d}", ["sullivan", "--file", name, "--window", str(w), str(d)])
     for name, w, d in (
