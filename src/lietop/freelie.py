@@ -3,13 +3,15 @@ a weight/degree-truncated tensor algebra over Q.
 
 Lie elements are tensor elements certified to lie in the span of left-normed
 bracket bases; there is no abstract bracket-tree normal form.  Each
-(weight, degree) slice is eliminated in super-Lyndon coordinates: the
-standard bracketings of Lyndon words, and squares of odd-degree ones, are
-triangular against their leading words, so coordinates and membership come
-from peeling off leading words in integers.  All results
-are relative to a truncation window (max weight, max degree): arithmetic
-silently drops terms beyond the window, which makes every computation here a
-computation in a finite-dimensional nilpotent quotient.
+(weight, degree) slice is built in super-Lyndon coordinates: the standard
+bracketings of Lyndon words, and squares of odd-degree ones, form a basis,
+and candidate basis brackets are computed over it by Lyndon-basis rewriting,
+with no tensor words.  The standard bracketings are triangular against their
+leading words, so word-space queries (coordinates, membership) peel off
+leading words in integers; a slice builds that peel on its first such query.
+All results are relative to a truncation window (max weight, max degree):
+arithmetic silently drops terms beyond the window, which makes every
+computation here a computation in a finite-dimensional nilpotent quotient.
 
 Monomial order: words compare by weight first, then lexicographically by
 generator declaration order.  Basis pivots, representative cycles, and
@@ -22,6 +24,7 @@ import os
 import threading
 import weakref
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .qlinalg import Echelon, SubspaceBasis, Vector
@@ -185,10 +188,7 @@ class TensorElement:
                 coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if coeff and window.admits(word):
                     self.terms[word] = coeff
-        if len(self.terms) > term_limit():
-            raise TermBudgetExceeded(
-                f"{len(self.terms)} terms exceeds LIETOP_MAX_TERMS={term_limit()}"
-            )
+        _check_term_budget(len(self.terms))
 
     @classmethod
     def zero(cls, window: Window) -> "TensorElement":
@@ -275,6 +275,20 @@ class TensorElement:
         return f"TensorElement({format_tensor(self)})"
 
 
+def _check_term_budget(n: int) -> None:
+    if n > term_limit():
+        raise TermBudgetExceeded(f"{n} terms exceeds LIETOP_MAX_TERMS={term_limit()}")
+
+
+def _product_element(window: Window, out: dict[Word, int], den: int) -> TensorElement:
+    """out/den as an element; mul and commutator skip every word pair the
+    window does not admit, so the words are not checked again."""
+    t = TensorElement(window)
+    t.terms = {w: Fraction(c, den) for w, c in out.items()}
+    _check_term_budget(len(t.terms))
+    return t
+
+
 def _scaled_terms(t: TensorElement) -> tuple[list[tuple[Word, int, int, int]], int]:
     """(word, integer coefficient, weight, degree) for every term of t, with
     the common denominator the integer coefficients are over."""
@@ -300,12 +314,10 @@ def mul(a: TensorElement, b: TensorElement) -> TensorElement:
             if s:
                 out[word] = s
                 if len(out) > limit:
-                    raise TermBudgetExceeded(
-                        f"{len(out)} terms exceeds LIETOP_MAX_TERMS={limit}"
-                    )
+                    _check_term_budget(len(out))
             else:
                 out.pop(word, None)
-    return TensorElement(window, {w: Fraction(c, da * db) for w, c in out.items()})
+    return _product_element(window, out, da * db)
 
 
 def commutator(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -332,7 +344,7 @@ def commutator(a: TensorElement, b: TensorElement) -> TensorElement:
                 out[word] = s
             else:
                 out.pop(word, None)
-    return TensorElement(window, {w: Fraction(c, da * db) for w, c in out.items()})
+    return _product_element(window, out, da * db)
 
 
 class LieElement:
@@ -400,122 +412,130 @@ def ad_power(x: LieElement, n: int, y: LieElement) -> LieElement:
 # ---------------------------------------------------------------------------
 
 Tree = object  # int (generator index) or (int, Tree)
+Key = tuple[int, ...]  # a word as generator positions, compared lexicographically
 
 
 class LieSlice:
     """Basis data for one (weight, degree) slice of the free graded Lie algebra.
 
-    words      -- all tensor words of this weight and degree, in monomial order
+    lead       -- the leading words (as generator positions) in monomial order
+    lead_index -- position of each leading word in lead
     trees      -- left-normed bracket trees of the accepted basis elements
     accepted   -- (i, k) -> tree index of the accepted candidate [g_i, b_k],
                   b_k the k-th tree of the slice below by g_i, or (i, None)
                   -> tree index of the generator g_i; entries in tree order
-    kept_terms -- raw term dicts of those elements (windowless, integral)
-    peel       -- tracked echelon over word indices; its k-th row, keyed by
-                  the index of the k-th leading word, is the integer
-                  expansion of that word's standard bracketing
+    coords     -- super-Lyndon coordinates of the trees, integer vectors
+                  over lead
     tracked    -- echelon over super-Lyndon coordinates, tracking
                   bracket-basis coords (its acceptance order is tree order)
 
-    The slice is eliminated in super-Lyndon coordinates: its leading words
-    are the Lyndon words (generators compared in declaration order) and the
-    squares ww of odd-degree Lyndon words w.  The standard bracketing of a
-    leading word (half the bracket, for a square) expands to that word with
-    coefficient 1 plus words later in the monomial order, so an element's
-    coordinates are read off by peeling leading words in integers (vector).
-    The left-normed trees are accepted by independence of their coordinates,
-    which does not depend on the coordinate system.
+    Built on first use, by word-space queries (coordinates, contains, basis):
+    words      -- all tensor words of this weight and degree, in monomial order
+    word_index -- position of each word in words
+    peel       -- tracked echelon over word indices; its k-th row, keyed by
+                  the index of the k-th leading word, is the integer
+                  expansion of that word's standard bracketing
+    kept_terms -- raw term dicts of the basis elements (windowless, integral)
+
+    The leading words are the Lyndon words (generators compared in
+    declaration order) and the squares ww of odd-degree Lyndon words w.  Their
+    standard bracketings P (half the bracket, for a square) form a basis, over
+    which each candidate [g_i, b_k] is rewritten (_product) and accepted by
+    independence.  P(w) is w plus words later in the monomial order, so tensor
+    terms get their coordinates by peeling off leading words.
     """
 
     def __init__(self, gens: tuple[Generator, ...], weight: int, degree: int):
         self.gens = gens
         self.weight = weight
         self.degree = degree
-        self.words = _slice_words(gens, weight, degree)
-        self.word_index = {w: i for i, w in enumerate(self.words)}
+        self.lead = _leading_words(gens, weight, degree)
+        self.lead_index = {w: i for i, w in enumerate(self.lead)}
         self.trees: list[Tree] = []
         self.accepted: dict[tuple[int, int | None], int] = {}
-        self.kept_terms: list[dict[Word, int]] = []
-        # Each expansion has coefficient 1 at its smallest word and, inserted
-        # in word order, meets no earlier pivot, so it is stored unchanged.
-        self.peel = Echelon(len(self.words), track=True)
-        pos = {g: i for i, g in enumerate(gens)}
-        for word in self.words:
-            expansion = self._standard_expansion(word, [pos[g] for g in word])
-            if expansion is not None:
-                self.peel.insert({self.word_index[w]: c for w, c in expansion.items()})
-        self.tracked = Echelon(self.peel.rank, track=True)
-
-    def _standard_expansion(self, word: Word, key: list[int]) -> dict[Word, int] | None:
-        """The expansion P(word) of a leading word, None for any other word.
-
-        key is the word as generator positions.  A Lyndon word uv, with v its
-        lexicographically smallest proper suffix, expands as [P(u), P(v)]; a
-        square ww of an odd-degree Lyndon word w as half of [P(w), P(w)].
-        """
-        if _is_lyndon(key):
-            if len(word) == 1:
-                return {word: 1}
-            j = min(range(1, len(key)), key=lambda j: key[j:])
-            u, v = word[:j], word[j:]
-            return _word_commutator(self._factor(u), word_degree(u), self._factor(v), word_degree(v))
-        h = len(word) // 2
-        u = word[:h]
-        if len(word) % 2 == 0 and word[h:] == u and word_degree(u) % 2 and _is_lyndon(key[:h]):
-            pu, du = self._factor(u), word_degree(u)
-            return {w: c // 2 for w, c in _word_commutator(pu, du, pu, du).items()}
-        return None
-
-    def _factor(self, u: Word) -> dict[Word, int]:
-        # a factor of a leading word lives in a slice that lie_slice built on
-        # its way down to this one, where its expansion is the peel row
-        # keyed by its own word
-        sub = _slice_cache[(self.gens, word_weight(u), word_degree(u))]
-        words = sub.words
-        return {words[j]: c for j, c in sub.peel._rows[sub.word_index[u]].items()}
+        self.coords: list[dict[int, int]] = []
+        self.tracked = Echelon(len(self.lead), track=True)
+        # [P(u), P(v)] over lead, keyed by (u, v); entries are added whole
+        self._products: dict[tuple[Key, Key], dict[int, int]] = {}
 
     @property
     def dim(self) -> int:
         return len(self.trees)
 
-    def vector(self, terms: dict[Word, Fraction | int]) -> Vector | None:
-        """Super-Lyndon coordinates of slice-homogeneous terms, or None if
-        they are not a Lie element (a word that leads nothing is left)."""
-        index = self.word_index
-        return self.peel.coordinates({index[w]: c for w, c in terms.items()})
-
-    def _try_insert(self, key: tuple[int, int | None], tree: Tree, terms: dict[Word, int]) -> None:
-        vec = self.vector(terms)
-        if vec is None:
-            raise RuntimeError("a bracket left the Lie slice; this is a bug")
-        if vec and self.tracked.insert(vec):
+    def _accept(self, key: tuple[int, int | None], tree: Tree, vec: dict[int, int]) -> None:
+        if self.tracked.insert(vec):
             self.accepted[key] = len(self.trees)
             self.trees.append(tree)
-            self.kept_terms.append(terms)
-
-    def coordinates(self, terms: dict[Word, Fraction]) -> Vector | None:
-        """Coordinates over the bracket basis, or None if not in the slice span."""
-        vec = self.vector(terms)
-        if vec is None:
-            return None
-        return self.tracked.coordinates(vec)
-
-    def contains(self, terms: dict[Word, Fraction]) -> bool:
-        return self.vector(terms) is not None
+            self.coords.append(vec)
 
     def generator_bracket(self, i: int, sub: "LieSlice", k: int) -> Vector:
         """Coordinates of [g_i, b_k] over this slice's basis, where b_k is the
         k-th basis element of sub, the slice just below this one by g_i."""
-        g = self.gens[i]
-        terms = _word_commutator({(g,): 1}, g.degree, sub.kept_terms[k], sub.degree)
-        return self.coordinates(terms) if terms else {}
+        return self.tracked.coordinates(_bracket_sum(self, (i,), sub, sub.coords[k]))
+
+    @cached_property
+    def words(self) -> list[Word]:
+        return _slice_words(self.gens, self.weight, self.degree)
+
+    @cached_property
+    def word_index(self) -> dict[Word, int]:
+        return {w: i for i, w in enumerate(self.words)}
+
+    @cached_property
+    def peel(self) -> Echelon:
+        # Each expansion has coefficient 1 at its smallest word and, inserted
+        # in word order, meets no earlier pivot, so it is stored unchanged.
+        index = self.word_index
+        peel = Echelon(len(self.words), track=True)
+        for u in self.lead:
+            peel.insert({index[w]: c for w, c in self._expansion(u).items()})
+        return peel
+
+    @cached_property
+    def kept_terms(self) -> list[dict[Word, int]]:
+        rows, words = self.peel._rows, self.words
+        expansions = [rows[p] for p in sorted(rows)]
+        out = []
+        for vec in self.coords:
+            terms: dict[int, int] = {}
+            for t, c in vec.items():
+                for j, e in expansions[t].items():
+                    terms[j] = terms.get(j, 0) + c * e
+            out.append({words[j]: e for j, e in terms.items() if e})
+        return out
+
+    def _expansion(self, u: Key) -> dict[Word, int]:
+        """The tensor expansion of P(u), u a leading word: [P(u1), P(u2)] for
+        a Lyndon word u1u2 split by _split, half of [P(w), P(w)] for a square
+        ww.  A factor's expansion is the peel row of its word in its slice."""
+        gens = self.gens
+        if len(u) == 1:
+            return {(gens[u[0]],): 1}
+
+        def factor(x: Key) -> tuple[dict[Word, int], int]:
+            sub = lie_slice(gens, sum(gens[i].weight for i in x), _key_degree(gens, x))
+            row = sub.peel._rows[sub.word_index[tuple(gens[i] for i in x)]]
+            return {sub.words[j]: c for j, c in row.items()}, _key_degree(gens, x)
+
+        if _is_square(u):
+            w = factor(u[: len(u) // 2])
+            return {x: c // 2 for x, c in _word_commutator(*w, *w).items()}
+        j = _split(u)
+        return _word_commutator(*factor(u[:j]), *factor(u[j:]))
+
+    def coordinates(self, terms: dict[Word, Fraction]) -> Vector | None:
+        """Coordinates over the bracket basis, or None if not in the slice
+        span: the peel leaves a word that leads nothing."""
+        index = self.word_index
+        vec = self.peel.coordinates({index[w]: c for w, c in terms.items()})
+        return None if vec is None else self.tracked.coordinates(vec)
+
+    def contains(self, terms: dict[Word, Fraction]) -> bool:
+        return self.coordinates(terms) is not None
 
     def basis(self) -> SubspaceBasis:
         """Reduced echelon basis of the slice in word coordinates."""
-        ech = Echelon(len(self.words))
-        for terms in self.kept_terms:
-            ech.insert({self.word_index[w]: c for w, c in terms.items()})
-        return ech.basis()
+        return self.peel.basis()
 
 
 def _slice_words(gens: tuple[Generator, ...], weight: int, degree: int) -> list[Word]:
@@ -536,9 +556,98 @@ def _slice_words(gens: tuple[Generator, ...], weight: int, degree: int) -> list[
     return out
 
 
-def _is_lyndon(key: list[int]) -> bool:
-    """Strictly smaller than each of its proper suffixes."""
-    return all(key < key[j:] for j in range(1, len(key)))
+def _leading_words(gens: tuple[Generator, ...], weight: int, degree: int) -> list[Key]:
+    """The Lyndon words of this weight and degree, and the squares of
+    odd-degree Lyndon words, in lexicographic order: depth-first generation
+    of prenecklaces (Fredricksen-Kessler-Maiorana).  A prefix a of length t
+    whose longest Lyndon prefix has length p extends by a[t-p], keeping p, or
+    by a larger letter, which makes it Lyndon; it is Lyndon when p = t and the
+    square of a Lyndon word when t = 2p."""
+    out: list[Key] = []
+    a: list[int] = []
+
+    def rec(p: int, wleft: int, dleft: int) -> None:
+        t = len(a)
+        if wleft == 0:
+            if dleft == 0 and (p == t or (t == 2 * p and degree // 2 % 2)):
+                out.append(tuple(a))
+            return
+        start = a[t - p] if t else 0
+        for j in range(start, len(gens)):
+            g = gens[j]
+            if g.weight <= wleft and g.degree <= dleft:
+                a.append(j)
+                rec(p if t and j == start else t + 1, wleft - g.weight, dleft - g.degree)
+                a.pop()
+
+    rec(0, weight, degree)
+    return out
+
+
+def _key_degree(gens: tuple[Generator, ...], u: Key) -> int:
+    return sum(gens[i].degree for i in u)
+
+
+def _is_square(u: Key) -> bool:
+    """Whether u is ww; no Lyndon word is."""
+    return u[: len(u) // 2] == u[len(u) // 2 :]
+
+
+def _split(u: Key) -> int:
+    """Where the standard factorization of a Lyndon word u splits it: before
+    its lexicographically smallest proper suffix; 0 for a letter."""
+    return min(range(1, len(u)), key=lambda j: u[j:], default=0)
+
+
+def _product(slc: LieSlice, u: Key, v: Key) -> dict[int, int]:
+    """[P(u), P(v)] over the leading words of slc, the slice of uv, for
+    leading words u and v: Lyndon-basis rewriting (Reutenauer, Free Lie
+    Algebras, 1993, ch. 4-5) with Koszul signs, memoised in slc."""
+    out = slc._products.get((u, v))
+    if out is not None:
+        return out
+    gens = slc.gens
+    du, dv = _key_degree(gens, u), _key_degree(gens, v)
+    j = _split(u)
+    if u == v:
+        out = {slc.lead_index[u + u]: 2} if du % 2 else {}
+    elif _is_square(u):
+        # [P(ww), x] = [P(w), [P(w), x]] for odd w, and [[w,w],w] = 0
+        w = u[: len(u) // 2]
+        out = {} if v == w else _nested(slc, w, w, v)
+    elif _is_square(v) or u > v:
+        sign = 1 if du * dv % 2 else -1
+        out = {s: sign * c for s, c in _product(slc, v, u).items()}
+    elif not j or u[j:] >= v:
+        # uv is Lyndon, with standard factorization (u, v)
+        out = {slc.lead_index[u + v]: 1}
+    else:
+        # Jacobi on u = u1u2: [[u1,u2],v] = [u1,[u2,v]] - (-1)^{|u1||u2|} [u2,[u1,v]]
+        u1, u2 = u[:j], u[j:]
+        out = _nested(slc, u1, u2, v)
+        sign = 1 if _key_degree(gens, u1) * _key_degree(gens, u2) % 2 else -1
+        for s, c in _nested(slc, u2, u1, v).items():
+            out[s] = out.get(s, 0) + sign * c
+        out = {s: c for s, c in out.items() if c}
+    slc._products[(u, v)] = out
+    return out
+
+
+def _nested(slc: LieSlice, x: Key, y: Key, v: Key) -> dict[int, int]:
+    """[P(x), [P(y), P(v)]] over the leading words of slc."""
+    gens = slc.gens
+    sub = lie_slice(gens, sum(gens[i].weight for i in y + v), _key_degree(gens, y + v))
+    return _bracket_sum(slc, x, sub, _product(sub, y, v))
+
+
+def _bracket_sum(slc: LieSlice, x: Key, sub: LieSlice, vec: dict[int, int]) -> dict[int, int]:
+    """[P(x), sum_t vec[t] P(t)] over slc, for vec over the leading words of sub."""
+    out: dict[int, int] = {}
+    lead = sub.lead
+    for t, c in vec.items():
+        for s, e in _product(slc, x, lead[t]).items():
+            out[s] = out.get(s, 0) + c * e
+    return {s: e for s, e in out.items() if e}
 
 
 def _word_commutator(a: dict[Word, int], da: int, b: dict[Word, int], db: int) -> dict[Word, int]:
@@ -574,17 +683,17 @@ def lie_slice(gens: tuple[Generator, ...] | list[Generator], weight: int, degree
     if cached is not None:
         return cached
     subs = [
-        (i, g, lie_slice(gens, weight - g.weight, degree - g.degree))
+        (i, lie_slice(gens, weight - g.weight, degree - g.degree))
         for i, g in enumerate(gens)
         if g.weight < weight and g.degree <= degree
     ]
     slc = LieSlice(gens, weight, degree)
     for i, g in enumerate(gens):
         if g.weight == weight and g.degree == degree:
-            slc._try_insert((i, None), i, {(g,): 1})
-    for i, g, sub in subs:
-        for k, (tree_b, terms_b) in enumerate(zip(sub.trees, sub.kept_terms)):
-            slc._try_insert((i, k), (i, tree_b), _word_commutator({(g,): 1}, g.degree, terms_b, sub.degree))
+            slc._accept((i, None), i, {slc.lead_index[(i,)]: 1})
+    for i, sub in subs:
+        for k, tree_b in enumerate(sub.trees):
+            slc._accept((i, k), (i, tree_b), _bracket_sum(slc, (i,), sub, sub.coords[k]))
     if slc.dim != slc.tracked.ambient:
         raise RuntimeError(f"slice ({weight}, {degree}) has {slc.dim} basis trees for "
                            f"{slc.tracked.ambient} leading words; this is a bug")

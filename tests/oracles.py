@@ -115,6 +115,72 @@ def super_witt(degrees: list[int], weight: int, degree: int, weights: list[int] 
     return total
 
 
+def word_commutator(a: dict, da: int, b: dict, db: int) -> dict:
+    """[a, b] = ab - (-1)^{|a||b|} ba for word dicts a of degree da and b of
+    degree db, in plain integer arithmetic."""
+    sign = (-1) ** (da * db)
+    out = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            out[u + v] = out.get(u + v, 0) + cu * cv
+            out[v + u] = out.get(v + u, 0) - sign * cu * cv
+    return {w: c for w, c in out.items() if c}
+
+
+def slice_words(degrees: list[int], weights: list[int], weight: int, degree: int) -> list[tuple[int, ...]]:
+    """Every word in generator positions of this weight and degree, in
+    lexicographic order."""
+    if weight == 0:
+        return [()] if degree == 0 else []
+    return sorted(
+        (i, *rest)
+        for i in range(len(degrees))
+        if weights[i] <= weight and degrees[i] <= degree
+        for rest in slice_words(degrees, weights, weight - weights[i], degree - degrees[i])
+    )
+
+
+def greedy_trees(degrees: list[int], weights: list[int], max_weight: int, max_degree: int) -> dict:
+    """The left-normed bracket trees of every (weight, degree) slice of the
+    window, chosen greedily in word space.
+
+    The candidates of a slice are its generators, then [g_i, b] for each
+    generator g_i in order and each tree b chosen in the slice below by g_i.
+    A candidate is kept when its word expansion raises the dense_rank of the
+    kept expansions of its multidegree; brackets are multihomogeneous, so
+    independence splits by multidegree.  Trees are generator positions i or
+    pairs (i, tree), and the result maps (weight, degree) to its trees.
+    """
+    chosen: dict[tuple[int, int], list] = {}
+
+    def choose(w: int, d: int) -> list:
+        if (w, d) not in chosen:
+            candidates = [(i, {(i,): 1}) for i in range(len(degrees)) if (weights[i], degrees[i]) == (w, d)]
+            for i in range(len(degrees)):
+                if weights[i] < w and degrees[i] <= d:
+                    candidates += [
+                        ((i, tree), word_commutator({(i,): 1}, degrees[i], terms, d - degrees[i]))
+                        for tree, terms in choose(w - weights[i], d - degrees[i])
+                    ]
+            kept, groups = [], {}
+            for tree, terms in candidates:
+                if not terms:
+                    continue
+                group = groups.setdefault(tuple(sorted(next(iter(terms)))), [])
+                words = sorted({x for t in (*group, terms) for x in t})
+                if dense_rank([[t.get(x, 0) for x in words] for t in (*group, terms)]) > len(group):
+                    group.append(terms)
+                    kept.append((tree, terms))
+            chosen[(w, d)] = kept
+        return chosen[(w, d)]
+
+    return {
+        (w, d): [tree for tree, _ in choose(w, d)]
+        for w in range(1, max_weight + 1)
+        for d in range(max_degree + 1)
+    }
+
+
 def standard_bracketing(word: tuple[int, ...], degrees: list[int]) -> dict[tuple[int, ...], int] | None:
     """Expansion of the standard bracketing of a super-Lyndon word, None for
     any other word.  Letters are generator positions, compared as integers.
@@ -131,20 +197,11 @@ def standard_bracketing(word: tuple[int, ...], degrees: list[int]) -> dict[tuple
     def deg(w):
         return sum(degrees[g] for g in w)
 
-    def commutator(a, da, b, db):
-        sign = (-1) ** (da * db)
-        out = {}
-        for u, cu in a.items():
-            for v, cv in b.items():
-                out[u + v] = out.get(u + v, 0) + cu * cv
-                out[v + u] = out.get(v + u, 0) - sign * cu * cv
-        return {w: c for w, c in out.items() if c}
-
     def p(w):
         if len(w) == 1:
             return {w: 1}
         j = next(j for j in range(1, len(w)) if lyndon(w[j:]))
-        return commutator(p(w[:j]), deg(w[:j]), p(w[j:]), deg(w[j:]))
+        return word_commutator(p(w[:j]), deg(w[:j]), p(w[j:]), deg(w[j:]))
 
     if lyndon(word):
         return p(word)
@@ -152,7 +209,7 @@ def standard_bracketing(word: tuple[int, ...], degrees: list[int]) -> dict[tuple
     w = word[:h]
     if len(word) % 2 or word[h:] != w or not deg(w) % 2 or not lyndon(w):
         return None
-    doubled = commutator(p(w), deg(w), p(w), deg(w))
+    doubled = word_commutator(p(w), deg(w), p(w), deg(w))
     assert all(c % 2 == 0 for c in doubled.values())
     return {v: c // 2 for v, c in doubled.items()}
 

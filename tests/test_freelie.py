@@ -2,9 +2,11 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from lietop import cli
 from lietop import freelie as fl
 from lietop.freelie import (
     Generator,
@@ -31,10 +33,13 @@ from oracles import (
     brute_force_lie_dim,
     dense_rref,
     dense_solve,
+    greedy_trees,
     plain_products,
+    slice_words,
     standard_bracketing,
     super_witt,
     witt,
+    word_commutator,
 )
 
 A = Generator("a", 0)
@@ -242,8 +247,12 @@ def test_slice_coordinates_against_dense_solve(gens):
             assert (certify_lie(t, gens) is not None) == member
 
 
-@pytest.mark.parametrize("gens", [*ORACLE_GENS, (A, X1, Generator("y", 2), Generator("c", 1, weight=2))],
-                         ids=["a0-x1-y2", "a0-x1-sx1w2", "a0-x1-y2-c1w2"])
+# generator sets of the slice-level oracle tests: odd and weight-2 generators together
+SLICE_GENS = [*ORACLE_GENS, (A, X1, Generator("y", 2), Generator("c", 1, weight=2))]
+SLICE_IDS = ["a0-x1-y2", "a0-x1-sx1w2", "a0-x1-y2-c1w2"]
+
+
+@pytest.mark.parametrize("gens", SLICE_GENS, ids=SLICE_IDS)
 def test_peel_rows_against_standard_bracketing(gens):
     pos = {g: i for i, g in enumerate(gens)}
     degrees, weights = [g.degree for g in gens], [g.weight for g in gens]
@@ -260,6 +269,70 @@ def test_peel_rows_against_standard_bracketing(gens):
                 assert min(row) == n and row[n] == 1
                 assert {tuple(pos[g] for g in slc.words[j]): c for j, c in row.items()} == expected
             assert slc.peel.rank == super_witt(degrees, w, d, weights)
+
+
+@pytest.mark.parametrize("gens", SLICE_GENS, ids=SLICE_IDS)
+def test_generator_brackets_against_word_commutator(gens):
+    # the rewritten super-Lyndon coordinates of every [g_i, P(v)] solve, over
+    # the standard bracketings of the slice's leading words, the word
+    # commutator of g_i with the standard bracketing of v
+    degrees, weights = [g.degree for g in gens], [g.weight for g in gens]
+    for w in range(2, 6):
+        for d in range(0, 2 * w + 1):
+            slc = lie_slice(gens, w, d)
+            lead = [u for u in slice_words(degrees, weights, w, d) if standard_bracketing(u, degrees) is not None]
+            assert slc.lead == lead
+            expansions = [standard_bracketing(u, degrees) for u in lead]
+            for i, g in enumerate(gens):
+                if g.weight >= w or g.degree > d:
+                    continue
+                for v in lie_slice(gens, w - g.weight, d - g.degree).lead:
+                    target = word_commutator({(i,): 1}, g.degree, standard_bracketing(v, degrees), d - g.degree)
+                    cols = [k for k, u in enumerate(lead) if sorted(u) == sorted((i, *v))]
+                    words = sorted({x for k in cols for x in expansions[k]} | set(target))
+                    x = dense_solve([[expansions[k].get(y, 0) for y in words] for k in cols],
+                                    [target.get(y, 0) for y in words])
+                    assert x is not None
+                    assert fl._product(slc, (i,), v) == {k: c for k, c in zip(cols, x) if c}, (i, v)
+
+
+TREE_CASES = [(name, None) for name in cli.BUILTIN_EXAMPLES] + [
+    (str(Path(__file__).parent / "golden" / "criterion6.lt"), Window(4, 3)),
+]
+
+
+@pytest.mark.parametrize("name, window", TREE_CASES, ids=[Path(n).name for n, _ in TREE_CASES])
+def test_tree_choice_against_greedy_word_space(name, window):
+    # every slice of the window accepts the trees a greedy word-space choice
+    # accepts, in the same order
+    p = cli.build(cli.parse(cli._load_source(name)[1]), window).attached
+    gens = p.generators
+    expected = greedy_trees([g.degree for g in gens], [g.weight for g in gens],
+                            p.window.max_weight, p.window.max_degree)
+    for (w, d), trees in expected.items():
+        assert lie_slice(gens, w, d).trees == trees, (w, d)
+
+
+def test_slices_build_without_tensor_words(monkeypatch):
+    # fresh slices of the torus model's generators at (8,3) are built from
+    # the generators alone: no tensor word is listed or multiplied out
+    def refuse(*args, **kwargs):
+        raise AssertionError("slice construction went through tensor words")
+
+    gens = (A, B, Generator("sz", 1, weight=2))
+    monkeypatch.setattr(fl, "_slice_cache", {})
+    with monkeypatch.context() as m:
+        m.setattr(fl, "_word_commutator", refuse)
+        m.setattr(fl, "_slice_words", refuse)
+        slices = {(w, d): lie_slice(gens, w, d) for w in range(1, 9) for d in range(4)}
+    degrees, weights = [g.degree for g in gens], [g.weight for g in gens]
+    for (w, d), slc in slices.items():
+        assert slc.dim == super_witt(degrees, w, d, weights), (w, d)
+    # a word-space query builds the peel on demand, once the patch is lifted
+    slc = slices[(6, 2)]
+    assert slc.dim > 0
+    for k, terms in enumerate(slc.kept_terms):
+        assert slc.coordinates(terms) == {k: 1}
 
 
 def test_lie_basis_is_echelon():
@@ -655,24 +728,39 @@ def test_log_commutator_remainder_in_truncated_ideal():
     assert echelons[0].contains(vec)
 
 
-def test_slice_cache_concurrent_reads():
+def test_slice_cache_concurrent_reads(monkeypatch):
+    import sys
     import threading
 
     gens = (Generator("p", 0), Generator("q", 0), Generator("r", 1))
-    results = []
-    errors = []
+    keys = [(w, d) for w in (1, 2, 3, 4) for d in (0, 1, 2)]
 
-    def work():
-        try:
-            dims = [lie_slice(gens, w, d).dim for w in (1, 2, 3, 4) for d in (0, 1, 2)]
-            results.append(tuple(dims))
-        except Exception as exc:  # pragma: no cover
-            errors.append(exc)
+    def run(work):
+        results, errors = [], []
 
-    threads = [threading.Thread(target=work) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    assert len(set(results)) == 1
+        def guarded():
+            try:
+                results.append(work())
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=guarded) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert not errors
+        assert len(results) == 8 and all(r == results[0] for r in results)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        run(lambda: [lie_slice(gens, w, d).dim for w, d in keys])
+        # the first word-space query of fresh slices builds their peels
+        # lazily, from every thread at once
+        monkeypatch.setattr(fl, "_slice_cache", {})
+        slices = [lie_slice(gens, w, d) for w, d in keys]
+        run(lambda: [(slc.kept_terms, [slc.coordinates(t) for t in slc.kept_terms]) for slc in slices])
+    finally:
+        sys.setswitchinterval(interval)
