@@ -24,8 +24,6 @@ only witnesses are built as Lie elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dgl import ChainComplex, DglPresentation, HomologyTable, homology
 from .freelie import (
     Generator,
@@ -41,24 +39,19 @@ NOT_INERT = "not-inert"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
 class AttachingMap:
     """Cells to attach: fresh names with homogeneous cycle targets."""
 
-    cells: list[tuple[str, LieElement]]
-
-    def __post_init__(self):
-        names = [name for name, _ in self.cells]
+    def __init__(self, cells: list[tuple[str, LieElement]]):
+        names = [name for name, _ in cells]
         if len(set(names)) != len(names):
             raise ValueError("duplicate cell names in attaching map")
+        self.cells = cells
 
 
-@dataclass
 class InertnessVerdict:
-    window: Window
-    status: str
-    failing: list[tuple[int, LieElement]]
-    injective: bool
+    def __init__(self, window: Window, status: str, failing: list[tuple[int, LieElement]], injective: bool):
+        self.window, self.status, self.failing, self.injective = window, status, failing, injective
 
     @property
     def inert_up_to_window(self) -> bool:
@@ -220,13 +213,11 @@ def saturate_ideal(
     return echelons
 
 
-@dataclass
 class QuotientReport:
     """Per-degree comparison of dim H(attached) with dim H(base)/I."""
 
-    window: Window
-    attached_dims: dict[int, int]
-    quotient_dims: dict[int, int]
+    def __init__(self, window: Window, attached_dims: dict[int, int], quotient_dims: dict[int, int]):
+        self.window, self.attached_dims, self.quotient_dims = window, attached_dims, quotient_dims
 
     @property
     def degrees(self) -> list[int]:
@@ -275,11 +266,9 @@ def quotient_consistency(
     return QuotientReport(window, attached_dims, quotient)
 
 
-@dataclass
 class AnickCertificate:
-    passed: bool
-    leading: list[Word]
-    violation: str | None = None
+    def __init__(self, passed: bool, leading: list[Word], violation: str | None = None):
+        self.passed, self.leading, self.violation = passed, leading, violation
 
 
 def leading_word(t: TensorElement, order: list[Generator]) -> Word:

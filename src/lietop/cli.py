@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -63,12 +62,10 @@ class ParseError(ValueError):
 SYMBOLS = "[](),+-/=>^"
 
 
-@dataclass
 class Token:
-    kind: str  # "name" | "int" | one of SYMBOLS | "end"
-    text: str
-    line: int
-    col: int
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind  # "name" | "int" | one of SYMBOLS | "end"
+        self.text, self.line, self.col = text, line, col
 
 
 def _tokenize_line(text: str, line_no: int) -> list[Token]:
@@ -231,17 +228,21 @@ def _parse_group_word(cur: _Cursor, start: Token) -> list[tuple[Token, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class PresentationFile:
     """Parsed directives; expressions stay as ASTs until a window is fixed."""
 
-    generators: list[Generator] = field(default_factory=list)
-    diffs: list[tuple[str, object, int]] = field(default_factory=list)  # name, expr, line
-    cells: list[tuple[str, int, object, int]] = field(default_factory=list)
-    words: dict[str, list[tuple[str, int]]] = field(default_factory=dict)
-    word_order: list[str] = field(default_factory=list)
-    order: list[str] | None = None
-    window: Window | None = None
+    def __init__(self, generators: list[Generator] | None = None,
+                 diffs: list[tuple[str, object, int]] | None = None,
+                 cells: list[tuple[str, int, object, int]] | None = None,
+                 words: dict[str, list[tuple[str, int]]] | None = None,
+                 word_order: list[str] | None = None, order: list[str] | None = None,
+                 window: Window | None = None):
+        self.generators = [] if generators is None else generators
+        self.diffs = [] if diffs is None else diffs  # name, expr, line
+        self.cells = [] if cells is None else cells  # name, degree, expr, line
+        self.words = {} if words is None else words
+        self.word_order = [] if word_order is None else word_order
+        self.order, self.window = order, window
 
 
 def parse(text: str) -> PresentationFile:
@@ -294,7 +295,10 @@ def parse(text: str) -> PresentationFile:
             cur.expect_keyword("degree")
             d = int(cur.expect("int").text)
             cur.end_of_line()
-            pf.window = Window(w, d)
+            try:
+                pf.window = Window(w, d)
+            except ValueError as exc:
+                raise ParseError(str(exc), head.line, head.col) from None
         elif head.text == "order":
             order = [cur.expect("name").text]
             while cur.peek().kind == ">":
@@ -314,14 +318,12 @@ def parse(text: str) -> PresentationFile:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class BuiltModel:
-    base: dgl_mod.DglPresentation
-    amap: attach_mod.AttachingMap
-    attached: dgl_mod.DglPresentation
-    logs: dict[str, LieElement]
-    order: list[Generator] | None
-    window: Window
+    def __init__(self, base: dgl_mod.DglPresentation, amap: attach_mod.AttachingMap,
+                 attached: dgl_mod.DglPresentation, logs: dict[str, LieElement],
+                 order: list[Generator] | None, window: Window):
+        self.base, self.amap, self.attached = base, amap, attached
+        self.logs, self.order, self.window = logs, order, window
 
 
 def _make_evaluator(pf: PresentationFile, window: Window):
@@ -525,15 +527,14 @@ def run(argv: list[str]) -> tuple[int, str]:
     freelie.term_limit()  # an invalid LIETOP_MAX_TERMS fails every command
 
     if ns.command == "examples":
-        chunks = []
-        for name in BUILTIN_EXAMPLES:
-            data = resources.files("lietop").joinpath(f"examples/{name}.lt").read_text()
-            chunks.append(f"# ==== {name} ====\n{data}")
-        return 0, "".join(chunks)
+        return 0, "".join(f"# ==== {name} ====\n{_load_source(name)[1]}" for name in BUILTIN_EXAMPLES)
 
     fname, text = _load_source(ns.file)
     pf = parse(text)
-    window = Window(*ns.window) if ns.window else None
+    try:
+        window = Window(*ns.window) if ns.window else None
+    except ValueError as exc:
+        raise ValueError(f"--window {ns.window[0]} {ns.window[1]}: {exc}") from None
     model = build(pf, window)
     window = model.window
     rep.add("command", ns.command)

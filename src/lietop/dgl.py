@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -191,7 +190,6 @@ def free_presentation(generators, window: Window) -> DglPresentation:
     return DglPresentation(generators, {}, window)
 
 
-@dataclass
 class HomologyTable:
     """Per-degree homology of the weight-truncated quotient.
 
@@ -204,11 +202,10 @@ class HomologyTable:
     a report, never a convergence claim.
     """
 
-    window: Window
-    dims: dict[int, int]
-    cycles: dict[int, list[Vector]]
-    stabilized: dict[int, bool]
-    complex: "ChainComplex" = field(repr=False, compare=False)
+    def __init__(self, window: Window, dims: dict[int, int], cycles: dict[int, list[Vector]],
+                 stabilized: dict[int, bool], complex: "ChainComplex"):
+        self.window, self.dims, self.cycles = window, dims, cycles
+        self.stabilized, self.complex = stabilized, complex
 
     @property
     def degrees(self) -> list[int]:

@@ -297,17 +297,30 @@ def _scaled_terms(t: TensorElement) -> tuple[list[tuple[Word, int, int, int]], i
             for v, c in t.terms.items()], den
 
 
+class _Fitting(dict):
+    """room -> the scaled terms whose weight is at most room, in their
+    order; each list is built on first use."""
+
+    def __init__(self, terms: list[tuple[Word, int, int, int]]):
+        self.terms = terms
+
+    def __missing__(self, room: int) -> list[tuple[Word, int, int, int]]:
+        fits = self[room] = [term for term in self.terms if term[2] <= room]
+        return fits
+
+
 def mul(a: TensorElement, b: TensorElement) -> TensorElement:
     """Concatenation product, truncated to the window."""
     window = _check_same_window(a.window, b.window)
     max_w, max_d = window.max_weight, window.max_degree
     (left, da), (right, db) = _scaled_terms(a), _scaled_terms(b)
+    fitting = _Fitting(right)
     out: dict[Word, int] = {}
     limit = term_limit()
     for u, cu, wu, du in left:
-        room_w, room_d = max_w - wu, max_d - du
-        for v, cv, wv, dv in right:
-            if wv > room_w or dv > room_d:
+        room_d = max_d - du
+        for v, cv, wv, dv in fitting[max_w - wu]:
+            if dv > room_d:
                 continue
             word = u + v
             s = out.get(word, 0) + cu * cv
@@ -325,11 +338,12 @@ def commutator(a: TensorElement, b: TensorElement) -> TensorElement:
     window = _check_same_window(a.window, b.window)
     max_w, max_d = window.max_weight, window.max_degree
     (left, da), (right, db) = _scaled_terms(a), _scaled_terms(b)
+    fitting = _Fitting(right)
     out: dict[Word, int] = {}
     for u, cu, wu, du in left:
-        room_w, room_d = max_w - wu, max_d - du
-        for v, cv, wv, dv in right:
-            if wv > room_w or dv > room_d:
+        room_d = max_d - du
+        for v, cv, wv, dv in fitting[max_w - wu]:
+            if dv > room_d:
                 continue
             c = cu * cv
             word = u + v
@@ -707,20 +721,25 @@ def lie_basis(gens, weight: int, degree: int) -> SubspaceBasis:
 
 
 def certify_lie(t: TensorElement, gens=None) -> LieElement | None:
-    """Certified element iff every bislice of t lies in the Lie subspace."""
+    """Certified element iff every bislice of t lies in the Lie subspace.
+
+    Membership is decided over the letters t uses, kept in the order of
+    gens: for Y a subset of X, L(X) and T(Y) meet in L(Y) (Reutenauer, Free
+    Lie Algebras, 1993), so the verdict is the one over all of gens, and the
+    slices over fewer letters are far smaller.
+    """
     if t.unit_coefficient():
         return None
+    used = t.letters()
     if gens is None:
-        gens = tuple(sorted(t.letters(), key=lambda g: (g.name, g.degree, g.weight)))
+        gens = tuple(sorted(used, key=lambda g: (g.name, g.degree, g.weight)))
     else:
-        gens = tuple(gens)
-        missing = t.letters() - set(gens)
+        missing = used - set(gens)
         if missing:
             names = ", ".join(sorted(g.name for g in missing))
             raise ValueError(f"element mentions generators outside the given set: {names}")
+        gens = tuple(g for g in gens if g in used)
     for (w, d), terms in t.bislices().items():
-        if w == 0:
-            return None
         if not lie_slice(gens, w, d).contains(terms):
             return None
     return LieElement(t)

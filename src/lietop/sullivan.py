@@ -23,9 +23,7 @@ the d^2 = 0 checks and the exact roundtrip.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .dgl import ChainBasis
 from .qlinalg import Echelon, SparseMatrix, Vector, kernel_basis
@@ -208,7 +206,6 @@ class NilpotentLieData:
         raise ValueError("lower central series does not terminate: not nilpotent")
 
 
-@dataclass
 class SullivanData:
     """Semi-quadratic Sullivan data: V-basis with d0 (linear) and d1 (quadratic).
 
@@ -220,12 +217,12 @@ class SullivanData:
     keeps each degree of Lambda(V) finite.
     """
 
-    basis: list[tuple[str, int]]
-    d0: dict[int, dict[int, Fraction]] = field(default_factory=dict)
-    d1: dict[int, dict[tuple[int, int], Fraction]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        degs = [d for _, d in self.basis]
+    def __init__(self, basis: list[tuple[str, int]], d0: dict[int, dict[int, Fraction]] | None = None,
+                 d1: dict[int, dict[tuple[int, int], Fraction]] | None = None):
+        self.basis = basis
+        self.d0 = {} if d0 is None else d0
+        self.d1 = {} if d1 is None else d1
+        self.degrees = degs = [d for _, d in basis]
         for name, d in self.basis:
             if d < 1:
                 raise ValueError(f"basis vector {name} has degree {d}; Sullivan generators need degree >= 1")
@@ -241,10 +238,6 @@ class SullivanData:
                     raise ValueError(f"d1 of {self.basis[k][0]} is not degree +1")
                 if c and i == j and degs[i] % 2 == 1:
                     raise ValueError("square of an odd basis vector is zero")
-
-    @cached_property
-    def degrees(self) -> list[int]:
-        return [d for _, d in self.basis]
 
     @property
     def dim(self) -> int:
@@ -377,11 +370,11 @@ def sd_diff(sd: SullivanData, p: Poly) -> Poly:
     return {m: Fraction(c) / den for m, c in _derive(images, sd.degrees, p).items() if c}
 
 
-@dataclass
 class SullivanReport:
-    d_squared_violations: list[tuple[str, Poly]]
-    filtration_exhausts: bool
-    filtration_levels: list[int]
+    def __init__(self, d_squared_violations: list[tuple[str, Poly]], filtration_exhausts: bool,
+                 filtration_levels: list[int]):
+        self.d_squared_violations = d_squared_violations
+        self.filtration_exhausts, self.filtration_levels = filtration_exhausts, filtration_levels
 
     @property
     def ok(self) -> bool:

@@ -332,9 +332,13 @@ def test_command_output_deterministic():
         assert run(list(args)) == run(list(args))
 
 
-def test_invalid_window_exit_2(capsys):
+def test_invalid_window_exit_2(capsys, tmp_path):
     assert cli.main(["homology", "--file", "torus", "--window", "0", "3"]) == 2
-    capsys.readouterr()
+    assert "--window 0 3: max_weight must be >= 1" in capsys.readouterr().err
+    path = tmp_path / "window0.lt"
+    path.write_text("generator a degree 0\nwindow weight 0 degree 3\n")
+    assert cli.main(["homology", "--file", str(path)]) == 2
+    assert "line 2, col 1: max_weight must be >= 1" in capsys.readouterr().err
 
 
 def test_missing_file_flag_exit_2(capsys):

@@ -228,6 +228,8 @@ def test_slice_coordinates_against_dense_solve(gens):
             assert basis.pivots == pivots
             assert [[r.get(j, 0) for j in range(len(slc.words))] for r in basis.rows] == rows
     words = [word for w in range(1, 6) for d in range(7) for word in lie_slice(gens, w, d).words]
+    # one letter no element uses, declared among the others
+    padded = (gens[0], Generator("unused", 1), *gens[1:])
     for _ in range(30):
         el = TensorElement.zero(window)
         for _ in range(rng.randint(2, 8)):
@@ -245,6 +247,9 @@ def test_slice_coordinates_against_dense_solve(gens):
                 assert slc.contains(terms) == (expected is not None)
                 member = member and expected is not None
             assert (certify_lie(t, gens) is not None) == member
+            assert (certify_lie(t, padded) is not None) == member
+    # membership is decided over the letters an element uses
+    assert all(key[0] != padded for key in fl._slice_cache)
 
 
 # generator sets of the slice-level oracle tests: odd and weight-2 generators together

@@ -1,9 +1,14 @@
 """The package is pure stdlib: every import in src/lietop is relative to
-lietop or names a standard-library module."""
+lietop or names a standard-library module.  Importing the CLI loads every
+layer module and nothing slow to import that it does not use."""
 
 import ast
+import json
+import subprocess
 import sys
 from pathlib import Path
+
+from helpers import checkout_env
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lietop"
 
@@ -24,3 +29,18 @@ def test_package_imports_only_stdlib_and_lietop():
                     outside.append(f"{path.name}:{node.lineno} imports {name}")
     assert list(SRC.glob("*.py")), f"no package sources under {SRC}"
     assert not outside, "\n".join(outside)
+
+
+def test_cli_import_loads_layers_without_dataclasses():
+    # bench/tracer.py wraps the layers through sys.modules["lietop.<layer>"]
+    # right after `import lietop.cli`, so every layer must be loaded by then
+    probe = (
+        "import json, sys; before = set(sys.modules); import lietop.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True, text=True,
+                         env=checkout_env())
+    loaded = set(json.loads(out.stdout))
+    assert "dataclasses" not in loaded
+    layers = {f"lietop.{m}" for m in ("freelie", "qlinalg", "dgl", "attach", "sullivan")}
+    assert layers <= loaded, sorted(layers - loaded)
