@@ -656,21 +656,6 @@ def _group_word_element(arg: str, model: BuiltModel, window: Window) -> LieEleme
     return log_group_word(letters, model.base.generators, window)
 
 
-def parse_lie_expr(text: str):
-    """Parse a standalone lie-expr to its AST (used by the round-trip tests)."""
-    cur = _Cursor(_tokenize_line(text, 1))
-    expr = _parse_expr(cur)
-    cur.end_of_line()
-    return expr
-
-
-def eval_lie_expr(text: str, generators, window: Window) -> LieElement:
-    """Parse and evaluate a standalone lie-expr over the given generators."""
-    pf = PresentationFile(generators=list(generators))
-    eval_expr, _ = _make_evaluator(pf, window)
-    return eval_expr(parse_lie_expr(text))
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]

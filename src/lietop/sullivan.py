@@ -18,6 +18,12 @@ The sign rule was confirmed by an exhaustive sweep of candidate conventions
 against (d0+d1)^2 = 0 over truncations mixing parities (only this rule and
 its basis-rescaling gauge twins survive); the test suite pins it through
 the d^2 = 0 checks and the exact roundtrip.
+
+Under this duality the Sullivan filtration V_0 = ker d1,
+V_{n+1} = d1^{-1}(Lambda^2 V_n) is the annihilator of the lower central
+series L^1 = L, L^{k+1} = [L, L^k] of the dual bracket: V_n = (L^{n+2})^perp.
+So the filtration is decided on the dual bracket, by the same lower central
+series that decides nilpotency of Lie data.
 """
 
 from __future__ import annotations
@@ -57,6 +63,40 @@ def _add(out: dict[int, int], v: dict[int, int] | None, scale: int) -> None:
     if v:
         for k, e in v.items():
             out[k] = out.get(k, 0) + scale * e
+
+
+def _check_indices(what: str, indices, n: int) -> None:
+    """Raise a ValueError naming the first of indices outside range(n)."""
+    for index in indices:
+        if not 0 <= index < n:
+            raise ValueError(f"{what} index {index} out of range")
+
+
+def _lower_central_dims(rows: list[dict[int, dict[int, int]]]) -> list[int]:
+    """dim L^2, dim L^3, ... of the lower central series L^1 = L,
+    L^{k+1} = [L, L^k] of the graded antisymmetric bracket
+    rows[i][j] = [e_i, e_j], up to the first term that is 0 or no smaller
+    than the one before.  L^{k+1} lies in L^k by bilinearity alone, so a
+    term that does not shrink repeats forever."""
+    n = len(rows)
+    current: list[dict[int, int]] = [{i: 1} for i in range(n)]
+    dims: list[int] = []
+    while True:
+        ech = Echelon(n)
+        nxt: list[dict[int, int]] = []
+        for vec in current:
+            # [e_i, e_m] != 0 only for i in P(m), by antisymmetry
+            for i in sorted(set().union(*(rows[m] for m in vec))):
+                br: dict[int, int] = {}
+                for m, c in vec.items():
+                    _add(br, rows[i].get(m), c)
+                br = {k: c for k, c in br.items() if c}
+                if br and ech.insert(br):
+                    nxt.append(br)
+        dims.append(len(nxt))
+        if not nxt or len(nxt) == len(current):
+            return dims
+        current = nxt
 
 
 class NilpotentLieData:
@@ -108,13 +148,13 @@ class NilpotentLieData:
         for (i, j), cs in brackets.items():
             cs = {k: Fraction(c) for k, c in cs.items() if c}
             if cs:
-                if not (0 <= i < n and 0 <= j < n and all(0 <= k < n for k in cs)):
-                    raise ValueError("bracket index out of range")
+                _check_indices("bracket", (i, j, *cs), n)
                 self.brackets[(i, j)] = cs
         self.diff: dict[int, Coeffs] = {}
         for j, cs in (diff or {}).items():
             cs = {k: Fraction(c) for k, c in cs.items() if c}
             if cs:
+                _check_indices("diff", (j, *cs), n)
                 self.diff[j] = cs
         # _rows[i][j]: the scaled [e_i, e_j], so the keys of _rows[i] are P(i)
         self._rows: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
@@ -159,7 +199,8 @@ class NilpotentLieData:
                         _add(out, rj.get(m), -sign * c)
                     if any(out.values()):
                         raise ValueError(f"Jacobi fails on triple ({i},{j},{k})")
-        self._check_nilpotent()
+        if _lower_central_dims(rows)[-1]:
+            raise ValueError("lower central series does not terminate: not nilpotent")
         for j in sorted(diff):
             for k in diff[j]:
                 if deg[k] != deg[j] - 1:
@@ -185,26 +226,6 @@ class NilpotentLieData:
                 if any(out.values()):
                     raise ValueError(f"derivation rule fails on pair ({i},{j})")
 
-    def _check_nilpotent(self) -> None:
-        n, rows = self.dim, self._rows
-        current: list[dict[int, int]] = [{i: 1} for i in range(n)]
-        for _ in range(n + 1):
-            ech = Echelon(n)
-            nxt: list[dict[int, int]] = []
-            for vec in current:
-                # [e_i, e_m] != 0 only for i in P(m), by antisymmetry
-                for i in sorted(set().union(*(rows[m] for m in vec))):
-                    br: dict[int, int] = {}
-                    for m, c in vec.items():
-                        _add(br, rows[i].get(m), c)
-                    br = {k: c for k, c in br.items() if c}
-                    if br and ech.insert(br):
-                        nxt.append(br)
-            if not nxt:
-                return
-            current = nxt
-        raise ValueError("lower central series does not terminate: not nilpotent")
-
 
 class SullivanData:
     """Semi-quadratic Sullivan data: V-basis with d0 (linear) and d1 (quadratic).
@@ -214,7 +235,8 @@ class SullivanData:
     Construction checks shape and degrees only; d^2 = 0 and the Sullivan
     filtration are the business of check_sullivan, so that corrupted data
     can be built and then detected.  Every basis degree must be >= 1, which
-    keeps each degree of Lambda(V) finite.
+    keeps each degree of Lambda(V) finite.  An index outside the basis is a
+    ValueError.
     """
 
     def __init__(self, basis: list[tuple[str, int]], d0: dict[int, dict[int, Fraction]] | None = None,
@@ -227,10 +249,12 @@ class SullivanData:
             if d < 1:
                 raise ValueError(f"basis vector {name} has degree {d}; Sullivan generators need degree >= 1")
         for k, cs in self.d0.items():
+            _check_indices("d0", (k, *cs), len(basis))
             for j, c in cs.items():
                 if c and degs[j] != degs[k] + 1:
                     raise ValueError(f"d0 of {self.basis[k][0]} is not degree +1")
         for k, cs in self.d1.items():
+            _check_indices("d1", (k, *(i for pair in cs for i in pair)), len(basis))
             for (i, j), c in cs.items():
                 if i > j:
                     raise ValueError("d1 pairs must be ordered i <= j")
@@ -282,6 +306,14 @@ def homotopy_lie(sd: SullivanData) -> NilpotentLieData:
     Exactly inverts cochains under the frozen pairing convention, so the
     roundtrip reproduces structure constants on the nose.
     """
+    L = _dual_lie(sd)
+    L.validate()
+    return L
+
+
+def _dual_lie(sd: SullivanData) -> NilpotentLieData:
+    """homotopy_lie's (d)gl, not validated: the brackets dual to d1 are
+    antisymmetric by construction, whatever d1 is."""
     degs = [d - 1 for _, d in sd.basis]
     basis = [(name, d - 1) for name, d in sd.basis]
     brackets: dict[tuple[int, int], Coeffs] = {}
@@ -300,7 +332,7 @@ def homotopy_lie(sd: SullivanData) -> NilpotentLieData:
     for k, cs in sd.d0.items():
         for j, c in cs.items():
             _acc(diff.setdefault(j, {}), k, c)
-    return NilpotentLieData(basis, brackets, diff)
+    return NilpotentLieData(basis, brackets, diff, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +396,6 @@ def _derive(images: Images, degs: list[int], p: dict) -> dict:
     return out
 
 
-def sd_diff(sd: SullivanData, p: Poly) -> Poly:
-    """d0 + d1 extended to Lambda(V) as a derivation."""
-    images, den = _images(sd)
-    return {m: Fraction(c) / den for m, c in _derive(images, sd.degrees, p).items() if c}
-
-
 class SullivanReport:
     def __init__(self, d_squared_violations: list[tuple[str, Poly]], filtration_exhausts: bool,
                  filtration_levels: list[int]):
@@ -381,16 +407,17 @@ class SullivanReport:
         return not self.d_squared_violations and self.filtration_exhausts
 
 
-def _pair_index(n: int) -> dict[tuple[int, int], int]:
-    """Row positions of the Lambda^2 V coordinates v_i v_j, i <= j < n."""
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    return {pair: pos for pos, pair in enumerate(pairs)}
-
-
 def check_sullivan(sd: SullivanData) -> SullivanReport:
     """Verify d^2 = 0 on generators (enough: d^2 is a derivation) and that
     the filtration V_0 = V cap ker d1, V_{n+1} = d1^{-1}(Lambda^2 V_n)
-    exhausts V (the Sullivan condition, checked on the quadratic part)."""
+    exhausts V (the Sullivan condition, checked on the quadratic part).
+
+    The filtration is decided on the dual bracket: V_n = (L^{n+2})^perp for
+    the lower central series of the Lie algebra dual to d1, so
+    filtration_levels[n] = dim V - dim L^{n+2}.  It exhausts V when the
+    series reaches 0, and never does once a term stops shrinking.  Only
+    bilinearity goes into this, so it is exact also when d^2 != 0.
+    """
     degs = sd.degrees
     images, den = _images(sd)
     violations = []
@@ -399,48 +426,8 @@ def check_sullivan(sd: SullivanData) -> SullivanReport:
         dd = {m: Fraction(c, den * den) for m, c in dd.items() if c}
         if dd:
             violations.append((name, dd))
-
-    n = sd.dim
-    pair_index = _pair_index(n)
-    # den * d1 v_k in Lambda^2 V coordinates; the scale leaves each kernel as it is
-    quadratic = [{pair_index[dm]: c for dm, c in images[k] if len(dm) == 2} for k in range(n)]
-    # V_n only grows with n (V_n lies in V_{n+1}), and so does Lambda^2 V_n:
-    # it is spanned by the products of the vectors that enlarged `span`
-    span = Echelon(n)
-    basis: list[Vector] = []
-    wedge = Echelon(len(pair_index))
-    levels: list[int] = []
-    while True:
-        # V_{n+1} is the full preimage of Lambda^2 V_n: the kernel of d1
-        # reduced modulo it, as a subspace (not just the qualifying basis vectors)
-        entries: dict[tuple[int, int], Fraction] = {}
-        for k in range(n):
-            residual, _ = wedge.reduce(quadratic[k])
-            for row, c in residual.items():
-                entries[(row, k)] = c
-        preimage = kernel_basis(SparseMatrix(len(pair_index), n, entries))
-        levels.append(preimage.dim)
-        if preimage.dim == n:
-            return SullivanReport(violations, True, levels)
-        if preimage.dim == span.rank:
-            return SullivanReport(violations, False, levels)
-        for v in preimage.rows:
-            if not span.insert(v):
-                continue
-            basis.append(v)
-            for w in basis:
-                prod: Vector = {}
-                for i, ci in v.items():
-                    for j, cj in w.items():
-                        if i == j and degs[i] % 2:
-                            continue
-                        if i <= j:
-                            _acc(prod, pair_index[(i, j)], ci * cj)
-                        else:
-                            sign = -ONE if (degs[i] % 2 and degs[j] % 2) else ONE
-                            _acc(prod, pair_index[(j, i)], sign * ci * cj)
-                if prod:
-                    wedge.insert(prod)
+    dims = _lower_central_dims(_dual_lie(sd)._rows)
+    return SullivanReport(violations, not dims[-1], [sd.dim - d for d in dims])
 
 
 def _monomials(degs: list[int], max_wedge: int, max_degree: float) -> dict[tuple[int, int], list[Monomial]]:
@@ -544,7 +531,7 @@ def semiquadratic_homology(
 
     # right table: d0-homology of V cap ker d1, degree by degree
     n = sd.dim
-    pair_index = _pair_index(n)
+    pair_index = {pair: pos for pos, pair in enumerate((i, j) for i in range(n) for j in range(i, n))}
     by_degree: dict[int, list[int]] = {}
     for k in range(n):
         by_degree.setdefault(degs[k], []).append(k)

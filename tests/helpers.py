@@ -1,11 +1,14 @@
-"""Small matrix, Lie-slice and subprocess helpers shared by the tests."""
+"""Small matrix, Lie-slice, lie-expr, Sullivan and subprocess helpers shared
+by the tests."""
 
 import os
 from fractions import Fraction
 from pathlib import Path
 
+from lietop.cli import PresentationFile, _Cursor, _make_evaluator, _parse_expr, _tokenize_line
 from lietop.freelie import LieElement, LieSlice, TensorElement, Window
 from lietop.qlinalg import Echelon, SparseMatrix, SubspaceBasis, Vector
+from lietop.sullivan import SullivanData, _derive, _images
 
 
 def from_dense(data: list[list]) -> SparseMatrix:
@@ -37,6 +40,23 @@ def apply(m: SparseMatrix, v: Vector) -> Vector:
 def slice_element(slc: LieSlice, k: int, window: Window) -> LieElement:
     """The k-th bracket-basis element of the slice, as a certified element."""
     return LieElement(TensorElement(window, slc.kept_terms[k]))
+
+
+def eval_lie_expr(text: str, generators, window: Window) -> LieElement:
+    """Parse a standalone lie-expr with the CLI's parser and evaluate it over
+    the given generators."""
+    cur = _Cursor(_tokenize_line(text, 1))
+    expr = _parse_expr(cur)
+    cur.end_of_line()
+    eval_expr, _ = _make_evaluator(PresentationFile(generators=list(generators)), window)
+    return eval_expr(expr)
+
+
+def sd_diff(sd: SullivanData, p: dict) -> dict:
+    """d0 + d1 of sd extended to Lambda(V) as a derivation, with the
+    package's integer images and derivation."""
+    images, den = _images(sd)
+    return {m: Fraction(c) / den for m, c in _derive(images, sd.degrees, p).items() if c}
 
 
 def checkout_env() -> dict[str, str]:

@@ -626,3 +626,70 @@ def derivation_rank(degrees: list[int], d0: dict, d1: dict, dom: list[tuple], co
         columns = sorted({m for row in block for m in row})
         rank += dense_rank([[row.get(m, 0) for m in columns] for row in block])
     return rank
+
+
+def wedge_filtration(degrees: list[int], d1: dict) -> tuple[list[int], bool]:
+    """The Sullivan filtration V_0 = ker d1, V_{n+1} = d1^{-1}(Lambda^2 V_n),
+    computed on the V side: (dims of V_0, V_1, ... up to the first that is
+    dim V or no larger than the one before, whether it reached dim V).
+
+    d1: k -> {(i, j): c}, i <= j, gives d1 v_k = sum c v_i v_j.  Lambda^2 V_n
+    is spanned by the products of pairs of basis vectors of V_n, with
+    v_j v_i = (-1)^{|v_i||v_j|} v_i v_j and v_i v_i = 0 for odd v_i.  V_{n+1}
+    is read off a Gauss-Jordan elimination of the rows (d1 v_k, e_k) and
+    (w, 0), w in Lambda^2 V_n, with the Lambda^2 V columns first: the rows
+    whose pivot is an e-column carry a basis of V_{n+1} there.
+    """
+    n = len(degrees)
+
+    def insert(pivots: dict, v: dict) -> None:
+        """Add v to the reduced row basis pivots (column -> row, 1 at its
+        column and 0 at every other pivot column)."""
+        v = dict(v)
+        for col, row in pivots.items():
+            c = v.get(col)
+            if c:
+                for key, x in row.items():
+                    v[key] = v.get(key, 0) - c * x
+        v = {key: x for key, x in v.items() if x}
+        if not v:
+            return
+        col = min(v)
+        row = {key: Fraction(x) / v[col] for key, x in v.items()}
+        for other in pivots.values():
+            c = other.get(col)
+            if c:
+                for key, x in row.items():
+                    other[key] = other.get(key, 0) - c * x
+                    if not other[key]:
+                        del other[key]
+        pivots[col] = row
+
+    def product(x: dict, y: dict) -> dict:
+        out: dict = {}
+        for i, a in x.items():
+            for j, b in y.items():
+                if i == j and degrees[i] % 2:
+                    continue
+                sign = -1 if i > j and degrees[i] % 2 and degrees[j] % 2 else 1
+                key = (0, min(i, j), max(i, j))
+                out[key] = out.get(key, 0) + sign * a * b
+        return out
+
+    levels: list[int] = []
+    squares: list[dict] = []  # a spanning set of Lambda^2 V_n, (0, i, j)-keyed
+    while True:
+        pivots: dict = {}
+        for w in squares:
+            insert(pivots, w)
+        for k in range(n):
+            row = {(0, i, j): c for (i, j), c in d1.get(k, {}).items() if c}
+            row[(1, k)] = 1
+            insert(pivots, row)
+        basis = [{k: c for (_, k), c in row.items()} for col, row in pivots.items() if col[0] == 1]
+        levels.append(len(basis))
+        if len(basis) == n:
+            return levels, True
+        if len(basis) == (levels[-2] if len(levels) > 1 else 0):
+            return levels, False
+        squares = [product(x, y) for a, x in enumerate(basis) for y in basis[a:]]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from lietop import cli, dgl
-from lietop.cli import ParseError, build, eval_lie_expr, parse, run
+from lietop.cli import ParseError, build, parse, run
 from lietop.freelie import (
     Generator,
     LieElement,
@@ -19,7 +19,7 @@ from lietop.freelie import (
     lie_slice,
 )
 
-from helpers import checkout_env, slice_element
+from helpers import checkout_env, eval_lie_expr, slice_element
 
 A = Generator("a", 0)
 B = Generator("b", 0)

@@ -1,6 +1,10 @@
+import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,18 +20,18 @@ from lietop.sullivan import (
     cochains,
     homotopy_lie,
     mono_normalize,
-    sd_diff,
     semiquadratic_homology,
     truncation_lie_data,
     wedge_homology,
 )
-from helpers import slice_element
+from helpers import checkout_env, sd_diff, slice_element
 from oracles import (
     dense_lie_violation,
     derivation_rank,
     lambda_monomial_counts,
     lambda_monomials,
     plain_sd_diff,
+    wedge_filtration,
 )
 
 ONE = Fraction(1)
@@ -100,6 +104,14 @@ def test_non_nilpotent_detected():
     }
     with pytest.raises(ValueError, match="not nilpotent"):
         NilpotentLieData([("h", 0), ("e", 0), ("f", 0)], brackets)
+
+
+def test_diff_index_out_of_range_rejected():
+    # checked at construction, so also without validation
+    for diff in ({0: {5: 1}}, {5: {0: 1}}):
+        for validate in (True, False):
+            with pytest.raises(ValueError, match="diff index 5 out of range"):
+                NilpotentLieData([("a", 0)], {}, diff, validate=validate)
 
 
 def test_corrupted_constant_detected_by_cochains():
@@ -466,6 +478,20 @@ def test_sullivan_data_rejects_degree_below_one():
             SullivanData([("u", degree), ("v", 1)])
 
 
+def test_sullivan_data_rejects_d0_index_out_of_range():
+    with pytest.raises(ValueError, match="d0 index 4 out of range"):
+        SullivanData([("a", 1)], {0: {4: 1}})
+    with pytest.raises(ValueError, match="d0 index -1 out of range"):
+        SullivanData([("a", 1)], {-1: {0: 1}})
+
+
+def test_sullivan_data_rejects_d1_index_out_of_range():
+    with pytest.raises(ValueError, match="d1 index 3 out of range"):
+        SullivanData([("a", 1)], None, {0: {(0, 3): 1}})
+    with pytest.raises(ValueError, match="d1 index 2 out of range"):
+        SullivanData([("a", 1)], None, {2: {(0, 0): 1}})
+
+
 @pytest.mark.parametrize("degs", [[1, 2, 2, 3, 1, 4], [2, 1, 1], [3, 3, 2, 5], [1, 1, 1, 1]])
 def test_monomials_match_brute_force_counts(degs):
     # the wedge cap binding alone, the degree cap alone, then both
@@ -642,6 +668,99 @@ def test_filtration_needs_subspace_not_basis_vectors():
     assert not rep.d_squared_violations
     assert rep.filtration_exhausts
     assert rep.filtration_levels == [2, 3]
+
+
+FILTRATION_COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-3, 4))
+
+
+def random_sullivan(rng):
+    """SullivanData on 1 to 8 vectors of degrees 1 to 3, at random densities;
+    half of them have d1 v_k in the vectors below k only, which makes deep
+    filtrations that exhaust.  d^2 = 0 is not imposed."""
+    n = rng.randint(1, 8)
+    degs = [rng.choice((1, 1, 1, 2, 3)) for _ in range(n)]
+    p0, p1 = rng.choice((0, 0.3)), rng.choice((0.2, 0.5, 0.8))
+    below = rng.random() < 0.5
+    d0, d1 = {}, {}
+    for k, dk in enumerate(degs):
+        for j in range(n):
+            if degs[j] == dk + 1 and rng.random() < p0:
+                d0.setdefault(k, {})[j] = rng.choice(FILTRATION_COEFFS)
+        for i in range(n):
+            for j in range(i, n):
+                fits = degs[i] + degs[j] == dk + 1 and not (i == j and degs[i] % 2)
+                if fits and (j < k or not below) and rng.random() < p1:
+                    d1.setdefault(k, {})[(i, j)] = rng.choice(FILTRATION_COEFFS)
+    return SullivanData([(f"v{i}", d) for i, d in enumerate(degs)], d0, d1)
+
+
+def assert_report_matches_oracles(sd):
+    """check_sullivan against wedge_filtration and plain_sd_diff; returns
+    the report."""
+    rep = check_sullivan(sd)
+    assert (rep.filtration_levels, rep.filtration_exhausts) == wedge_filtration(sd.degrees, sd.d1)
+    names = []
+    for k, (name, _) in enumerate(sd.basis):
+        if plain_sd_diff(sd.degrees, sd.d0, sd.d1, plain_sd_diff(sd.degrees, sd.d0, sd.d1, {(k,): 1})):
+            names.append(name)
+    assert [name for name, _ in rep.d_squared_violations] == names
+    return rep
+
+
+def test_filtration_matches_wedge_oracle_on_seeded_data():
+    # the lower central series of the dual bracket against the Lambda^2 V
+    # filtration, on data with and without d^2 = 0 and with and without
+    # exhaustion
+    rng = random.Random(14)
+    reports = [assert_report_matches_oracles(random_sullivan(rng)) for _ in range(600)]
+    assert sum(not rep.filtration_exhausts for rep in reports) >= 100
+    assert sum(bool(rep.d_squared_violations) for rep in reports) >= 100
+    assert sum(len(rep.filtration_levels) > 3 for rep in reports) >= 20
+
+
+@pytest.mark.parametrize(
+    "name, weight, degree", [("torus", 6, 2), ("lemaire28", 3, 2), ("cp2", 10, 12), ("wedge-circles", 3, 2)]
+)
+def test_filtration_matches_wedge_oracle_on_examples(name, weight, degree):
+    rep = assert_report_matches_oracles(cochains(example_truncation(name, weight, degree)))
+    assert rep.ok
+
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+TRACED_SULLIVAN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer_mod = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_mod)
+tracer = tracer_mod.Tracer()
+missing = tracer_mod.instrument_lietop(tracer)
+from lietop import cli
+codes = [cli.run(argv)[0] for argv in json.loads(sys.argv[2])]
+_, calls, _ = tracer_mod.layer_totals(
+    tracer.names, tracer.span_name, tracer.span_parent, tracer.span_start, tracer.span_end
+)
+print(json.dumps({"missing": missing, "codes": codes, "calls": calls}))
+"""
+
+
+def test_traced_sullivan_calls_every_sullivan_and_qlinalg_entry_point():
+    # the benchmark's sullivan-dual workload must read every sullivan.* and
+    # qlinalg.* layer nonzero; run traced, in a child so the wrapping stays there
+    argv = [
+        ["sullivan", "--file", "cp2", "--window", "10", "12"],
+        ["sullivan", "--file", "wedge-circles", "--window", "3", "2"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_SULLIVAN, str(TRACER), json.dumps(argv)],
+        capture_output=True, text=True, env=checkout_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["missing"] == [] and result["codes"] == [0, 0]
+    spans = [span for span in result["calls"] if span.startswith(("sullivan.", "qlinalg."))]
+    assert {span for span in spans if not result["calls"][span]} == set()
+    assert "qlinalg.kernel_basis" in spans and "qlinalg.Echelon.reduce" in spans
 
 
 def test_duality_on_random_presentations():
