@@ -20,9 +20,9 @@ structure constants of sullivan.truncation_lie_data.  Only the generators'
 differential images pass through tensor words, once each; derive works on
 tensor words and remains for d^2 checks and tensor-given inputs.
 
-A ChainComplex eliminates each boundary space once, column by column, and
-every consumer reads that one echelon: the ranks of both weight stages,
-the homology representatives, and the inertness verdicts of module attach.
+A ChainComplex eliminates each boundary map once, column by column; the
+one pass gives its image, the echelon that stage ranks, representatives and
+attach verdicts all read, and, from the columns that vanish, its kernel.
 Representatives stay coordinate vectors over the chain basis and print
 from them; Lie elements are built only when a library caller asks.
 """
@@ -46,7 +46,8 @@ from .freelie import (
     lie_slice,
     merge_windows,
 )
-from .qlinalg import Echelon, SparseMatrix, Vector, add_scaled, kernel_basis
+from .qlinalg import (Echelon, IntVector, SparseMatrix, SubspaceBasis, Vector, add_scaled,
+                      eliminate_columns, span_basis)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -194,12 +195,12 @@ class HomologyTable:
     """Per-degree homology of the weight-truncated quotient.
 
     Degrees run from 0 to max_degree - 1; the top window degree is omitted.
-    cycles[d] holds the canonical representatives as coordinate vectors over
-    the degree-d chain basis of `complex`, which the CLI prints through
-    `complex.format_vector`; `representatives` builds their Lie elements on
-    first access, for library callers only.  stabilized[d] records whether
-    the dimension is unchanged between the (N-1) and N weight stages; it is
-    a report, never a convergence claim.
+    cycles[d] holds the canonical representatives over the degree-d chain
+    basis of `complex`: cycles reduced against boundaries, both found by one
+    elimination per boundary map.  The CLI prints them with format_vector;
+    `representatives` builds Lie elements for library callers only.
+    stabilized[d] records whether the dimension is unchanged between the
+    (N-1) and N weight stages; it is a report, never a convergence claim.
     """
 
     def __init__(self, window: Window, dims: dict[int, int], cycles: dict[int, list[Vector]],
@@ -444,15 +445,12 @@ class ChainComplex(ChainBasis):
 
     def __init__(self, p: DglPresentation):
         super().__init__(p)
-        self._boundaries: dict[int, SparseMatrix] = {}
         self._images: dict[int, Echelon] = {}
         self._stage_ranks: dict[int, int] = {}
+        self._kernels: dict[int, list[IntVector]] = {}
 
     def boundary(self, degree: int) -> SparseMatrix:
-        """The matrix of d: C_degree -> C_{degree-1}."""
-        cached = self._boundaries.get(degree)
-        if cached is not None:
-            return cached
+        """The matrix of d: C_degree -> C_{degree-1}; homology never builds it."""
         cols = self.dim(degree)
         rows = self.dim(degree - 1) if degree >= 1 else 0
         entries: dict[tuple[int, int], Fraction] = {}
@@ -460,33 +458,33 @@ class ChainComplex(ChainBasis):
             for j in range(cols):
                 for i, c in self.boundary_column(degree, j).items():
                     entries[(i, j)] = c
-        m = SparseMatrix(rows, cols, entries)
-        self._boundaries[degree] = m
-        return m
+        return SparseMatrix(rows, cols, entries)
 
     def image(self, degree: int) -> Echelon:
         """Echelon of the boundary space in degree d: the columns of
-        d: C_{d+1} -> C_d, eliminated once.  Consumers that grow it take a
-        copy."""
+        d: C_{d+1} -> C_d, eliminated once, which also finds `cycles(d + 1)`.
+        Consumers that grow it take a copy."""
         cached = self._images.get(degree)
         if cached is not None:
             return cached
-        cols = [self.boundary_column(degree + 1, j) for j in range(self.dim(degree + 1))]
-        # Columns and rows run in ascending weight, so once the (N-1)-stage
-        # columns are in, the pivots in (N-1)-stage rows count the rank of
-        # the (N-1)-stage boundary.
+        cols = (self.boundary_column(degree + 1, j) for j in range(self.dim(degree + 1)))
+        ech, pivots, self._kernels[degree + 1] = eliminate_columns(cols, self.dim(degree))
+        # Columns and rows run in ascending weight: the pivots that (N-1)-stage
+        # columns add in (N-1)-stage rows count the (N-1)-stage rank.
         n = self.window.max_weight
         stage_cols, stage_rows = self.dim(degree + 1, n - 1), self.dim(degree, n - 1)
-        ech = Echelon(self.dim(degree))
-        for v in cols[:stage_cols]:
-            if v:
-                ech.insert(v)
-        self._stage_ranks[degree] = sum(1 for pivot in ech.pivots if pivot < stage_rows)
-        for v in cols[stage_cols:]:
-            if v:
-                ech.insert(v)
+        self._stage_ranks[degree] = sum(1 for p in pivots[:stage_cols] if p is not None and p < stage_rows)
         self._images[degree] = ech
         return ech
+
+    def cycles(self, degree: int) -> SubspaceBasis:
+        """Leftmost-pivot reduced echelon basis of the kernel of
+        d: C_d -> C_{d-1}, from the null vectors that `image(d - 1)` found."""
+        if degree == 0:
+            n = self.dim(0)
+            return SubspaceBasis(n, [{j: ONE} for j in range(n)], list(range(n)))
+        self.image(degree - 1)
+        return span_basis(self.dim(degree), self._kernels[degree])
 
     def stage_rank(self, degree: int) -> int:
         """Rank of d: C_{d+1} -> C_d on the weight-<=(N-1) stage."""
@@ -542,7 +540,7 @@ def homology(p: DglPresentation) -> HomologyTable:
         stab[d] = dims[d] == cx.dim(d, N - 1) - stage_out - stage_in
         image = cx.image(d).copy()
         chosen: list[Vector] = []
-        for v in kernel_basis(cx.boundary(d)).rows:
+        for v in cx.cycles(d).rows:
             residual, _ = image.reduce(v)
             if residual:
                 lead = residual[min(residual)]

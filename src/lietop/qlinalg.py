@@ -2,15 +2,15 @@
 
 Vectors are dicts column -> Fraction with zero entries absent.  Everything
 here is exact; there is no floating point anywhere in the package.  Column
-indices are plain ints; callers fix their meaning (for the Lie modules a
-column is a tensor word under the global monomial order, which makes pivots,
-and hence reported bases and representative cycles, deterministic).
+indices are plain ints; callers fix their meaning (a chain-basis index over
+the chain basis of dgl, a leading-word index in a Lie slice), and their
+order fixes pivots, and hence reported bases and representative cycles.
 
 Inside, elimination runs in integers: an Echelon stores primitive integer
 rows in semi-echelon form and reduces fraction-free, in the style of Bareiss
 (Math. Comp. 1968).  Fractions appear only where values are handed to
 callers: residuals, coordinates and the reduced row-echelon basis, which is
-built on demand.
+built on demand.  eliminate_columns finds a matrix's image and kernel in one pass.
 """
 
 from __future__ import annotations
@@ -114,13 +114,6 @@ class SparseMatrix:
             if val:
                 self.entries[(i, j)] = val
 
-    def row_vectors(self) -> list[Vector]:
-        """The nonempty rows, in ascending row order."""
-        out: dict[int, Vector] = {}
-        for (i, j), val in self.entries.items():
-            out.setdefault(i, {})[j] = val
-        return [out[i] for i in sorted(out)]
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseMatrix)
@@ -197,10 +190,6 @@ class Echelon:
         return len(self._rows)
 
     @property
-    def pivots(self) -> list[int]:
-        return sorted(self._rows)
-
-    @property
     def rows(self) -> list[Vector]:
         return self.basis().rows
 
@@ -213,11 +202,17 @@ class Echelon:
 
     def insert(self, v: Vector) -> bool:
         """Insert v; returns True if it enlarged the span."""
+        return self._insert(v)[0] is not None
+
+    def _insert(self, v: Vector) -> tuple[int | None, int, IntVector]:
+        """Insert v; returns (pivot, scale, combo).  pivot is None when v is
+        in the span, and then scale*v = sum_k combo[k]*accepted[k], scale > 0,
+        is the relation its elimination found (combo is empty untracked)."""
         x, den = _integral(v)
         scale, combo = _eliminate(x, self._rows, self._combos if self.track else None)
         row = {c: e for c, e in x.items() if e}
         if not row:
-            return False
+            return None, scale * den, combo
         pivot = min(row)
         if self.track:
             combo = {k: -e for k, e in combo.items() if e}
@@ -230,7 +225,7 @@ class Echelon:
             combo = {k: e // g for k, e in combo.items()}
         self._rows[pivot] = row
         self._combos[pivot] = combo
-        return True
+        return pivot, scale, combo
 
     def coordinates(self, v: Vector) -> Vector | None:
         """Express v over the accepted vectors, keyed by acceptance order
@@ -253,47 +248,53 @@ class Echelon:
         out._combos = dict(self._combos)
         return out
 
-    def _reduced(self) -> dict[int, IntVector]:
-        """The reduced row-echelon rows as primitive integer vectors, by
-        pivot: back-substitution from the top pivot down, so each row is
-        cleared against rows that are already reduced."""
-        out: dict[int, IntVector] = {}
+    def basis(self) -> SubspaceBasis:
+        """The reduced row-echelon basis, by back-substitution from the top pivot."""
+        reduced: dict[int, IntVector] = {}
         for p in sorted(self._rows, reverse=True):
             x = dict(self._rows[p])
-            _eliminate(x, out)
+            _eliminate(x, reduced)
             g = gcd(*x.values())
-            out[p] = {c: e // g for c, e in x.items() if e}
-        return out
-
-    def basis(self) -> SubspaceBasis:
-        reduced = self._reduced()
+            reduced[p] = {c: e // g for c, e in x.items() if e}
         pivots = sorted(reduced)
         rows = [_fractions(reduced[p], reduced[p][p]) for p in pivots]
         return SubspaceBasis(self.ambient, rows, pivots)
 
 
-def kernel_basis(m: SparseMatrix) -> SubspaceBasis:
-    """Echelon basis of the null space {v : m v = 0}; dim = cols - rank.
+def span_basis(ambient: int, vectors) -> SubspaceBasis:
+    """The leftmost-pivot reduced row-echelon basis of the span of vectors."""
+    ech = Echelon(ambient)
+    for v in vectors:
+        ech.insert(v)
+    return ech.basis()
 
-    The basis is the leftmost-pivot reduced echelon form of the null space,
-    which fixes the cycles that homology representatives are reduced from.
-    It is eliminated from the null vectors e_f - sum_p row_p[f] e_p of the
-    free columns f, in ascending f, with row_p the reduced rows of m.
-    """
-    ech = Echelon(m.cols)
-    for row in m.row_vectors():
-        ech.insert(row)
-    reduced = ech._reduced()
-    by_col: dict[int, list[tuple[int, int]]] = {}
-    for p, row in reduced.items():
-        for c, e in row.items():
-            if c != p:
-                by_col.setdefault(c, []).append((p, e))
-    null = Echelon(m.cols)
-    for f in range(m.cols):
-        if f in reduced:
-            continue
-        entries = by_col.get(f, ())
-        den = lcm(*(reduced[p][p] for p, _ in entries))
-        null.insert({f: den, **{p: -e * (den // reduced[p][p]) for p, e in entries}})
-    return null.basis()
+
+def eliminate_columns(columns, ambient: int) -> tuple[Echelon, list[int | None], list[IntVector]]:
+    """Eliminates a matrix's columns, vectors in Q^ambient, once, in order.
+    Returns the untracked echelon of the column space, the pivot each column
+    added (None if it is in the span of earlier ones), and a basis of the
+    null space: for each such column j, the relation its elimination found."""
+    ech = Echelon(ambient, track=True)
+    pivots: list[int | None] = []
+    accepted: list[int] = []  # the column of each accepted vector
+    null: list[IntVector] = []
+    for j, v in enumerate(columns):
+        pivot, scale, combo = ech._insert(v)
+        pivots.append(pivot)
+        if pivot is None:
+            null.append({j: scale, **{accepted[k]: -e for k, e in combo.items() if e}})
+        else:
+            accepted.append(j)
+    image = Echelon(ambient)  # rows primitive again, as if inserted untracked
+    image._rows = {p: {c: e // g for c, e in row.items()}
+                   for p, row in ech._rows.items() for g in [gcd(*row.values())]}
+    return image, pivots, null
+
+
+def kernel_basis(m: SparseMatrix) -> SubspaceBasis:
+    """The leftmost-pivot reduced echelon basis of the null space of m,
+    from the null vectors that eliminate_columns finds among m's columns."""
+    columns: list[Vector] = [{} for _ in range(m.cols)]
+    for (i, j), val in m.entries.items():
+        columns[j][i] = val
+    return span_basis(m.cols, eliminate_columns(columns, m.rows)[2])

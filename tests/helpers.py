@@ -7,7 +7,7 @@ from pathlib import Path
 
 from lietop.cli import PresentationFile, _Cursor, _make_evaluator, _parse_expr, _tokenize_line
 from lietop.freelie import LieElement, LieSlice, TensorElement, Window
-from lietop.qlinalg import Echelon, SparseMatrix, SubspaceBasis, Vector
+from lietop.qlinalg import SparseMatrix, SubspaceBasis, Vector, span_basis
 from lietop.sullivan import SullivanData, _derive, _images
 
 
@@ -20,11 +20,19 @@ def from_dense(data: list[list]) -> SparseMatrix:
 
 def rref(m: SparseMatrix) -> tuple[SubspaceBasis, int]:
     """Reduced row-echelon basis of the row space of m, with its rank."""
-    ech = Echelon(m.cols)
-    for row in m.row_vectors():
-        ech.insert(row)
-    b = ech.basis()
+    rows: dict[int, Vector] = {}
+    for (i, j), val in m.entries.items():
+        rows.setdefault(i, {})[j] = val
+    b = span_basis(m.cols, (rows[i] for i in sorted(rows)))
     return b, b.dim
+
+
+def dense(m: SparseMatrix) -> list[list[Fraction]]:
+    """m as a list of rows."""
+    out = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+    for (i, j), val in m.entries.items():
+        out[i][j] = val
+    return out
 
 
 def apply(m: SparseMatrix, v: Vector) -> Vector:

@@ -64,6 +64,23 @@ def dense_rank(rows: list[list]) -> int:
     return len(dense_rref(rows)[1])
 
 
+def dense_null_space(rows: list[list], cols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """The reduced row-echelon basis of {v : m v = 0} for the matrix with
+    these rows and `cols` columns, with its pivot columns: one null vector
+    per free column f of the reduced form of m, e_f - sum_i R[i][f] e_{p_i},
+    then Gauss-Jordan on those."""
+    reduced, pivots = dense_rref(rows)
+    null = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [Fraction(int(j == f)) for j in range(cols)]
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        null.append(v)
+    return dense_rref(null)
+
+
 def dense_solve(columns: list[list], target: list) -> list[Fraction] | None:
     """The x with sum_k x[k] columns[k] = target, for independent columns,
     or None when target is outside their span."""

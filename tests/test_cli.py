@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lietop import cli, dgl
+from lietop import cli, dgl, qlinalg
 from lietop.cli import ParseError, build, parse, run
 from lietop.freelie import (
     Generator,
@@ -158,6 +158,17 @@ def test_run_homology_cp2_records():
     assert lines["homology.0.dim"] == "0"
 
 
+def refuse_second_elimination(monkeypatch):
+    # each boundary map is eliminated once, by ChainComplex.image, which also
+    # finds the cycles: no boundary matrix is built and no kernel_basis runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a boundary map was eliminated twice")
+
+    monkeypatch.setattr(dgl, "kernel_basis", refuse, raising=False)
+    monkeypatch.setattr(qlinalg, "kernel_basis", refuse)
+    monkeypatch.setattr(dgl.ChainComplex, "boundary", refuse)
+
+
 def test_homology_prints_from_chain_coordinates(monkeypatch):
     # representatives print straight from their chain coordinates: no Lie
     # element is built and format_lie is never called
@@ -166,9 +177,17 @@ def test_homology_prints_from_chain_coordinates(monkeypatch):
 
     monkeypatch.setattr(dgl.ChainBasis, "element", refuse)
     monkeypatch.setattr(cli, "format_lie", refuse)
+    refuse_second_elimination(monkeypatch)
     code, out = run(["homology", "--file", "genus2", "--format", "records"])
     assert code == 0
     assert out == (Path(__file__).parent / "golden" / "homology-genus2.records").read_text()
+
+
+def test_inert_eliminates_each_boundary_once(monkeypatch):
+    refuse_second_elimination(monkeypatch)
+    code, out = run(["inert", "--file", "torus", "--format", "records"])
+    assert code == 0
+    assert out == (Path(__file__).parent / "golden" / "inert-torus.records").read_text()
 
 
 def test_run_inert_torus():

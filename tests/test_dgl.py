@@ -27,8 +27,8 @@ from lietop.freelie import (
     lie_slice,
 )
 
-from helpers import apply, slice_element
-from oracles import witt, word_space_boundary
+from helpers import apply, dense, slice_element
+from oracles import dense_null_space, dense_rank, witt, word_space_boundary
 
 A = Generator("a", 0)
 B = Generator("b", 0)
@@ -488,8 +488,19 @@ def test_boundary_matches_word_space_oracle(name, window):
     text = seeded_criterion6(6) if name == "seeded" else cli._load_source(name)[1]
     p = cli.build(cli.parse(text), window).attached
     cx, oracle = ChainComplex(p), ChainComplex(p)
+    n = p.window.max_weight
     for d in range(p.window.max_degree + 1):
-        assert cx.boundary(d) == word_space_boundary(oracle, d), d
+        m = cx.boundary(d)
+        assert m == word_space_boundary(oracle, d), d
+        # the cycles that homology reduces, read off the elimination of the
+        # boundary into degree d - 1, are the reduced null space of the matrix
+        null, pivots = dense_null_space(dense(m), m.cols)
+        cycles = cx.cycles(d)
+        assert cycles.pivots == pivots, d
+        assert cycles.rows == [{j: c for j, c in enumerate(row) if c} for row in null], d
+        if d < p.window.max_degree:
+            block = [row[: cx.dim(d + 1, n - 1)] for row in dense(cx.boundary(d + 1))[: cx.dim(d, n - 1)]]
+            assert cx.stage_rank(d) == dense_rank(block), d
 
 
 def test_format_vector_matches_format_lie():

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from lietop.qlinalg import (
     Echelon,
     SparseMatrix,
+    eliminate_columns,
     kernel_basis,
 )
 
 from helpers import apply, from_dense, rref
-from oracles import bareiss_rank, dense_rank, dense_rref, dense_solve
+from oracles import bareiss_rank, dense_null_space, dense_rank, dense_rref, dense_solve
 
 
 def test_rref_identity():
@@ -34,12 +35,6 @@ def test_rref_dependent_rows():
     basis, rank = rref(m)
     assert rank == 1
     assert basis.rows == [{0: Fraction(1), 1: Fraction(2)}]
-
-
-def test_row_vectors_skip_empty_rows_in_row_order():
-    m = SparseMatrix(4, 3, {(3, 0): 5, (1, 2): 1, (1, 0): 2})
-    assert m.row_vectors() == [{2: Fraction(1), 0: Fraction(2)}, {0: Fraction(5)}]
-    assert SparseMatrix(2, 3, {}).row_vectors() == []
 
 
 def test_kernel_identity_empty():
@@ -121,6 +116,20 @@ def test_kernel_vectors_annihilate(rows):
         assert apply(m, v) == {}
 
 
+def assert_kernel_matches_oracle(rows: list[list]) -> None:
+    # the basis itself, which representatives are reduced from, not just its size
+    ker = kernel_basis(from_dense(rows))
+    null, pivots = dense_null_space(rows, len(rows[0]))
+    assert ker.pivots == pivots
+    assert ker.rows == [sparse(r) for r in null]
+
+
+@given(small_matrices)
+@settings(max_examples=150, deadline=None)
+def test_kernel_basis_matches_dense_null_space(rows):
+    assert_kernel_matches_oracle(rows)
+
+
 def test_echelon_coordinates_track_inserted_vectors():
     ech = Echelon(4, track=True)
     v0 = {0: Fraction(1), 1: Fraction(2)}
@@ -175,7 +184,7 @@ def test_echelon_matches_dense_rref_on_rationals(system):
         assert min(row) == p and row[p] > 0 and gcd(*row.values()) == 1
         assert all(type(c) is int for c in row.values())
     reduced, pivots = dense_rref(rows)
-    assert ech.pivots == pivots
+    assert sorted(ech._rows) == pivots
     assert ech.rows == [sparse(r) for r in reduced]
     # the residual is the reduced-form normal form v - sum_p v[p] row_p
     normal = [x - sum(v[p] * r[j] for p, r in zip(pivots, reduced)) for j, x in enumerate(v)]
@@ -219,6 +228,28 @@ def test_grown_copy_leaves_original_unchanged_on_rationals(system, split, track)
     assert grown.rank == dense_rank(rows + [v])
 
 
+@given(rational_systems())
+@settings(max_examples=100, deadline=None)
+def test_eliminate_columns_matches_untracked_inserts(system):
+    # the system's rows are the columns of a matrix with len(v) rows
+    columns, v = system
+    plain = Echelon(len(v))
+    pivots = []
+    for col in columns:
+        before = set(plain._rows)
+        plain.insert(sparse(col))
+        pivots.append(next(iter(set(plain._rows) - before), None))
+    image, got, null = eliminate_columns([sparse(col) for col in columns], len(v))
+    # the image is handed on untracked, with the rows of an untracked echelon
+    assert image._rows == plain._rows and not image.track and not image._combos
+    assert got == pivots
+    # one null vector per dependent column j, over j and earlier columns
+    assert [max(n) for n in null] == [j for j, p in enumerate(pivots) if p is None]
+    for n in null:
+        assert all(pivots[j] is not None for j in n if j != max(n))
+        assert all(sum(c * columns[j][i] for j, c in n.items()) == 0 for i in range(len(v)))
+
+
 def large_integral_matrix(rng: random.Random) -> list[list[int]]:
     """A 12x12 integer matrix with entries up to 10^6 in absolute value, of
     random rank: the rows after the first k are sums or differences of two
@@ -245,5 +276,6 @@ def test_large_coefficients_rank_and_kernel():
         assert rank + ker.dim == 12
         for v in ker.rows:
             assert apply(m, v) == {}
+        assert_kernel_matches_oracle(rows)
         ranks.add(rank)
     assert len(ranks) > 5
