@@ -85,7 +85,7 @@ def _lower_central_dims(rows: list[dict[int, dict[int, int]]]) -> list[int]:
         ech = Echelon(n)
         nxt: list[dict[int, int]] = []
         for vec in current:
-            # [e_i, e_m] != 0 only for i in P(m), by antisymmetry
+            # [e_i, e_m] != 0 only for i among the keys of rows[m], by antisymmetry
             for i in sorted(set().union(*(rows[m] for m in vec))):
                 br: dict[int, int] = {}
                 for m, c in vec.items():
@@ -104,34 +104,27 @@ class NilpotentLieData:
 
     basis: list of (name, degree); brackets maps ordered pairs (i, j) to
     {k: c} with [e_i, e_j] = sum_k c e_k; diff, when present, maps j to
-    {k: m} with d e_j = sum_k m e_k.  validate() checks graded antisymmetry,
-    graded Jacobi, degree homogeneity, nilpotency (the lower central series
-    must reach zero), and for the differential d^2 = 0 plus the
-    right-derivation rule.
+    {k: m} with d e_j = sum_k m e_k.  validate() checks graded antisymmetry
+    and degree homogeneity on the bracketed pairs and their mirrors, graded
+    Jacobi, nilpotency (the lower central series must reach zero), the
+    degree of the differential, d^2 = 0 and the right-derivation rule.
+
+    Jacobi, d^2 = 0 and the derivation rule are decided together, as
+    (d0 + d1)^2 = 0 on the generators of the dual Sullivan algebra
+    (cochains): the coefficient of v_i v_j v_k in (d0 + d1)^2 v_l is a
+    nonzero multiple of the e_l-component of the Jacobi expression on
+    (i, j, k), that of v_i v_j of the derivation rule on (i, j), and that of
+    v_j of d^2 e_j.  An odd square v_i^2 vanishes in Lambda(V), and so does,
+    by antisymmetry alone, each expression on a tuple repeating an even e_i.
+    Once antisymmetry holds, permuting a tuple changes its Jacobi or
+    derivation expression only by a sign, so the smallest nonzero monomial
+    of each wedge length names the first failure that a sweep over all
+    index tuples in ascending order finds; that one is reported.
 
     Immutable by convention: the constructor copies its input and also keeps
-    the integer form that validate() runs on, the bracket constants scaled
-    by the lcm B of their denominators and the differential's by the lcm M
-    of theirs.  Each identity is homogeneous in the constants (antisymmetry
-    of degree 1 in the brackets, Jacobi of degree 2, d^2 = 0 of degree 2 in
-    the differential, the derivation rule of degree 1 in each), so the
-    scaled identity is the original one times B, B^2, M^2 or B*M and holds
-    exactly when it does; scaling the brackets leaves every term of the
-    lower central series unchanged.
-
-    Each identity is checked only on the index tuples where one of its terms
-    can be nonzero, in the same ascending order as a full sweep, so the
-    first failure reported is the one a full sweep finds.  With
-    P(x) = {y : (x, y) bracketed}:
-    - antisymmetry and homogeneity visit the bracketed pairs and their
-      mirrors;
-    - Jacobi visits (i, j, k) for k in P(i), P(j) or P(m), m in [e_i, e_j],
-      and only i <= j <= k: once antisymmetry holds, each Jacobi expression
-      is a signed graded cyclic sum, so permuting a triple changes it only
-      by a sign, and the first failing triple of a full sweep is sorted;
-    - d^2 = 0 visits the basis elements with a differential;
-    - the derivation rule visits (i, j) for all j if d e_i != 0, else for
-      j in P(i) or with d e_j != 0.
+    the bracket constants scaled to integers by the lcm of their
+    denominators, which leaves antisymmetry and every term of the lower
+    central series as they are.
     """
 
     def __init__(
@@ -156,11 +149,10 @@ class NilpotentLieData:
             if cs:
                 _check_indices("diff", (j, *cs), n)
                 self.diff[j] = cs
-        # _rows[i][j]: the scaled [e_i, e_j], so the keys of _rows[i] are P(i)
+        # _rows[i][j]: the scaled [e_i, e_j], keyed by the j bracketed with e_i
         self._rows: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
         for (i, j), cs in _scaled(self.brackets)[0].items():
             self._rows[i][j] = cs
-        self._scaled_diff: dict[int, dict[int, int]] = _scaled(self.diff)[0]
         if validate:
             self.validate()
 
@@ -169,10 +161,9 @@ class NilpotentLieData:
         return len(self.basis)
 
     def validate(self) -> None:
-        n = self.dim
         deg = self.degrees
-        rows, diff = self._rows, self._scaled_diff
-        pairs = {(i, j) for i in range(n) for j in rows[i]}
+        rows = self._rows
+        pairs = {(i, j) for i in range(self.dim) for j in rows[i]}
         for i, j in sorted(pairs | {(j, i) for i, j in pairs}):
             left = rows[i].get(j, {})
             sign = -1 if (deg[i] * deg[j]) % 2 == 0 else 1
@@ -182,49 +173,22 @@ class NilpotentLieData:
             for k in left:
                 if deg[k] != deg[i] + deg[j]:
                     raise ValueError(f"bracket ({i},{j}) not degree-homogeneous")
-        for i in range(n):
-            ri = rows[i]
-            for j in range(i, n):
-                rj = rows[j]
-                ij = ri.get(j, {})
-                sign = 1 if (deg[i] * deg[j]) % 2 == 0 else -1
-                for k in sorted(k for k in set(ri).union(rj, *(rows[m] for m in ij)) if k >= j):
-                    # [e_i, [e_j, e_k]] - [[e_i, e_j], e_k] - (-1)^{|i||j|} [e_j, [e_i, e_k]]
-                    out: dict[int, int] = {}
-                    for m, c in rj.get(k, {}).items():
-                        _add(out, ri.get(m), c)
-                    for m, c in ij.items():
-                        _add(out, rows[m].get(k), -c)
-                    for m, c in ri.get(k, {}).items():
-                        _add(out, rj.get(m), -sign * c)
-                    if any(out.values()):
-                        raise ValueError(f"Jacobi fails on triple ({i},{j},{k})")
+        squares = _d_squared([d + 1 for d in deg], *_dual_differential(self))
+        first: dict[int, Monomial] = {}  # the smallest nonzero monomial per wedge length
+        for m in sorted(m for dd in squares for m in dd):
+            first.setdefault(len(m), m)
+        if 3 in first:
+            raise ValueError("Jacobi fails on triple ({},{},{})".format(*first[3]))
         if _lower_central_dims(rows)[-1]:
             raise ValueError("lower central series does not terminate: not nilpotent")
-        for j in sorted(diff):
-            for k in diff[j]:
+        for j in sorted(self.diff):
+            for k in self.diff[j]:
                 if deg[k] != deg[j] - 1:
                     raise ValueError(f"diff of basis element {j} has wrong degree")
-        for j in sorted(diff):
-            out = {}
-            for m, c in diff[j].items():
-                _add(out, diff.get(m), c)
-            if any(out.values()):
-                raise ValueError(f"d^2 != 0 on basis element {j}")
-        for i in range(n):
-            ri, di = rows[i], diff.get(i, {})
-            for j in range(n) if i in diff else sorted(diff.keys() | ri.keys()):
-                # d[e_i, e_j] - (-1)^{|j|} [d e_i, e_j] - [e_i, d e_j]
-                out = {}
-                for m, c in ri.get(j, {}).items():
-                    _add(out, diff.get(m), c)
-                sign = 1 if deg[j] % 2 == 0 else -1
-                for m, c in di.items():
-                    _add(out, rows[m].get(j), -sign * c)
-                for m, c in diff.get(j, {}).items():
-                    _add(out, ri.get(m), -c)
-                if any(out.values()):
-                    raise ValueError(f"derivation rule fails on pair ({i},{j})")
+        if 1 in first:
+            raise ValueError(f"d^2 != 0 on basis element {first[1][0]}")
+        if 2 in first:
+            raise ValueError("derivation rule fails on pair ({},{})".format(*first[2]))
 
 
 class SullivanData:
@@ -271,13 +235,25 @@ class SullivanData:
 def cochains(L: NilpotentLieData) -> SullivanData:
     """The dual semi-quadratic Sullivan algebra of a nilpotent (d)gl.
 
+    d1 is dual to the bracket and d0 to the differential, as in the module
+    docstring.  d0 keeps wedge length and d1 raises it by one, so on a
+    generator (d0 + d1)^2 = d0^2 + (d0 d1 + d1 d0) + d1^2 has its parts in
+    Lambda^1 V, Lambda^2 V and Lambda^3 V: d^2 = 0, the derivation rule and
+    Jacobi of L, read off the dual as NilpotentLieData.validate does.
+
     This is where Lie data is validated on its way to a Sullivan algebra:
     Jacobi violations and non-nilpotent data are rejected here, also when
     they were constructed unchecked (as truncation_lie_data does).
     """
     L.validate()
+    return SullivanData([(name, d + 1) for name, d in L.basis], *_dual_differential(L))
+
+
+def _dual_differential(L: NilpotentLieData) -> tuple[dict[int, Coeffs], dict[int, dict[tuple[int, int], Fraction]]]:
+    """(d0, d1) of cochains(L), zero terms dropped.  Only the brackets of
+    pairs i <= j are read, so they determine the rest only when L is graded
+    antisymmetric; the degrees are not checked."""
     degs = L.degrees
-    basis = [(name, d + 1) for name, d in L.basis]
     d1: dict[int, dict[tuple[int, int], Fraction]] = {}
     for (i, j), cs in L.brackets.items():
         if i > j:
@@ -289,15 +265,11 @@ def cochains(L: NilpotentLieData) -> SullivanData:
             sign = -ONE if (degs[i] * (degs[j] + 1)) % 2 else ONE
             for k, c in cs.items():
                 _acc(d1.setdefault(k, {}), (i, j), sign * c)
-    d0: dict[int, dict[int, Fraction]] = {}
+    d0: dict[int, Coeffs] = {}
     for j, cs in L.diff.items():
         for k, c in cs.items():
             _acc(d0.setdefault(k, {}), j, c)
-    return SullivanData(
-        basis,
-        {k: v for k, v in d0.items() if v},
-        {k: v for k, v in d1.items() if v},
-    )
+    return {k: v for k, v in d0.items() if v}, {k: v for k, v in d1.items() if v}
 
 
 def homotopy_lie(sd: SullivanData) -> NilpotentLieData:
@@ -365,16 +337,18 @@ def mono_normalize(seq: tuple[int, ...], degs: list[int]) -> tuple[Monomial, int
 Images = list[list[tuple[Monomial, int]]]
 
 
-def _images(sd: SullivanData) -> tuple[Images, int]:
-    """(images, den): images[k] lists the terms of den*(d0 + d1) v_k with
-    integer coefficients, den the lcm of all denominators of d0 and d1."""
+def _images(n: int, d0: dict, d1: dict) -> tuple[Images, int]:
+    """(images, den): images[k] lists the terms of den*(d0 + d1) v_k for the
+    n generators v_k, with integer coefficients, den the lcm of all
+    denominators of d0 and d1 (maps k -> {j: c} and k -> {(i, j): c}, as in
+    SullivanData)."""
     dv: dict[int, dict[Monomial, Fraction]] = {}
-    for k in range(sd.dim):
-        img = {(j,): c for j, c in sd.d0.get(k, {}).items() if c}
-        img.update((pair, c) for pair, c in sd.d1.get(k, {}).items() if c)
+    for k in range(n):
+        img = {(j,): c for j, c in d0.get(k, {}).items() if c}
+        img.update((pair, c) for pair, c in d1.get(k, {}).items() if c)
         dv[k] = img
     scaled, den = _scaled(dv)
-    return [list(scaled[k].items()) for k in range(sd.dim)], den
+    return [list(scaled[k].items()) for k in range(n)], den
 
 
 def _derive(images: Images, degs: list[int], p: dict) -> dict:
@@ -393,6 +367,18 @@ def _derive(images: Images, degs: list[int], p: dict) -> dict:
                 out[mm] = out.get(mm, 0) + (coeff * dc if sign == prefix_sign else -coeff * dc)
             if degs[k] % 2:
                 prefix_sign = -prefix_sign
+    return out
+
+
+def _d_squared(degs: list[int], d0: dict, d1: dict) -> list[Poly]:
+    """(d0 + d1)^2 v_k for each generator v_k, of degree degs[k], zero terms
+    dropped.  d^2 is a derivation, so it vanishes on Lambda(V) exactly when
+    every entry is empty."""
+    images, den = _images(len(degs), d0, d1)
+    out = []
+    for k in range(len(degs)):
+        dd = _derive(images, degs, _derive(images, degs, {(k,): 1}))
+        out.append({m: Fraction(c, den * den) for m, c in dd.items() if c})
     return out
 
 
@@ -418,14 +404,8 @@ def check_sullivan(sd: SullivanData) -> SullivanReport:
     series reaches 0, and never does once a term stops shrinking.  Only
     bilinearity goes into this, so it is exact also when d^2 != 0.
     """
-    degs = sd.degrees
-    images, den = _images(sd)
-    violations = []
-    for k, (name, _) in enumerate(sd.basis):
-        dd = _derive(images, degs, _derive(images, degs, {(k,): 1}))
-        dd = {m: Fraction(c, den * den) for m, c in dd.items() if c}
-        if dd:
-            violations.append((name, dd))
+    squares = _d_squared(sd.degrees, sd.d0, sd.d1)
+    violations = [(name, dd) for (name, _), dd in zip(sd.basis, squares) if dd]
     dims = _lower_central_dims(_dual_lie(sd)._rows)
     return SullivanReport(violations, not dims[-1], [sd.dim - d for d in dims])
 
@@ -484,12 +464,12 @@ def wedge_homology(sd: SullivanData, max_wedge: int = 3) -> dict[int, dict[int, 
     degree is ranked once, as the source of d1; its in-rank is the out-rank
     of the block one wedge and one degree below.
     """
-    if any(cs for cs in sd.d0.values()):
+    if any(c for cs in sd.d0.values() for c in cs.values()):
         raise ValueError("wedge_homology requires a quadratic Sullivan algebra (d0 = 0)")
     if max_wedge < 0:
         raise ValueError("max_wedge must be >= 0")
     degs = sd.degrees
-    images, _ = _images(sd)
+    images, _ = _images(sd.dim, sd.d0, sd.d1)
     # d1 maps block (k, n) of Lambda^k V in degree n to block (k+1, n+1);
     # blocks go in ascending (k, n), so the in-rank of (k, n) is known
     result: dict[int, dict[int, int]] = {k: {} for k in range(max_wedge + 1)}
@@ -513,7 +493,7 @@ def semiquadratic_homology(
     is omitted: its incoming boundaries are not fully visible.
     """
     degs = sd.degrees
-    images, _ = _images(sd)
+    images, _ = _images(sd.dim, sd.d0, sd.d1)
     monos: dict[int, list[Monomial]] = {}
     # only degrees below max_degree are ranked (the top degree's target is
     # cut off), and every basis degree is >= 1, so no monomial has more

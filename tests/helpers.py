@@ -63,7 +63,7 @@ def eval_lie_expr(text: str, generators, window: Window) -> LieElement:
 def sd_diff(sd: SullivanData, p: dict) -> dict:
     """d0 + d1 of sd extended to Lambda(V) as a derivation, with the
     package's integer images and derivation."""
-    images, den = _images(sd)
+    images, den = _images(sd.dim, sd.d0, sd.d1)
     return {m: Fraction(c) / den for m, c in _derive(images, sd.degrees, p).items() if c}
 
 

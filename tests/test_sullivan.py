@@ -177,8 +177,9 @@ def corrupt(data, rng, deltas=(-1, 1)):
 
 
 def test_validation_matches_dense_oracle_on_corrupted_truncations():
-    # validate visits only the tuples where a term can be nonzero; the
-    # oracle sweeps every pair and triple, so they must fail alike
+    # validate reads Jacobi, d^2 = 0 and the derivation rule off the
+    # smallest monomials of (d0 + d1)^2 on the dual; the oracle sweeps every
+    # pair and triple of the Lie data, so they must fail alike
     checks = ("antisymmetry", "homogeneous", "Jacobi", "wrong degree", "d^2", "derivation rule")
     failures = set()
     for name, weight, degree, trials in (
@@ -245,9 +246,13 @@ def test_validation_matches_dense_oracle_with_denominators_3_and_5():
         ([1, 0, 0, 0], {(2, 1): 3}, {0: {2: 1}}),
         ([0, 0, 1, 0], {(0, 1): 3}, {2: {1: 1}}),
         ([2, 1, 0], {}, {0: {1: 1}, 1: {2: 1}}),
+        ([1, 2, 3], {(0, 0): 1, (0, 1): 2}, {}),
+        ([1, 1, 2, 3], {(0, 1): 2, (2, 0): 3}, {}),
+        ([1, 2, 1], {(0, 0): 1}, {1: {2: 1}}),
     ],
     ids=["jacobi-lhs", "jacobi-bracket-first", "jacobi-bracket-second",
-         "derivation-d-left", "derivation-d-right", "d-squared-first"],
+         "derivation-d-left", "derivation-d-right", "d-squared-first",
+         "jacobi-odd-square-cubed", "jacobi-odd-square-repeated", "derivation-odd-square"],
 )
 def test_validation_matches_dense_oracle_on_single_term_violations(degrees, products, diff):
     # [e_i, e_j] = e_k for each (i, j): k, mirrored; each case breaks one
@@ -356,6 +361,47 @@ def test_check_sullivan_negative_control():
     assert "t" in [name for name, _ in rep.d_squared_violations]
 
 
+def test_check_sullivan_and_homotopy_lie_agree_on_corrupted_duals():
+    # one d0 or d1 coefficient of a valid dual moved, keeping degrees: both
+    # read d^2 = 0 off (d0 + d1)^2 on the generators, one on the Sullivan
+    # side, the other as Jacobi, d^2 or the derivation rule of the dual (d)gl
+    seen = set()
+    for name, weight, degree, trials in (("torus", 4, 2, 150), ("cp2", 6, 6, 150), ("lemaire28", 3, 2, 20)):
+        base = cochains(example_truncation(name, weight, degree))
+        degs, n = base.degrees, base.dim
+        rng = random.Random(f"{name} dual")
+        for _ in range(trials):
+            d0 = {k: dict(cs) for k, cs in base.d0.items()}
+            d1 = {k: dict(cs) for k, cs in base.d1.items()}
+            table = d0 if rng.random() < 0.3 else d1
+            k = rng.choice(sorted(table)) if table and rng.random() < 0.5 else rng.randrange(n)
+            if table is d0:
+                fits = [j for j in range(n) if degs[j] == degs[k] + 1]
+            else:
+                fits = [(i, j) for i in range(n) for j in range(i, n)
+                        if degs[i] + degs[j] == degs[k] + 1 and not (i == j and degs[i] % 2)]
+            if not fits:
+                continue
+            term = rng.choice(fits)
+            image = table.setdefault(k, {})
+            image[term] = image.get(term, 0) + rng.choice((-1, 1, Fraction(1, 2)))
+            sd = SullivanData(base.basis, d0, d1)
+            try:
+                homotopy_lie(sd)
+                error = "valid"
+            except ValueError as err:
+                error = str(err)
+            rep = check_sullivan(sd)
+            if error.startswith("lower central"):
+                # raised after Jacobi, before d^2 = 0 and the derivation rule
+                assert not rep.filtration_exhausts
+                assert all(len(m) < 3 for _, dd in rep.d_squared_violations for m in dd)
+            else:
+                assert bool(rep.d_squared_violations) == error.startswith(("Jacobi", "d^2", "derivation")), (name, error)
+            seen.add(error.split(" ")[0])
+    assert {"valid", "Jacobi", "d^2", "derivation"} <= seen, seen
+
+
 def test_filtration_reported_for_abelian():
     rep = check_sullivan(cochains(abelian2()))
     assert rep.filtration_exhausts
@@ -427,6 +473,12 @@ def test_wedge_homology_requires_quadratic():
     sd = cochains(cp2_truncation())
     with pytest.raises(ValueError, match="quadratic"):
         wedge_homology(sd)
+
+
+def test_wedge_homology_accepts_explicit_zero_d0():
+    # a d0 that holds only zero coefficients is d0 = 0, as in check_sullivan
+    basis = [("a", 1), ("b", 2)]
+    assert wedge_homology(SullivanData(basis, {0: {1: 0}})) == wedge_homology(SullivanData(basis, {}))
 
 
 def test_stage_inclusion_kills_h2():
