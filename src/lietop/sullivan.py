@@ -22,8 +22,9 @@ the d^2 = 0 checks and the exact roundtrip.
 Under this duality the Sullivan filtration V_0 = ker d1,
 V_{n+1} = d1^{-1}(Lambda^2 V_n) is the annihilator of the lower central
 series L^1 = L, L^{k+1} = [L, L^k] of the dual bracket: V_n = (L^{n+2})^perp.
-So the filtration is decided on the dual bracket, by the same lower central
-series that decides nilpotency of Lie data.
+So a (d)gl is valid exactly when its dual satisfies (d0 + d1)^2 = 0 and its
+filtration exhausts V, and check_sullivan is the one routine that decides
+both: NilpotentLieData.validate reads its report on the dual.
 """
 
 from __future__ import annotations
@@ -102,16 +103,19 @@ def _lower_central_dims(rows: list[dict[int, dict[int, int]]]) -> list[int]:
 class NilpotentLieData:
     """A finite-dimensional nilpotent (d)gl by structure constants.
 
-    basis: list of (name, degree); brackets maps ordered pairs (i, j) to
-    {k: c} with [e_i, e_j] = sum_k c e_k; diff, when present, maps j to
-    {k: m} with d e_j = sum_k m e_k.  validate() checks graded antisymmetry
-    and degree homogeneity on the bracketed pairs and their mirrors, graded
-    Jacobi, nilpotency (the lower central series must reach zero), the
-    degree of the differential, d^2 = 0 and the right-derivation rule.
+    basis: list of (name, degree), every degree >= 0; brackets maps ordered
+    pairs (i, j) to {k: c} with [e_i, e_j] = sum_k c e_k; diff, when
+    present, maps j to {k: m} with d e_j = sum_k m e_k.  validate() checks
+    graded antisymmetry and degree homogeneity on the bracketed pairs and
+    their mirrors, graded Jacobi, nilpotency (the lower central series must
+    reach zero), the degree of the differential, d^2 = 0 and the
+    right-derivation rule.
 
+    All but the first two are read off check_sullivan's report on the dual
+    Sullivan algebra (cochains): nilpotency is its filtration_exhausts, and
     Jacobi, d^2 = 0 and the derivation rule are decided together, as
-    (d0 + d1)^2 = 0 on the generators of the dual Sullivan algebra
-    (cochains): the coefficient of v_i v_j v_k in (d0 + d1)^2 v_l is a
+    (d0 + d1)^2 = 0 on its generators: the coefficient of v_i v_j v_k in
+    (d0 + d1)^2 v_l is a
     nonzero multiple of the e_l-component of the Jacobi expression on
     (i, j, k), that of v_i v_j of the derivation rule on (i, j), and that of
     v_j of d^2 e_j.  An odd square v_i^2 vanishes in Lambda(V), and so does,
@@ -119,12 +123,13 @@ class NilpotentLieData:
     Once antisymmetry holds, permuting a tuple changes its Jacobi or
     derivation expression only by a sign, so the smallest nonzero monomial
     of each wedge length names the first failure that a sweep over all
-    index tuples in ascending order finds; that one is reported.
+    index tuples in ascending order finds; that one is reported.  When a
+    diff has the wrong degree the dual is checked with d0 = 0: the
+    Lambda^3 part of (d0 + d1)^2 is d1^2 and the filtration reads d1 alone,
+    so Jacobi and nilpotency are still decided first.
 
-    Immutable by convention: the constructor copies its input and also keeps
-    the bracket constants scaled to integers by the lcm of their
-    denominators, which leaves antisymmetry and every term of the lower
-    central series as they are.
+    Immutable by convention: the constructor copies its input.  A negative
+    degree is a ValueError, as is an index outside the basis.
     """
 
     def __init__(
@@ -137,6 +142,9 @@ class NilpotentLieData:
         self.basis = list(basis)
         self.degrees = [d for _, d in self.basis]
         n = len(self.basis)
+        for name, d in self.basis:
+            if d < 0:
+                raise ValueError(f"basis element {name} has degree {d}; Lie degrees must be >= 0")
         self.brackets: dict[tuple[int, int], Coeffs] = {}
         for (i, j), cs in brackets.items():
             cs = {k: Fraction(c) for k, c in cs.items() if c}
@@ -149,10 +157,6 @@ class NilpotentLieData:
             if cs:
                 _check_indices("diff", (j, *cs), n)
                 self.diff[j] = cs
-        # _rows[i][j]: the scaled [e_i, e_j], keyed by the j bracketed with e_i
-        self._rows: list[dict[int, dict[int, int]]] = [{} for _ in range(n)]
-        for (i, j), cs in _scaled(self.brackets)[0].items():
-            self._rows[i][j] = cs
         if validate:
             self.validate()
 
@@ -162,29 +166,26 @@ class NilpotentLieData:
 
     def validate(self) -> None:
         deg = self.degrees
-        rows = self._rows
-        pairs = {(i, j) for i in range(self.dim) for j in rows[i]}
-        for i, j in sorted(pairs | {(j, i) for i, j in pairs}):
-            left = rows[i].get(j, {})
+        for i, j in sorted(set(self.brackets) | {(j, i) for i, j in self.brackets}):
+            left = self.brackets.get((i, j), {})
             sign = -1 if (deg[i] * deg[j]) % 2 == 0 else 1
-            mirrored = {k: sign * c for k, c in rows[j].get(i, {}).items()}
-            if left != mirrored:
+            if left != {k: sign * c for k, c in self.brackets.get((j, i), {}).items()}:
                 raise ValueError(f"antisymmetry fails on pair ({i},{j})")
             for k in left:
                 if deg[k] != deg[i] + deg[j]:
                     raise ValueError(f"bracket ({i},{j}) not degree-homogeneous")
-        squares = _d_squared([d + 1 for d in deg], *_dual_differential(self))
+        wrong = [j for j in sorted(self.diff) if any(deg[k] != deg[j] - 1 for k in self.diff[j])]
+        d0, d1 = _dual_differential(self)
+        report = check_sullivan(SullivanData([(name, d + 1) for name, d in self.basis], {} if wrong else d0, d1))
         first: dict[int, Monomial] = {}  # the smallest nonzero monomial per wedge length
-        for m in sorted(m for dd in squares for m in dd):
+        for m in sorted(m for _, dd in report.d_squared_violations for m in dd):
             first.setdefault(len(m), m)
         if 3 in first:
             raise ValueError("Jacobi fails on triple ({},{},{})".format(*first[3]))
-        if _lower_central_dims(rows)[-1]:
+        if not report.filtration_exhausts:
             raise ValueError("lower central series does not terminate: not nilpotent")
-        for j in sorted(self.diff):
-            for k in self.diff[j]:
-                if deg[k] != deg[j] - 1:
-                    raise ValueError(f"diff of basis element {j} has wrong degree")
+        if wrong:
+            raise ValueError(f"diff of basis element {wrong[0]} has wrong degree")
         if 1 in first:
             raise ValueError(f"d^2 != 0 on basis element {first[1][0]}")
         if 2 in first:
@@ -241,9 +242,10 @@ def cochains(L: NilpotentLieData) -> SullivanData:
     Lambda^1 V, Lambda^2 V and Lambda^3 V: d^2 = 0, the derivation rule and
     Jacobi of L, read off the dual as NilpotentLieData.validate does.
 
-    This is where Lie data is validated on its way to a Sullivan algebra:
-    Jacobi violations and non-nilpotent data are rejected here, also when
-    they were constructed unchecked (as truncation_lie_data does).
+    This is where Lie data is validated on its way to a Sullivan algebra,
+    also when it was constructed unchecked (as truncation_lie_data does):
+    validate runs check_sullivan on the result, so what cochains returns
+    satisfies d^2 = 0 and the Sullivan condition.
     """
     L.validate()
     return SullivanData([(name, d + 1) for name, d in L.basis], *_dual_differential(L))
@@ -370,18 +372,6 @@ def _derive(images: Images, degs: list[int], p: dict) -> dict:
     return out
 
 
-def _d_squared(degs: list[int], d0: dict, d1: dict) -> list[Poly]:
-    """(d0 + d1)^2 v_k for each generator v_k, of degree degs[k], zero terms
-    dropped.  d^2 is a derivation, so it vanishes on Lambda(V) exactly when
-    every entry is empty."""
-    images, den = _images(len(degs), d0, d1)
-    out = []
-    for k in range(len(degs)):
-        dd = _derive(images, degs, _derive(images, degs, {(k,): 1}))
-        out.append({m: Fraction(c, den * den) for m, c in dd.items() if c})
-    return out
-
-
 class SullivanReport:
     def __init__(self, d_squared_violations: list[tuple[str, Poly]], filtration_exhausts: bool,
                  filtration_levels: list[int]):
@@ -397,16 +387,27 @@ def check_sullivan(sd: SullivanData) -> SullivanReport:
     """Verify d^2 = 0 on generators (enough: d^2 is a derivation) and that
     the filtration V_0 = V cap ker d1, V_{n+1} = d1^{-1}(Lambda^2 V_n)
     exhausts V (the Sullivan condition, checked on the quadratic part).
+    NilpotentLieData.validate reads this report on the dual of Lie data.
 
+    d_squared_violations lists (name, (d0 + d1)^2 v_k) where it is not 0.
     The filtration is decided on the dual bracket: V_n = (L^{n+2})^perp for
     the lower central series of the Lie algebra dual to d1, so
     filtration_levels[n] = dim V - dim L^{n+2}.  It exhausts V when the
     series reaches 0, and never does once a term stops shrinking.  Only
     bilinearity goes into this, so it is exact also when d^2 != 0.
     """
-    squares = _d_squared(sd.degrees, sd.d0, sd.d1)
-    violations = [(name, dd) for (name, _), dd in zip(sd.basis, squares) if dd]
-    dims = _lower_central_dims(_dual_lie(sd)._rows)
+    degs = sd.degrees
+    images, den = _images(sd.dim, sd.d0, sd.d1)
+    violations = []
+    for k, (name, _) in enumerate(sd.basis):
+        dd = _derive(images, degs, _derive(images, degs, {(k,): 1}))
+        dd = {m: Fraction(c, den * den) for m, c in dd.items() if c}
+        if dd:
+            violations.append((name, dd))
+    rows: list[dict[int, dict[int, int]]] = [{} for _ in range(sd.dim)]  # rows[i][j] = [e_i, e_j]
+    for (i, j), cs in _scaled(_dual_lie(sd).brackets)[0].items():
+        rows[i][j] = cs
+    dims = _lower_central_dims(rows)
     return SullivanReport(violations, not dims[-1], [sd.dim - d for d in dims])
 
 
@@ -511,22 +512,9 @@ def semiquadratic_homology(
 
     # right table: d0-homology of V cap ker d1, degree by degree
     n = sd.dim
-    pair_index = {pair: pos for pos, pair in enumerate((i, j) for i in range(n) for j in range(i, n))}
     by_degree: dict[int, list[int]] = {}
     for k in range(n):
         by_degree.setdefault(degs[k], []).append(k)
-
-    ker_vectors: dict[int, list[Vector]] = {}
-    for d, ks in sorted(by_degree.items()):
-        entries = {}
-        for col, k in enumerate(ks):
-            for (i, j), c in sd.d1.get(k, {}).items():
-                entries[(pair_index[(i, j)], col)] = c
-        m = SparseMatrix(len(pair_index), len(ks), entries)
-        vecs = []
-        for row in kernel_basis(m).rows:
-            vecs.append({ks[local]: c for local, c in row.items()})
-        ker_vectors[d] = vecs
 
     def d0_vec(v: Vector) -> Vector:
         out: Vector = {}
@@ -536,18 +524,18 @@ def semiquadratic_homology(
         return out
 
     rank0: dict[int, int] = {}
-    kernel0: dict[int, int] = {}
-    for d, vecs in ker_vectors.items():
+    right: dict[int, int] = {}
+    for d, ks in sorted(by_degree.items()):
+        # the d1 columns of degree d; row i*n + j holds v_i v_j, so rows go
+        # in the lexicographic order of pairs
+        entries = {(i * n + j, col): c for col, k in enumerate(ks) for (i, j), c in sd.d1.get(k, {}).items()}
         ech = Echelon(n)
-        kern = 0
-        for v in vecs:
-            if not ech.insert(d0_vec(v)):
+        kern = 0  # dim of the kernel of d0 on V cap ker d1 in degree d
+        for row in kernel_basis(SparseMatrix(n * n, len(ks), entries)).rows:
+            if not ech.insert(d0_vec({ks[local]: c for local, c in row.items()})):
                 kern += 1
         rank0[d] = ech.rank
-        kernel0[d] = kern
-    right: dict[int, int] = {}
-    for d in sorted(ker_vectors):
-        right[d] = kernel0[d] - rank0.get(d - 1, 0)
+        right[d] = kern - rank0.get(d - 1, 0)
     return left, right
 
 

@@ -81,6 +81,30 @@ def test_parse_word_directive():
     assert pf.words["w"] == [("a", 1), ("b", 1), ("a", -1), ("b", -1)]
 
 
+@pytest.mark.parametrize("text, message", [
+    ("generator a degree 0\nword w = a q\n", "line 2, col 12: word w: unknown generator 'q'"),
+    ("generator a degree 0\norder a > q\n", "line 2, col 11: order mentions unknown generator 'q'"),
+    ("generator a degree 0\ngenerator b degree 1\ndiff b = a\ndiff b = 2 a\n",
+     "line 4, col 6: second diff for generator 'b'"),
+], ids=["word", "order", "second-diff"])
+def test_parse_reports_bad_references_with_position(text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_parse_resolves_generators_declared_later():
+    pf = parse("word w = b a\norder b > a\ngenerator a degree 0\ngenerator b degree 0\n")
+    assert pf.words["w"] == [("b", 1), ("a", 1)] and pf.order == ["b", "a"]
+
+
+def test_main_unknown_word_letter_exit_2_with_position(tmp_path, capsys):
+    f = tmp_path / "word.lt"
+    f.write_text("generator a degree 0\nword w = a q\n")
+    assert cli.main(["logword", "w", "--file", str(f)]) == 2
+    assert "line 2, col 12: word w: unknown generator 'q'" in capsys.readouterr().err
+
+
 def test_cell_degree_mismatch():
     pf = parse("generator x degree 1\ncell sy degree 2 attach [x,x]\n")
     with pytest.raises(ParseError, match="degree"):

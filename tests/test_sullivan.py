@@ -249,10 +249,13 @@ def test_validation_matches_dense_oracle_with_denominators_3_and_5():
         ([1, 2, 3], {(0, 0): 1, (0, 1): 2}, {}),
         ([1, 1, 2, 3], {(0, 1): 2, (2, 0): 3}, {}),
         ([1, 2, 1], {(0, 0): 1}, {1: {2: 1}}),
+        ([0] * 5, {(1, 2): 3, (0, 3): 4}, {0: {1: 1}}),
+        ([0, 0], {(0, 1): 1}, {1: {0: 1}}),
     ],
     ids=["jacobi-lhs", "jacobi-bracket-first", "jacobi-bracket-second",
          "derivation-d-left", "derivation-d-right", "d-squared-first",
-         "jacobi-odd-square-cubed", "jacobi-odd-square-repeated", "derivation-odd-square"],
+         "jacobi-odd-square-cubed", "jacobi-odd-square-repeated", "derivation-odd-square",
+         "jacobi-before-diff-degree", "nilpotency-before-diff-degree"],
 )
 def test_validation_matches_dense_oracle_on_single_term_violations(degrees, products, diff):
     # [e_i, e_j] = e_k for each (i, j): k, mirrored; each case breaks one
@@ -280,16 +283,30 @@ def test_diff_degree_failure_names_the_first_element():
 
 def test_sullivan_command_validates_once(monkeypatch):
     calls = []
+    series = []
     validate = NilpotentLieData.validate
+    lower_central_dims = sullivan._lower_central_dims
 
     def counted(self):
         calls.append(self)
         validate(self)
 
+    def counted_series(rows):
+        series.append(rows)
+        return lower_central_dims(rows)
+
     monkeypatch.setattr(NilpotentLieData, "validate", counted)
+    monkeypatch.setattr(sullivan, "_lower_central_dims", counted_series)
     code, _ = cli.run(["sullivan", "--file", "torus", "--window", "4", "2"])
     assert code == 0
     assert len(calls) == 1
+    assert len(series) == 1
+
+
+@pytest.mark.parametrize("validate", [True, False])
+def test_negative_basis_degree_rejected_at_construction(validate):
+    with pytest.raises(ValueError, match="basis element e1 has degree -1"):
+        NilpotentLieData([("e0", 0), ("e1", -1)], {}, validate=validate)
 
 
 # ---------------------------------------------------------------------------
