@@ -16,13 +16,17 @@ requires a witness in a degree whose homology dimension has stabilized, or a
 linear dependency among the target classes (inert maps have independent ones).
 
 The verdicts read the boundary-space echelons that the homology tables'
-chain complexes already hold, growing copies of them, and work on the
-tables' representatives as coordinate vectors.  Base classes enter the
-attached complex by re-indexing bracket trees, with no tensor round trip;
-only witnesses are built as Lie elements.
+chain complexes already hold, growing copies of them, and work on chain
+vectors throughout.  Base cycles enter the attached complex by re-indexing
+bracket trees, with no tensor round trip.  Surjectivity is decided per
+degree by a rank count, so the attached cycle basis is built only in a
+degree where it fails.  Witnesses stay chain vectors; they are built as Lie
+elements only when a library caller reads InertnessVerdict.failing.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 from .dgl import ChainComplex, DglPresentation, HomologyTable, homology
 from .freelie import (
@@ -50,8 +54,18 @@ class AttachingMap:
 
 
 class InertnessVerdict:
-    def __init__(self, window: Window, status: str, failing: list[tuple[int, LieElement]], injective: bool):
-        self.window, self.status, self.failing, self.injective = window, status, failing, injective
+    """A verdict with its witnesses: (degree, canonical vector) pairs over the
+    chain basis of `complex`, the attached model's; `failing` gives them as
+    Lie elements."""
+
+    def __init__(self, window: Window, status: str, witnesses: list[tuple[int, Vector]],
+                 injective: bool, complex: ChainComplex):
+        self.window, self.status, self.injective = window, status, injective
+        self.witnesses, self.complex = witnesses, complex
+
+    @cached_property
+    def failing(self) -> list[tuple[int, LieElement]]:
+        return [(d, self.complex.element(v, d)) for d, v in self.witnesses]
 
     @property
     def inert_up_to_window(self) -> bool:
@@ -120,21 +134,26 @@ def surjectivity_verdict(
 ) -> InertnessVerdict:
     """Is H(base) -> H(attached) surjective in every reportable degree?
 
-    Failing degrees come with a witness: a cycle of the attached model,
-    reduced against the boundary space (canonical under the monomial order),
-    that is not hit by H(base).
+    The included base cycles and the attached boundaries span a subspace of
+    the attached cycles; the map is onto in degree d exactly when its rank
+    is the boundary rank plus dim H_d.  Only a degree where it falls short
+    builds the attached cycle basis, and each of its cycles outside the span
+    gives a witness: that cycle reduced against the boundary space
+    (canonical under the monomial order).
     """
     window = att_table.window
-    cx_att = att_table.complex
-    failing: list[tuple[int, LieElement]] = []
+    cx_att, cx_base = att_table.complex, base_table.complex
+    witnesses: list[tuple[int, Vector]] = []
     for d in att_table.degrees:
         if att_table.dims[d] == 0:
             continue
         boundaries = cx_att.image(d)
         hit = boundaries.copy()
-        into = cx_att.inclusion(base_table.complex, d)
-        for vec in base_table.cycles.get(d, ()):
+        into = cx_att.inclusion(cx_base, d)
+        for vec in cx_base.cycles(d).rows:
             hit.insert({into[j]: c for j, c in vec.items()})
+        if hit.rank == boundaries.rank + att_table.dims[d]:
+            continue
         for vec in att_table.cycles[d]:
             residual, _ = hit.reduce(vec)
             if not residual:
@@ -142,18 +161,18 @@ def surjectivity_verdict(
             canon, _ = boundaries.reduce(residual)
             pivot = min(canon)
             canon = {c: val / canon[pivot] for c, val in canon.items()}
-            failing.append((d, cx_att.element(canon, d)))
+            witnesses.append((d, canon))
             hit.insert(residual)
     if not injective:
         # inert maps have injective H(gamma) on the cells; failure is exact
         status = NOT_INERT
-    elif not failing:
+    elif not witnesses:
         status = INERT_UP_TO_WINDOW
-    elif any(att_table.stabilized[d] for d, _ in failing):
+    elif any(att_table.stabilized[d] for d, _ in witnesses):
         status = NOT_INERT
     else:
         status = INCONCLUSIVE
-    return InertnessVerdict(window, status, failing, injective)
+    return InertnessVerdict(window, status, witnesses, injective, cx_att)
 
 
 def inert_homological(

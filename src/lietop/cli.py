@@ -232,14 +232,14 @@ class PresentationFile:
     """Parsed directives; expressions stay as ASTs until a window is fixed."""
 
     def __init__(self, generators: list[Generator] | None = None,
-                 diffs: list[tuple[str, object, int]] | None = None,
-                 cells: list[tuple[str, int, object, int]] | None = None,
+                 diffs: list[tuple[str, object, int, int]] | None = None,
+                 cells: list[tuple[str, int, object, int, int]] | None = None,
                  words: dict[str, list[tuple[str, int]]] | None = None,
                  word_order: list[str] | None = None, order: list[str] | None = None,
                  window: Window | None = None):
         self.generators = [] if generators is None else generators
-        self.diffs = [] if diffs is None else diffs  # name, expr, line
-        self.cells = [] if cells is None else cells  # name, degree, expr, line
+        self.diffs = [] if diffs is None else diffs  # name, expr, line, col of the name
+        self.cells = [] if cells is None else cells  # name, degree, expr, line, col of the name
         self.words = {} if words is None else words
         self.word_order = [] if word_order is None else word_order
         self.order, self.window = order, window
@@ -271,11 +271,12 @@ def parse(text: str) -> PresentationFile:
             cur.expect("=")
             expr = _parse_expr(cur)
             cur.end_of_line()
-            if any(name == tok.text for name, _, _ in pf.diffs):
+            if any(name == tok.text for name, *_ in pf.diffs):
                 raise ParseError(f"second diff for generator {tok.text!r}", tok.line, tok.col)
-            pf.diffs.append((tok.text, expr, line_no))
+            pf.diffs.append((tok.text, expr, tok.line, tok.col))
         elif head.text == "cell":
-            name = cur.expect("name").text
+            tok = cur.expect("name")
+            name = tok.text
             cur.expect_keyword("degree")
             degree = int(cur.expect("int").text)
             cur.expect_keyword("attach")
@@ -284,7 +285,7 @@ def parse(text: str) -> PresentationFile:
             if name in names:
                 raise ParseError(f"name {name!r} already declared", head.line, head.col)
             names.add(name)
-            pf.cells.append((name, degree, expr, line_no))
+            pf.cells.append((name, degree, expr, tok.line, tok.col))
         elif head.text == "word":
             name = cur.expect("name").text
             cur.expect("=")
@@ -301,6 +302,8 @@ def parse(text: str) -> PresentationFile:
             cur.expect_keyword("degree")
             d = int(cur.expect("int").text)
             cur.end_of_line()
+            if pf.window is not None:
+                raise ParseError("second window directive", head.line, head.col)
             try:
                 pf.window = Window(w, d)
             except ValueError as exc:
@@ -311,6 +314,8 @@ def parse(text: str) -> PresentationFile:
                 cur.next()
                 order.append(cur.expect("name"))
             cur.end_of_line()
+            if pf.order is not None:
+                raise ParseError("second order directive", head.line, head.col)
             pf.order = [tok.text for tok in order]
             refs.extend((tok, f"order mentions unknown generator {tok.text!r}") for tok in order)
         else:
@@ -414,15 +419,15 @@ def build(pf: PresentationFile, window: Window | None = None) -> BuiltModel:
     eval_expr, logs = _make_evaluator(pf, window)
 
     diffs: dict[Generator, LieElement] = {}
-    for name, expr, line_no in pf.diffs:
+    for name, expr, line_no, col in pf.diffs:
         g = by_name.get(name)
         if g is None:
-            raise ParseError(f"diff for unknown generator {name!r}", line_no, 1)
+            raise ParseError(f"diff for unknown generator {name!r}", line_no, col)
         diffs[g] = eval_expr(expr)
     base = dgl_mod.DglPresentation(pf.generators, diffs, window)
 
     cells = []
-    for name, degree, expr, line_no in pf.cells:
+    for name, degree, expr, line_no, col in pf.cells:
         # evaluate at a window wide enough for the full expression, so the
         # cell inherits the true weight of its target even when the model
         # window truncates the target away
@@ -437,7 +442,7 @@ def build(pf: PresentationFile, window: Window | None = None) -> BuiltModel:
         if not t.is_zero() and t.degree() != degree - 1:
             raise ParseError(
                 f"cell {name} has degree {degree} but its target has degree {t.degree()}",
-                line_no, 1,
+                line_no, col,
             )
         cells.append((name, target))
     amap = attach_mod.AttachingMap(cells)
@@ -486,12 +491,12 @@ def _report_homology(rep: Report, table: dgl_mod.HomologyTable) -> None:
             rep.add(f"homology.{d}.rep.{i}", table.complex.format_vector(v, d))
 
 
-def _report_verdict(rep: Report, prefix: str, v: attach_mod.InertnessVerdict, gens) -> None:
+def _report_verdict(rep: Report, prefix: str, v: attach_mod.InertnessVerdict) -> None:
     rep.add(f"{prefix}.status", v.status)
     rep.add(f"{prefix}.injective", v.injective)
-    for i, (d, witness) in enumerate(v.failing):
+    for i, (d, witness) in enumerate(v.witnesses):
         rep.add(f"{prefix}.failing.{i}.degree", d)
-        rep.add(f"{prefix}.failing.{i}.witness", format_lie(witness, gens))
+        rep.add(f"{prefix}.failing.{i}.witness", v.complex.format_vector(witness, d))
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +575,7 @@ def run(argv: list[str]) -> tuple[int, str]:
         if not model.amap.cells:
             raise ValueError("inert requires at least one cell directive")
         verdict = attach_mod.inert_homological(model.base, model.amap, window)
-        _report_verdict(rep, "inert", verdict, model.attached.generators)
+        _report_verdict(rep, "inert", verdict)
         order = model.order
         if ns.order:
             by_name = {g.name: g for g in model.base.generators}

@@ -23,14 +23,16 @@ tensor words and remains for d^2 checks and tensor-given inputs.
 A ChainComplex eliminates each boundary map once, column by column; the
 one pass gives its image, the echelon that stage ranks, representatives and
 attach verdicts all read, and, from the columns that vanish, its kernel.
-Representatives stay coordinate vectors over the chain basis and print
-from them; Lie elements are built only when a library caller asks.
+Homology dimensions are read off its ranks; representatives are built
+per degree when first read, stay coordinate vectors over the chain basis
+and print from them; Lie elements are built only when a library caller asks.
 """
 
 from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
 
@@ -195,18 +197,23 @@ class HomologyTable:
     """Per-degree homology of the weight-truncated quotient.
 
     Degrees run from 0 to max_degree - 1; the top window degree is omitted.
-    cycles[d] holds the canonical representatives over the degree-d chain
-    basis of `complex`: cycles reduced against boundaries, both found by one
-    elimination per boundary map.  The CLI prints them with format_vector;
+    dims and stabilized come from the ranks of one elimination per boundary
+    map.  cycles[d] holds the canonical representatives over the degree-d
+    chain basis of `complex`, the kernel reduced against the boundaries; it
+    is built on first access, degree by degree, so a caller that reads only
+    dims never builds a cycle basis.  The CLI prints them with format_vector;
     `representatives` builds Lie elements for library callers only.
     stabilized[d] records whether the dimension is unchanged between the
     (N-1) and N weight stages; it is a report, never a convergence claim.
+    A table is safe for concurrent readers: each degree's list is the one
+    stored first, whichever reader built it.
     """
 
-    def __init__(self, window: Window, dims: dict[int, int], cycles: dict[int, list[Vector]],
-                 stabilized: dict[int, bool], complex: "ChainComplex"):
-        self.window, self.dims, self.cycles = window, dims, cycles
+    def __init__(self, window: Window, dims: dict[int, int], stabilized: dict[int, bool],
+                 complex: "ChainComplex"):
+        self.window, self.dims = window, dims
         self.stabilized, self.complex = stabilized, complex
+        self.cycles: Mapping[int, list[Vector]] = _Cycles(complex, dims)
 
     @property
     def degrees(self) -> list[int]:
@@ -215,6 +222,47 @@ class HomologyTable:
     @cached_property
     def representatives(self) -> dict[int, list[LieElement]]:
         return {d: [self.complex.element(v, d) for v in vs] for d, vs in self.cycles.items()}
+
+
+class _Cycles(Mapping):
+    """degree -> canonical representatives over the chain basis of a
+    complex, for the degrees of a homology table, each built on first access."""
+
+    def __init__(self, cx: "ChainComplex", degrees: dict[int, int]):
+        self._cx, self._degrees = cx, degrees
+        self._built: dict[int, list[Vector]] = {}
+
+    def __getitem__(self, d: int) -> list[Vector]:
+        out = self._built.get(d)
+        if out is None:
+            if d not in self._degrees:
+                raise KeyError(d)
+            out = self._built.setdefault(d, _canonical_cycles(self._cx, d))
+        return out
+
+    def __contains__(self, d) -> bool:
+        return d in self._degrees
+
+    def __iter__(self):
+        return iter(self._degrees)
+
+    def __len__(self) -> int:
+        return len(self._degrees)
+
+
+def _canonical_cycles(cx: "ChainComplex", d: int) -> list[Vector]:
+    """The kernel basis in degree d reduced against the boundary space, each
+    vector that survives scaled to lead with 1 and added to the span."""
+    image = cx.image(d).copy()
+    chosen: list[Vector] = []
+    for v in cx.cycles(d).rows:
+        residual, _ = image.reduce(v)
+        if residual:
+            lead = residual[min(residual)]
+            residual = {c: val / lead for c, val in residual.items()}
+            image.insert(residual)
+            chosen.append(residual)
+    return chosen
 
 
 class ChainBasis:
@@ -516,9 +564,10 @@ class ChainComplex(ChainBasis):
 def homology(p: DglPresentation) -> HomologyTable:
     """Homology table of the weight-truncated quotient dgl.
 
-    Reports degrees 0 .. max_degree-1 with dims, canonical representatives
-    (kernel vectors reduced against the boundary space), and stabilization
-    flags comparing the (N-1) and N weight stages.  Computed once per
+    Reports degrees 0 .. max_degree-1 with dims and stabilization flags
+    comparing the (N-1) and N weight stages, both read off the ranks, and
+    canonical representatives (kernel vectors reduced against the boundary
+    space), built when a degree's cycles are first read.  Computed once per
     presentation.
     """
     if p._homology is not None:
@@ -530,7 +579,6 @@ def homology(p: DglPresentation) -> HomologyTable:
     cx = ChainComplex(p)
     N, D = p.window.max_weight, p.window.max_degree
     dims: dict[int, int] = {}
-    cycles: dict[int, list[Vector]] = {}
     stab: dict[int, bool] = {}
     for d in range(0, D):
         # ranks of the incoming and outgoing boundaries, full and (N-1)-stage
@@ -538,17 +586,7 @@ def homology(p: DglPresentation) -> HomologyTable:
         rank_out, stage_out = (cx.image(d - 1).rank, cx.stage_rank(d - 1)) if d else (0, 0)
         dims[d] = cx.dim(d) - rank_out - rank_in
         stab[d] = dims[d] == cx.dim(d, N - 1) - stage_out - stage_in
-        image = cx.image(d).copy()
-        chosen: list[Vector] = []
-        for v in cx.cycles(d).rows:
-            residual, _ = image.reduce(v)
-            if residual:
-                lead = residual[min(residual)]
-                residual = {c: val / lead for c, val in residual.items()}
-                image.insert(residual)
-                chosen.append(residual)
-        cycles[d] = chosen
-    p._homology = HomologyTable(p.window, dims, cycles, stab, cx)
+    p._homology = HomologyTable(p.window, dims, stab, cx)
     return p._homology
 
 

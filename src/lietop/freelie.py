@@ -432,6 +432,8 @@ Key = tuple[int, ...]  # a word as generator positions, compared lexicographical
 class LieSlice:
     """Basis data for one (weight, degree) slice of the free graded Lie algebra.
 
+    gens       -- the generators, less trailing ones that cannot occur in the
+                  slice (lie_slice drops them; positions are unchanged)
     lead       -- the leading words (as generator positions) in monomial order
     lead_index -- position of each leading word in lead
     trees      -- left-normed bracket trees of the accepted basis elements
@@ -471,6 +473,8 @@ class LieSlice:
         self.tracked = Echelon(len(self.lead), track=True)
         # [P(u), P(v)] over lead, keyed by (u, v); entries are added whole
         self._products: dict[tuple[Key, Key], dict[int, int]] = {}
+        # (weight, degree) of the left factors that the products split off
+        self._sizes: dict[Key, tuple[int, int]] = {}
 
     @property
     def dim(self) -> int:
@@ -527,9 +531,9 @@ class LieSlice:
             return {(gens[u[0]],): 1}
 
         def factor(x: Key) -> tuple[dict[Word, int], int]:
-            sub = lie_slice(gens, sum(gens[i].weight for i in x), _key_degree(gens, x))
+            sub = lie_slice(gens, *_size(self, x))
             row = sub.peel._rows[sub.word_index[tuple(gens[i] for i in x)]]
-            return {sub.words[j]: c for j, c in row.items()}, _key_degree(gens, x)
+            return {sub.words[j]: c for j, c in row.items()}, sub.degree
 
         if _is_square(u):
             w = factor(u[: len(u) // 2])
@@ -598,8 +602,13 @@ def _leading_words(gens: tuple[Generator, ...], weight: int, degree: int) -> lis
     return out
 
 
-def _key_degree(gens: tuple[Generator, ...], u: Key) -> int:
-    return sum(gens[i].degree for i in u)
+def _size(slc: LieSlice, u: Key) -> tuple[int, int]:
+    """(weight, degree) of the word u, memoised in slc."""
+    size = slc._sizes.get(u)
+    if size is None:
+        gens = slc.gens
+        size = slc._sizes[u] = (sum(gens[i].weight for i in u), sum(gens[i].degree for i in u))
+    return size
 
 
 def _is_square(u: Key) -> bool:
@@ -620,8 +629,8 @@ def _product(slc: LieSlice, u: Key, v: Key) -> dict[int, int]:
     out = slc._products.get((u, v))
     if out is not None:
         return out
-    gens = slc.gens
-    du, dv = _key_degree(gens, u), _key_degree(gens, v)
+    du = _size(slc, u)[1]
+    dv = slc.degree - du
     j = _split(u)
     if u == v:
         out = {slc.lead_index[u + u]: 2} if du % 2 else {}
@@ -639,7 +648,8 @@ def _product(slc: LieSlice, u: Key, v: Key) -> dict[int, int]:
         # Jacobi on u = u1u2: [[u1,u2],v] = [u1,[u2,v]] - (-1)^{|u1||u2|} [u2,[u1,v]]
         u1, u2 = u[:j], u[j:]
         out = _nested(slc, u1, u2, v)
-        sign = 1 if _key_degree(gens, u1) * _key_degree(gens, u2) % 2 else -1
+        d1 = _size(slc, u1)[1]
+        sign = 1 if d1 * (du - d1) % 2 else -1
         for s, c in _nested(slc, u2, u1, v).items():
             out[s] = out.get(s, 0) + sign * c
         out = {s: c for s, c in out.items() if c}
@@ -649,8 +659,8 @@ def _product(slc: LieSlice, u: Key, v: Key) -> dict[int, int]:
 
 def _nested(slc: LieSlice, x: Key, y: Key, v: Key) -> dict[int, int]:
     """[P(x), [P(y), P(v)]] over the leading words of slc."""
-    gens = slc.gens
-    sub = lie_slice(gens, sum(gens[i].weight for i in y + v), _key_degree(gens, y + v))
+    wx, dx = _size(slc, x)
+    sub = lie_slice(slc.gens, slc.weight - wx, slc.degree - dx)
     return _bracket_sum(slc, x, sub, _product(sub, y, v))
 
 
@@ -687,7 +697,11 @@ _slice_lock = threading.Lock()
 def lie_slice(gens: tuple[Generator, ...] | list[Generator], weight: int, degree: int) -> LieSlice:
     """The (weight, degree) Lie slice, built recursively and memoized.
 
-    Safe for concurrent readers; inserts are serialized by a module lock.
+    Trailing generators of too high a weight or degree cannot occur in the
+    slice, and dropping them shifts no position, so they are dropped before
+    the slice is built: a presentation and one that appends cells to it share
+    every slice without a cell letter (L(X) and T(Y) meet in L(Y)).  Safe for
+    concurrent readers; inserts are serialized by a module lock.
     """
     gens = tuple(gens)
     if weight < 1:
@@ -696,6 +710,12 @@ def lie_slice(gens: tuple[Generator, ...] | list[Generator], weight: int, degree
     cached = _slice_cache.get(key)
     if cached is not None:
         return cached
+    # trailing letters that cannot occur here leave every position as it is
+    n = len(gens)
+    while n and (gens[n - 1].weight > weight or gens[n - 1].degree > degree):
+        n -= 1
+    if n < len(gens):
+        return lie_slice(gens[:n], weight, degree)
     subs = [
         (i, lie_slice(gens, weight - g.weight, degree - g.degree))
         for i, g in enumerate(gens)

@@ -17,7 +17,8 @@ from lietop.attach import (
     saturate_ideal,
     sequential_attach,
 )
-from lietop.dgl import DglPresentation, free_presentation, homology
+from lietop import cli
+from lietop.dgl import ChainComplex, DglPresentation, free_presentation, homology
 from lietop.freelie import (
     Generator,
     LieElement,
@@ -25,6 +26,7 @@ from lietop.freelie import (
     Window,
     ad_power,
     bracket,
+    format_lie,
     generator_element,
     lie_slice,
 )
@@ -591,3 +593,51 @@ def test_saturate_ideal_ranks_unchanged(name):
     base = model.base.rewindow(model.window)
     echelons = saturate_ideal(base, [t for _, t in model.amap.cells])
     assert {d: ech.rank for d, ech in echelons.items()} == IDEAL_RANKS[name]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden_model(name: str, window: Window | None):
+    return cli.build(cli.parse(cli._load_source(name)[1]), window)
+
+
+@pytest.mark.parametrize("name, window, stem", [
+    ("torus", None, "inert-torus"),
+    ("genus2", Window(7, 3), "inert-genus2-7-3"),
+])
+def test_inert_verdict_builds_no_attached_cycle_basis(monkeypatch, name, window, stem):
+    # an inert-up-to-window verdict passes the rank test in every degree, so
+    # it never builds the attached model's cycle basis; the output is the
+    # golden one
+    cells = {cell for cell, _ in _golden_model(name, window).amap.cells}
+    cycles = ChainComplex.cycles
+
+    def guarded(self, degree):
+        assert not cells & {g.name for g in self.p.generators}, "attached cycle basis built"
+        return cycles(self, degree)
+
+    monkeypatch.setattr(ChainComplex, "cycles", guarded)
+    argv = ["inert", "--file", name, "--format", "records"]
+    if window is not None:
+        argv += ["--window", str(window.max_weight), str(window.max_degree)]
+    code, out = cli.run(argv)
+    assert code == 0 and out.encode() == (GOLDEN / f"{stem}.records").read_bytes()
+
+
+@pytest.mark.parametrize("name, window, stem", [
+    ("cp2", None, "inert-cp2"),
+    ("cp2", Window(12, 12), "inert-cp2-12-12"),
+    ("lemaire28", None, "inert-lemaire28"),
+])
+def test_witness_elements_print_as_the_cli_prints_them(name, window, stem):
+    # the CLI prints witnesses from their chain vectors; the Lie elements
+    # that `failing` builds for library callers format to the same text
+    model = _golden_model(name, window)
+    verdict = inert_homological(model.base, model.amap, model.window)
+    records = dict(line.split(": ", 1) for line in (GOLDEN / f"{stem}.records").read_text().splitlines())
+    printed = [(int(records[f"inert.failing.{i}.degree"]), records[f"inert.failing.{i}.witness"])
+               for i in range(len(verdict.witnesses))]
+    assert f"inert.failing.{len(printed)}.degree" not in records
+    assert [d for d, _ in verdict.failing] == [d for d, _ in verdict.witnesses] == [d for d, _ in printed]
+    assert [format_lie(el, model.attached.generators) for _, el in verdict.failing] == [w for _, w in printed]

@@ -93,6 +93,35 @@ def test_parse_reports_bad_references_with_position(text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("generator a degree 0\norder a\norder a\n", "line 3, col 1: second order directive"),
+    ("generator a degree 0\nwindow weight 3 degree 2\n  window weight 4 degree 2\n",
+     "line 3, col 3: second window directive"),
+], ids=["order", "window"])
+def test_parse_rejects_repeated_directives(text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("generator a degree 0\ndiff q = a\n", "line 2, col 6: diff for unknown generator 'q'"),
+    ("generator x degree 1\ncell sy degree 2 attach [x,x]\n",
+     "line 2, col 6: cell sy has degree 2 but its target has degree 2"),
+], ids=["diff", "cell"])
+def test_build_reports_errors_at_the_name(text, message):
+    with pytest.raises(ParseError) as info:
+        build(parse(text))
+    assert str(info.value) == message
+
+
+def test_main_unknown_diff_exit_2_with_position(tmp_path, capsys):
+    f = tmp_path / "diff.lt"
+    f.write_text("generator a degree 0\n  diff q = a\n")
+    assert cli.main(["homology", "--file", str(f)]) == 2
+    assert "line 2, col 8: diff for unknown generator 'q'" in capsys.readouterr().err
+
+
 def test_parse_resolves_generators_declared_later():
     pf = parse("word w = b a\norder b > a\ngenerator a degree 0\ngenerator b degree 0\n")
     assert pf.words["w"] == [("b", 1), ("a", 1)] and pf.order == ["b", "a"]

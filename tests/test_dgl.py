@@ -275,6 +275,59 @@ def test_homology_memoized():
     assert homology(p) is homology(p)
 
 
+def test_homology_cycles_built_per_degree_on_first_read(monkeypatch):
+    # dims and flags come from ranks alone; each degree's cycle basis is
+    # built when that degree's cycles are first read, and once
+    built = []
+    cycles = ChainComplex.cycles
+
+    def counted(self, degree):
+        built.append(degree)
+        return cycles(self, degree)
+
+    monkeypatch.setattr(ChainComplex, "cycles", counted)
+    p = cli.build(cli.parse(cli._load_source("lemaire28")[1])).attached
+    table = homology(p)
+    assert built == [] and table.dims[1] > 0
+    first = table.cycles[1]
+    assert built == [1] and table.cycles.get(1) is first and 1 in table.cycles
+    assert table.cycles.get(table.window.max_degree) is None and table.window.max_degree not in table.cycles
+    assert [len(vs) for _, vs in table.cycles.items()] == [table.dims[d] for d in table.degrees]
+    assert sorted(built) == table.degrees
+    assert list(table.representatives) == table.degrees and built.count(1) == 1
+
+
+def test_homology_cycles_concurrent_reads():
+    import sys
+    import threading
+
+    p = cli.build(cli.parse(cli._load_source("genus2")[1])).attached
+    table = homology(p)
+    results, errors = [], []
+
+    def read():
+        try:
+            results.append([table.cycles[d] for d in reversed(table.degrees)])
+        except Exception as exc:  # pragma: no cover
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and len(results) == 8
+    # every reader gets the one list stored for each degree
+    assert all(all(a is b for a, b in zip(r, results[0])) for r in results)
+    assert [len(vs) for vs in results[0]] == [table.dims[d] for d in reversed(table.degrees)]
+
+
 # ---------------------------------------------------------------------------
 # lcs
 # ---------------------------------------------------------------------------

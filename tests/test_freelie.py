@@ -733,6 +733,19 @@ def test_log_commutator_remainder_in_truncated_ideal():
     assert echelons[0].contains(vec)
 
 
+def test_attached_model_shares_the_base_slices():
+    # a cell has degree >= 1, so no degree-0 slice of the attached model can
+    # contain one: it is the base model's slice, built once
+    model = cli.build(cli.parse(cli._load_source("genus2")[1]))
+    base, attached = model.base.generators, model.attached.generators
+    assert len(attached) > len(base) and min(g.degree for g in attached[len(base):]) >= 1
+    for w in range(1, model.window.max_weight + 1):
+        assert lie_slice(base, w, 0) is lie_slice(attached, w, 0)
+    # a slice that can hold a cell is the attached model's own
+    cell = attached[len(base)]
+    assert lie_slice(attached, cell.weight, cell.degree).dim == lie_slice(base, cell.weight, cell.degree).dim + 1
+
+
 def test_slice_cache_concurrent_reads(monkeypatch):
     import sys
     import threading
