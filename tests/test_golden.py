@@ -41,6 +41,8 @@ CASES = [
     ("bch-torus-7-3", ["bch", "a b^-1 a^-1 b", "b a b^-1 a", "--file", "torus", "--window", "7", "3"]),
     ("bch-inverse-torus-7-3",
      ["bch", "a^-1 b a^-1 b^-1", "b^-1 a b a^-1", "--file", "torus", "--window", "7", "3"]),
+    # a wider bch window: printed denominators reach 241920, against 120 at (7,3)
+    ("bch-torus-9-3", ["bch", "a b^-1 a a", "b a b^-1 a", "--file", "torus", "--window", "9", "3"]),
     ("logword-wedge-circles-6-2", ["logword", "cmt", "--file", "wedge-circles", "--window", "6", "2"]),
 ] + [
     (f"inert-{name}-{w}-{d}", ["inert", "--file", name, "--window", str(w), str(d)])
