@@ -265,6 +265,50 @@ def plain_products(a: dict, b: dict, max_weight: int, max_degree: int) -> tuple[
     return prod, comm
 
 
+
+def plain_mul(a: dict, b: dict, weights: list[int], degrees: list[int],
+              max_weight: int, max_degree: int) -> dict:
+    """The concatenation product of Fraction dicts keyed by tuples of letter
+    indices, letter i of weight weights[i] and degree degrees[i]; words past
+    max_weight or max_degree are dropped."""
+    out = {}
+    for u, cu in a.items():
+        for v, cv in b.items():
+            w = u + v
+            if sum(weights[i] for i in w) <= max_weight and sum(degrees[i] for i in w) <= max_degree:
+                out[w] = out.get(w, Fraction(0)) + Fraction(cu) * Fraction(cv)
+    return {w: c for w, c in out.items() if c}
+
+
+def _plain_series(x: dict, coeff, weights: list[int], degrees: list[int],
+                  max_weight: int, max_degree: int) -> dict:
+    """sum over n >= 1 of coeff(n) x^n, up to n = max_weight: x has no unit
+    term and every letter has weight >= 1, so x^n has weight >= n."""
+    out, power = {}, {(): Fraction(1)}
+    for n in range(1, max_weight + 1):
+        power = plain_mul(power, x, weights, degrees, max_weight, max_degree)
+        for w, c in power.items():
+            out[w] = out.get(w, Fraction(0)) + coeff(n) * c
+    return {w: c for w, c in out.items() if c}
+
+
+def plain_exp(x: dict, weights: list[int], degrees: list[int], max_weight: int, max_degree: int) -> dict:
+    """1 + x + x^2/2! + ... in the truncated tensor algebra, for x with no
+    unit term (see plain_mul for the keys and the truncation)."""
+    fact = [1]
+    for n in range(1, max_weight + 1):
+        fact.append(fact[-1] * n)
+    out = _plain_series(x, lambda n: Fraction(1, fact[n]), weights, degrees, max_weight, max_degree)
+    return {(): Fraction(1), **out}
+
+
+def plain_log(u: dict, weights: list[int], degrees: list[int], max_weight: int, max_degree: int) -> dict:
+    """(u-1) - (u-1)^2/2 + (u-1)^3/3 - ..., for u with unit term 1."""
+    assert u.get(()) == 1
+    x = {w: Fraction(c) for w, c in u.items() if w}
+    return _plain_series(x, lambda n: Fraction((-1) ** (n + 1), n), weights, degrees, max_weight, max_degree)
+
+
 def bareiss_rank(rows: list[list[int]]) -> int:
     """Fraction-free (Bareiss) elimination rank over the integers."""
     m = [list(map(int, row)) for row in rows]

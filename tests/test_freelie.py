@@ -34,6 +34,9 @@ from oracles import (
     dense_rref,
     dense_solve,
     greedy_trees,
+    plain_exp,
+    plain_log,
+    plain_mul,
     plain_products,
     slice_words,
     standard_bracketing,
@@ -554,10 +557,73 @@ def test_bch_weight3_against_log_exp_oracle():
         + Fraction(1, 12) * bracket(a, bracket(a, b))
         + Fraction(1, 12) * bracket(b, bracket(b, a))
     )
-    oracle = log(mul(exp(a.value), exp(b.value)))
-    assert bch(a, b).value == oracle
-    assert closed_form.value == oracle
+    weights, degrees = [1, 1], [0, 0]
+    ea, eb = (plain_exp({(i,): Fraction(1)}, weights, degrees, 3, 0) for i in (0, 1))
+    oracle = plain_log(plain_mul(ea, eb, weights, degrees, 3, 0), weights, degrees, 3, 0)
+    assert index_terms(bch(a, b).value, (A, B)) == oracle
+    assert index_terms(closed_form.value, (A, B)) == oracle
 
+
+def index_terms(t, letters):
+    """t's terms keyed by tuples of positions in letters, as the oracles take them."""
+    return {tuple(letters.index(g) for g in w): c for w, c in t.terms.items()}
+
+
+def test_series_against_plain_oracle():
+    # non-integral coefficients, odd-degree and weight-2 letters, windows
+    # that cut by degree as well as by weight
+    Y1 = Generator("y", 1)
+    H = Generator("h", 0, weight=2)
+    S = Generator("s", 2, weight=2)
+    letters = (A, B, X1, Y1, H, S)
+    weights, degrees = [g.weight for g in letters], [g.degree for g in letters]
+    rng = random.Random(19)
+
+    def random_x(window):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            word = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+            terms[word] = Fraction(rng.choice((-3, -1, 1, 2, 3)), rng.choice((1, 2, 7, 9)))
+        return TensorElement(window, terms)
+
+    def check(x):
+        W = x.window
+        bounds = (weights, degrees, W.max_weight, W.max_degree)
+        terms = index_terms(x, letters)
+        u = exp(x)
+        assert index_terms(u, letters) == plain_exp(terms, *bounds)
+        one_plus_x = TensorElement.unit(W) + x
+        assert index_terms(log(one_plus_x), letters) == plain_log({(): Fraction(1), **terms}, *bounds)
+
+    for window in (Window(4, 0), Window(5, 1), Window(4, 2), Window(6, 3), Window(3, 6)):
+        for _ in range(12):
+            check(random_x(window))
+    # powers that vanish before max_weight: by degree (x.x has degree 2) and
+    # by weight (h.h.h has weight 6)
+    W = Window(5, 1)
+    check(TensorElement(W, {(X1,): Fraction(3, 7), (Y1,): -1}))
+    check(TensorElement(W, {(H,): Fraction(-2, 9)}))
+    check(TensorElement(W, {(X1,): Fraction(3, 7), (H,): 2}))
+    assert exp(TensorElement(W, {(X1,): Fraction(3, 7)})) == TensorElement(W, {(): 1, (X1,): Fraction(3, 7)})
+
+    # bch and group-word logs over degree-0 letters and an even letter of degree 2
+    T2 = Generator("t", 2)
+    gens = (A, B, T2)
+    weights, degrees = [g.weight for g in gens], [g.degree for g in gens]
+    for W in (Window(5, 0), Window(4, 2), Window(5, 2)):
+        bounds = (weights, degrees, W.max_weight, W.max_degree)
+        for _ in range(4):
+            x, y = (Fraction(3, 7) * random_lie_element(rng, gens, W, [1, 2]) for _ in range(2))
+            ex, ey = (plain_exp(index_terms(el.value, gens), *bounds) for el in (x, y))
+            assert index_terms(bch(x, y).value, gens) == plain_log(plain_mul(ex, ey, *bounds), *bounds)
+        letters_ab = [(A, 1), (B, 1), (A, -1), (B, -1)]
+        for _ in range(4):
+            word = [rng.choice(letters_ab) for _ in range(rng.randint(1, 5))]
+            product = {(): Fraction(1)}
+            for g, e in word:
+                product = plain_mul(product, plain_exp({(gens.index(g),): Fraction(e)}, *bounds), *bounds)
+            got = log_group_word(word, gens, W)
+            assert index_terms(got.value, gens) == plain_log(product, *bounds)
 
 def test_bch_associative():
     rng = random.Random(12)
@@ -647,15 +713,17 @@ def test_weighted_generator_truncation():
 
 
 def test_term_budget(monkeypatch):
-    monkeypatch.setenv("LIETOP_MAX_TERMS", "3")
-    fl._reset_term_limit_cache()
     W = Window(4, 0)
     a, b = TensorElement.generator(A, W), TensorElement.generator(B, W)
-    with pytest.raises(fl.TermBudgetExceeded):
-        s = a + b
-        mul(mul(s, s), s)
-    monkeypatch.delenv("LIETOP_MAX_TERMS")
-    fl._reset_term_limit_cache()
+    try:
+        monkeypatch.setenv("LIETOP_MAX_TERMS", "3")
+        fl._reset_term_limit_cache()
+        with pytest.raises(fl.TermBudgetExceeded):
+            s = a + b
+            mul(mul(s, s), s)
+    finally:
+        monkeypatch.delenv("LIETOP_MAX_TERMS")
+        fl._reset_term_limit_cache()
 
 
 def test_term_budget_counts_only_nonzero_terms(monkeypatch):
@@ -675,6 +743,41 @@ def test_term_budget_counts_only_nonzero_terms(monkeypatch):
         monkeypatch.delenv("LIETOP_MAX_TERMS")
         fl._reset_term_limit_cache()
 
+
+
+def test_series_term_budget_caps_and_messages(monkeypatch):
+    # caps and messages recorded from the Fraction series (one TensorElement
+    # per step); each operation's inputs are built before its cap is set
+    H = Generator("h", 0, weight=2)
+    W = Window(5, 1)
+    x = TensorElement(W, {(A,): 1, (X1,): Fraction(3, 7), (H,): Fraction(-1, 2), (A, X1): Fraction(2, 3)})
+    u = exp(x)
+    ops = {
+        "exp": lambda: exp(x),
+        "log": lambda: log(u),
+        "log_group_word": lambda: log_group_word([(A, 1), (B, 1), (A, -1), (B, -1)], (A, B), Window(6, 0)),
+    }
+    # cap -> the term count reported; the largest raising cap is listed
+    # last, and one more passes
+    raises = {
+        "exp": {1: 2, 11: 12, 12: 16, 27: 28, 28: 40, 39: 40, 40: 56, 55: 56, 56: 58, 57: 58},
+        "log": {56: 57},
+        "log_group_word": {1: 2, 85: 86, 86: 92, 91: 92},
+    }
+    try:
+        for name, caps in raises.items():
+            for cap, terms in caps.items():
+                monkeypatch.setenv("LIETOP_MAX_TERMS", str(cap))
+                fl._reset_term_limit_cache()
+                with pytest.raises(fl.TermBudgetExceeded) as info:
+                    ops[name]()
+                assert str(info.value) == f"{terms} terms exceeds LIETOP_MAX_TERMS={cap}", name
+            monkeypatch.setenv("LIETOP_MAX_TERMS", str(cap + 1))
+            fl._reset_term_limit_cache()
+            ops[name]()
+    finally:
+        monkeypatch.delenv("LIETOP_MAX_TERMS")
+        fl._reset_term_limit_cache()
 
 # ---------------------------------------------------------------------------
 # formatting
