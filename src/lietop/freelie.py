@@ -25,7 +25,7 @@ import threading
 import weakref
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import factorial, lcm
 
 from .qlinalg import Echelon, SubspaceBasis, Vector
 
@@ -281,7 +281,7 @@ def _check_term_budget(n: int) -> None:
 
 
 def _product_element(window: Window, out: dict[Word, int], den: int) -> TensorElement:
-    """out/den as an element; mul and commutator skip every word pair the
+    """out/den as an element; products and series skip every word pair the
     window does not admit, so the words are not checked again."""
     t = TensorElement(window)
     t.terms = {w: Fraction(c, den) for w, c in out.items()}
@@ -309,17 +309,18 @@ class _Fitting(dict):
         return fits
 
 
-def mul(a: TensorElement, b: TensorElement) -> TensorElement:
-    """Concatenation product, truncated to the window."""
-    window = _check_same_window(a.window, b.window)
+def _product_terms(left: list[tuple[Word, int, int, int]], right: _Fitting,
+                   window: Window) -> dict[Word, int]:
+    """The integer product of scaled terms: cu*cv summed into uv over every
+    pair of a left term u and a right term v whose concatenation the window
+    admits.  A running count past LIETOP_MAX_TERMS raises; terms that cancel
+    to zero are removed, so only nonzero terms count."""
     max_w, max_d = window.max_weight, window.max_degree
-    (left, da), (right, db) = _scaled_terms(a), _scaled_terms(b)
-    fitting = _Fitting(right)
     out: dict[Word, int] = {}
     limit = term_limit()
     for u, cu, wu, du in left:
         room_d = max_d - du
-        for v, cv, wv, dv in fitting[max_w - wu]:
+        for v, cv, wv, dv in right[max_w - wu]:
             if dv > room_d:
                 continue
             word = u + v
@@ -330,7 +331,16 @@ def mul(a: TensorElement, b: TensorElement) -> TensorElement:
                     _check_term_budget(len(out))
             else:
                 out.pop(word, None)
-    return _product_element(window, out, da * db)
+    return out
+
+
+def mul(a: TensorElement, b: TensorElement) -> TensorElement:
+    """Concatenation product, truncated to the window: one pass of the
+    integer product loop (_product_terms) over a's and b's integer terms,
+    read as a Fraction element over the product of their denominators."""
+    window = _check_same_window(a.window, b.window)
+    (left, da), (right, db) = _scaled_terms(a), _scaled_terms(b)
+    return _product_element(window, _product_terms(left, _Fitting(right), window), da * db)
 
 
 def commutator(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -771,34 +781,57 @@ def certify_lie(t: TensorElement, gens=None) -> LieElement | None:
 
 
 def exp(x: TensorElement) -> TensorElement:
-    """Truncated exponential series; x must have zero unit coefficient."""
+    """Truncated exponential series 1 + x + x^2/2! + ..., summed in integers
+    (_series); x must have zero unit coefficient."""
     if x.unit_coefficient():
         raise ValueError("exp requires zero unit coefficient")
-    out = TensorElement.unit(x.window)
-    power = TensorElement.unit(x.window)
-    fact = 1
-    for n in range(1, x.window.max_weight + 1):
-        power = mul(power, x)
-        if power.is_zero():
-            break
-        fact *= n
-        out = out + Fraction(1, fact) * power
-    return out
+    terms, den = _scaled_terms(x)
+    return _series(x.window, terms, den, lambda n: Fraction(1, factorial(n)), {(): 1})
 
 
 def log(u: TensorElement) -> TensorElement:
-    """Truncated logarithm; u must have unit coefficient exactly 1."""
+    """Truncated logarithm x - x^2/2 + x^3/3 - ... of u = 1 + x, summed in
+    integers (_series); u must have unit coefficient exactly 1."""
     if u.unit_coefficient() != 1:
         raise ValueError("log requires unit coefficient 1")
-    x = u - TensorElement.unit(u.window)
-    out = TensorElement.zero(u.window)
-    power = TensorElement.unit(u.window)
-    for n in range(1, u.window.max_weight + 1):
-        power = mul(power, x)
-        if power.is_zero():
+    terms, den = _scaled_terms(u)
+    x = [term for term in terms if term[0] != ()]
+    return _series(u.window, x, den, lambda n: Fraction((-1) ** (n + 1), n), {})
+
+
+def _series(window: Window, x: list[tuple[Word, int, int, int]], den: int, coeff,
+            out: dict[Word, int]) -> TensorElement:
+    """out + sum_{n>=1} coeff(n) x^n, for the scaled terms x over den and
+    integer terms out.  Each power x^n stays an integer dict over den^n, made
+    from x^(n-1) by the product loop of mul; the sum stays an integer dict
+    over one denominator, rescaled by an lcm only when a term's denominator
+    does not divide it, and its size is checked after each addition.  x has
+    weight >= 1, so the series stops at the window's max weight, or earlier
+    when a power vanishes."""
+    fitting = _Fitting(x)
+    power: list[tuple[Word, int, int, int]] = [((), 1, 0, 0)]
+    power_den = sum_den = 1
+    for n in range(1, window.max_weight + 1):
+        terms = _product_terms(power, fitting, window)
+        if not terms:
             break
-        out = out + Fraction((-1) ** (n + 1), n) * power
-    return out
+        c = coeff(n)
+        power_den *= den
+        term_den = c.denominator * power_den
+        if sum_den % term_den:
+            scale = lcm(sum_den, term_den) // sum_den
+            out = {w: e * scale for w, e in out.items()}
+            sum_den *= scale
+        scale = c.numerator * (sum_den // term_den)
+        for w, e in terms.items():
+            s = out.get(w, 0) + scale * e
+            if s:
+                out[w] = s
+            else:
+                del out[w]
+        _check_term_budget(len(out))
+        power = [(w, e, word_weight(w), word_degree(w)) for w, e in terms.items()]
+    return _product_element(window, out, sum_den)
 
 
 def bch(x: LieElement, y: LieElement) -> LieElement:
