@@ -164,6 +164,17 @@ def test_word_name_resolves_in_cell_target():
     assert sz.weight == 2
 
 
+@pytest.mark.parametrize("command", ["lcs", "homology"])
+def test_unused_word_over_odd_letter_exit_2(tmp_path, capsys, command):
+    # every word is checked when the file is built, whether or not anything reads it
+    f = tmp_path / "odd.lt"
+    f.write_text("generator a degree 0\ngenerator x degree 1\nword w = a x\n")
+    assert cli.main([command, "--file", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lietop: group words require degree-0 generators, got x\n"
+
+
 # ---------------------------------------------------------------------------
 # round-trip of emitted expressions
 # ---------------------------------------------------------------------------

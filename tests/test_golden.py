@@ -17,6 +17,7 @@ from lietop import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 CRITERION6 = str(GOLDEN / "criterion6.lt")
+WORDS = str(GOLDEN / "words.lt")
 
 # (record file stem, CLI arguments); the built-in examples run at their
 # default windows, and lemaire28's default (4,2) is the window with witnesses;
@@ -58,6 +59,11 @@ CASES = [
 ] + [
     (f"{command}-criterion6", [command, "--file", CRITERION6, "--window", "4", "3"])
     for command in ("homology", "inert")
+] + [
+    # cell targets that name group words, one of them at a wider window, and
+    # a word that no target uses
+    (f"{command}-words", [command, *args, "--file", WORDS])
+    for command, args in (("homology", []), ("inert", []), ("logword", ["u"]))
 ]
 
 
@@ -65,7 +71,7 @@ def records(argv: list[str]) -> bytes:
     code, out = cli.run([*argv, "--format", "records"])
     assert code == 0
     # the input path differs between checkouts; pin only its file name
-    return out.replace(CRITERION6, "criterion6.lt").encode()
+    return out.replace(CRITERION6, "criterion6.lt").replace(WORDS, "words.lt").encode()
 
 
 @pytest.mark.parametrize("stem, argv", CASES, ids=[stem for stem, _ in CASES])
