@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from importlib import resources
 
@@ -38,6 +39,7 @@ from .freelie import (
     TermBudgetExceeded,
     Window,
     bracket,
+    check_group_word,
     format_lie,
     generator_element,
     log_group_word,
@@ -334,9 +336,45 @@ def parse(text: str) -> PresentationFile:
 # ---------------------------------------------------------------------------
 
 
+class WordLogs(Mapping):
+    """The logs of a file's group words at one window, by word name.  Every
+    word is checked when this is made; its log is taken when its name is
+    first read, and kept, so a word that nothing reads costs nothing."""
+
+    def __init__(self, pf: PresentationFile, window: Window):
+        by_name = {g.name: g for g in pf.generators}
+        self._gens, self._window = tuple(pf.generators), window
+        self._words: dict[str, list[tuple[Generator, int]]] = {}
+        self._logs: dict[str, LieElement] = {}
+        for wname in pf.word_order:
+            letters = []
+            for letter, exponent in pf.words[wname]:
+                g = by_name.get(letter)
+                if g is None:
+                    raise ValueError(f"word {wname}: unknown generator {letter!r}")
+                letters.append((g, exponent))
+            check_group_word(letters, self._gens)
+            self._words[wname] = letters
+
+    def __getitem__(self, name: str) -> LieElement:
+        el = self._logs.get(name)
+        if el is None:
+            el = self._logs[name] = log_group_word(self._words[name], self._gens, self._window)
+        return el
+
+    def __contains__(self, name) -> bool:
+        return name in self._words
+
+    def __iter__(self):
+        return iter(self._words)
+
+    def __len__(self) -> int:
+        return len(self._words)
+
+
 class BuiltModel:
     def __init__(self, base: dgl_mod.DglPresentation, amap: attach_mod.AttachingMap,
-                 attached: dgl_mod.DglPresentation, logs: dict[str, LieElement],
+                 attached: dgl_mod.DglPresentation, logs: WordLogs,
                  order: list[Generator] | None, window: Window):
         self.base, self.amap, self.attached = base, amap, attached
         self.logs, self.order, self.window = logs, order, window
@@ -345,15 +383,7 @@ class BuiltModel:
 def _make_evaluator(pf: PresentationFile, window: Window):
     """Returns (eval_expr, logs) for one window."""
     by_name = {g.name: g for g in pf.generators}
-    logs: dict[str, LieElement] = {}
-    for wname in pf.word_order:
-        letters = []
-        for letter, exponent in pf.words[wname]:
-            g = by_name.get(letter)
-            if g is None:
-                raise ValueError(f"word {wname}: unknown generator {letter!r}")
-            letters.append((g, exponent))
-        logs[wname] = log_group_word(letters, pf.generators, window)
+    logs = WordLogs(pf, window)
 
     def eval_expr(expr) -> LieElement:
         kind = expr[0]

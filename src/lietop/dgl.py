@@ -47,6 +47,7 @@ from .freelie import (
     format_trees,
     lie_slice,
     merge_windows,
+    slice_dim,
 )
 from .qlinalg import (Echelon, IntVector, SparseMatrix, SubspaceBasis, Vector, add_scaled,
                       eliminate_columns, span_basis)
@@ -618,7 +619,8 @@ def indecomposable_dims(p: DglPresentation, table: HomologyTable | None = None) 
 
 def lcs_dims(p: DglPresentation, k_max: int) -> dict[int, dict[int, int]]:
     """Lower-central-series slice dimensions of a differential-zero
-    presentation: k -> degree -> dim of the weight-k slice."""
+    presentation: k -> degree -> dim of the weight-k slice, counted as
+    super-Lyndon words (freelie.slice_dim); no slice is built."""
     if p.diff:
         raise ValueError("lcs_dims requires a presentation with zero differential")
     if k_max > p.window.max_weight:
@@ -627,7 +629,7 @@ def lcs_dims(p: DglPresentation, k_max: int) -> dict[int, dict[int, int]]:
     for k in range(1, k_max + 1):
         per_degree: dict[int, int] = {}
         for d in range(0, p.window.max_degree + 1):
-            dim = lie_slice(p.generators, k, d).dim
+            dim = slice_dim(p.generators, k, d)
             if dim:
                 per_degree[d] = dim
         out[k] = per_degree

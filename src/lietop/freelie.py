@@ -310,13 +310,15 @@ class _Fitting(dict):
 
 
 def _product_terms(left: list[tuple[Word, int, int, int]], right: _Fitting,
-                   window: Window) -> dict[Word, int]:
+                   window: Window) -> tuple[dict[Word, int], dict[Word, tuple[int, int]]]:
     """The integer product of scaled terms: cu*cv summed into uv over every
     pair of a left term u and a right term v whose concatenation the window
-    admits.  A running count past LIETOP_MAX_TERMS raises; terms that cancel
-    to zero are removed, so only nonzero terms count."""
+    admits, with the (weight, degree) of every word formed.  A running count
+    past LIETOP_MAX_TERMS raises; terms that cancel to zero are removed, so
+    only nonzero terms count."""
     max_w, max_d = window.max_weight, window.max_degree
     out: dict[Word, int] = {}
+    sizes: dict[Word, tuple[int, int]] = {}
     limit = term_limit()
     for u, cu, wu, du in left:
         room_d = max_d - du
@@ -324,14 +326,20 @@ def _product_terms(left: list[tuple[Word, int, int, int]], right: _Fitting,
             if dv > room_d:
                 continue
             word = u + v
-            s = out.get(word, 0) + cu * cv
-            if s:
-                out[word] = s
+            s = out.get(word)
+            if s is None:
+                # scaled terms are nonzero, so a new word's product is too
+                out[word] = cu * cv
+                sizes[word] = (wu + wv, du + dv)
                 if len(out) > limit:
                     _check_term_budget(len(out))
             else:
-                out.pop(word, None)
-    return out
+                s += cu * cv
+                if s:
+                    out[word] = s
+                else:
+                    del out[word]
+    return out, sizes
 
 
 def mul(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -340,7 +348,7 @@ def mul(a: TensorElement, b: TensorElement) -> TensorElement:
     read as a Fraction element over the product of their denominators."""
     window = _check_same_window(a.window, b.window)
     (left, da), (right, db) = _scaled_terms(a), _scaled_terms(b)
-    return _product_element(window, _product_terms(left, _Fitting(right), window), da * db)
+    return _product_element(window, _product_terms(left, _Fitting(right), window)[0], da * db)
 
 
 def commutator(a: TensorElement, b: TensorElement) -> TensorElement:
@@ -590,11 +598,15 @@ def _leading_words(gens: tuple[Generator, ...], weight: int, degree: int) -> lis
     of prenecklaces (Fredricksen-Kessler-Maiorana).  A prefix a of length t
     whose longest Lyndon prefix has length p extends by a[t-p], keeping p, or
     by a larger letter, which makes it Lyndon; it is Lyndon when p = t and the
-    square of a Lyndon word when t = 2p."""
+    square of a Lyndon word when t = 2p.  A prefix stops early when no letters
+    of the weight left can make up the degree left."""
     out: list[Key] = []
     a: list[int] = []
+    top = max((g.degree for g in gens), default=0)
 
     def rec(p: int, wleft: int, dleft: int) -> None:
+        if dleft > wleft * top:
+            return
         t = len(a)
         if wleft == 0:
             if dleft == 0 and (p == t or (t == 2 * p and degree // 2 % 2)):
@@ -610,6 +622,15 @@ def _leading_words(gens: tuple[Generator, ...], weight: int, degree: int) -> lis
 
     rec(0, weight, degree)
     return out
+
+
+def slice_dim(gens: tuple[Generator, ...] | list[Generator], weight: int, degree: int) -> int:
+    """dim of the (weight, degree) slice of the free graded Lie algebra on
+    gens, counted as its leading words without building the slice: lie_slice
+    raises unless its basis has exactly this many trees."""
+    if weight < 1:
+        raise ValueError("weight must be >= 1")
+    return len(_leading_words(tuple(gens), weight, degree))
 
 
 def _size(slc: LieSlice, u: Key) -> tuple[int, int]:
@@ -812,7 +833,7 @@ def _series(window: Window, x: list[tuple[Word, int, int, int]], den: int, coeff
     power: list[tuple[Word, int, int, int]] = [((), 1, 0, 0)]
     power_den = sum_den = 1
     for n in range(1, window.max_weight + 1):
-        terms = _product_terms(power, fitting, window)
+        terms, sizes = _product_terms(power, fitting, window)
         if not terms:
             break
         c = coeff(n)
@@ -830,7 +851,7 @@ def _series(window: Window, x: list[tuple[Word, int, int, int]], den: int, coeff
             else:
                 del out[w]
         _check_term_budget(len(out))
-        power = [(w, e, word_weight(w), word_degree(w)) for w, e in terms.items()]
+        power = [(w, e, *sizes[w]) for w, e in terms.items()]
     return _product_element(window, out, sum_den)
 
 
@@ -847,6 +868,19 @@ def bch(x: LieElement, y: LieElement) -> LieElement:
     return certified
 
 
+def check_group_word(word: list[tuple[Generator, int]], gens) -> None:
+    """Raises ValueError unless word is a sequence of (generator, exponent)
+    over degree-0 generators of gens, with exponents +1 or -1."""
+    known = set(gens)
+    for g, e in word:
+        if g not in known:
+            raise ValueError(f"unknown generator {g.name} in group word")
+        if g.degree != 0:
+            raise ValueError(f"group words require degree-0 generators, got {g.name}")
+        if e not in (1, -1):
+            raise ValueError("group word exponents must be +1 or -1")
+
+
 def log_group_word(
     word: list[tuple[Generator, int]],
     gens,
@@ -858,14 +892,7 @@ def log_group_word(
     a group generator g maps to log(exp g) = g.
     """
     gens = tuple(gens)
-    known = set(gens)
-    for g, e in word:
-        if g not in known:
-            raise ValueError(f"unknown generator {g.name} in group word")
-        if g.degree != 0:
-            raise ValueError(f"group words require degree-0 generators, got {g.name}")
-        if e not in (1, -1):
-            raise ValueError("group word exponents must be +1 or -1")
+    check_group_word(word, gens)
     out = TensorElement.unit(window)
     for g, e in word:
         out = mul(out, exp(Fraction(e) * TensorElement.generator(g, window)))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lietop import cli, dgl, qlinalg
+from lietop import cli, dgl, freelie, qlinalg
 from lietop.cli import ParseError, build, parse, run
 from lietop.freelie import (
     Generator,
@@ -23,6 +23,7 @@ from helpers import checkout_env, eval_lie_expr, slice_element
 
 A = Generator("a", 0)
 B = Generator("b", 0)
+GOLDEN = Path(__file__).parent / "golden"
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +174,24 @@ def test_unused_word_over_odd_letter_exit_2(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "lietop: group words require degree-0 generators, got x\n"
+
+
+def test_word_logs_taken_on_first_read(monkeypatch):
+    # words.lt: s attaches along r at the model window, t along [a,r], which
+    # is evaluated at a wider window; u is never read
+    calls = []
+
+    def counted(word, gens, window):
+        calls.append(window)
+        return freelie.log_group_word(word, gens, window)
+
+    monkeypatch.setattr(cli, "log_group_word", counted)
+    model = build(parse((GOLDEN / "words.lt").read_text()))
+    assert calls == [Window(4, 2), Window(5, 2)]
+    assert "u" in model.logs and list(model.logs) == ["r", "u"]
+    assert calls == [Window(4, 2), Window(5, 2)]
+    assert model.logs["u"] is model.logs["u"]
+    assert calls == [Window(4, 2), Window(5, 2), Window(4, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +473,21 @@ def test_zero_max_wedge_prints_wedge_zero_only():
     assert code == 0
     assert "sullivan.wedge.0.degree.0: 1" in out
     assert "sullivan.wedge.1." not in out
+
+
+def test_lcs_builds_no_slice_and_takes_no_word_log(monkeypatch):
+    # lcs counts super-Lyndon words, and wedge-circles' word cmt is unused
+    def refuse(*args, **kwargs):
+        raise AssertionError("lcs took the log of a group word")
+
+    monkeypatch.setattr(freelie, "_slice_cache", {})
+    monkeypatch.setattr(cli, "log_group_word", refuse)
+    monkeypatch.setattr(freelie, "log_group_word", refuse)
+    for stem, window in (("lcs-wedge-circles", []), ("lcs-wedge-circles-8-0", ["--window", "8", "0"])):
+        code, out = run(["lcs", "--file", "wedge-circles", *window, "--format", "records"])
+        assert code == 0
+        assert out == (GOLDEN / f"{stem}.records").read_text()
+    assert freelie._slice_cache == {}
 
 
 def test_lcs_rejects_cells(capsys):

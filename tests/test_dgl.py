@@ -28,7 +28,7 @@ from lietop.freelie import (
 )
 
 from helpers import apply, dense, slice_element
-from oracles import dense_null_space, dense_rank, witt, word_space_boundary
+from oracles import dense_null_space, dense_rank, super_witt, witt, word_space_boundary
 
 A = Generator("a", 0)
 B = Generator("b", 0)
@@ -350,6 +350,21 @@ def test_lcs_single_even_generator():
     p = free_presentation([even], Window(2, 4))
     table = lcs_dims(p, 2)
     assert [sum(table[k].values()) for k in (1, 2)] == [1, 0]
+
+
+@pytest.mark.parametrize("degrees, window", [
+    ([0, 1, 2], Window(7, 6)),
+    ([1, 1], Window(7, 6)),
+    ([2, 1, 0, 1], Window(5, 6)),
+    ([0, 0, 1], Window(6, 3)),
+    ([2, 2], Window(6, 6)),
+])
+def test_lcs_dims_against_super_witt(degrees, window):
+    gens = [Generator(f"g{i}", d) for i, d in enumerate(degrees)]
+    table = lcs_dims(free_presentation(gens, window), window.max_weight)
+    for k in range(1, window.max_weight + 1):
+        dims = {d: super_witt(degrees, k, d) for d in range(window.max_degree + 1)}
+        assert table[k] == {d: n for d, n in dims.items() if n}, k
 
 
 def test_lcs_requires_zero_diff():

@@ -624,6 +624,28 @@ def test_series_against_plain_oracle():
             got = log_group_word(word, gens, W)
             assert index_terms(got.value, gens) == plain_log(product, *bounds)
 
+def test_series_powers_stay_out_of_the_word_memos(monkeypatch):
+    # the product loop hands each power's weights and degrees to the next, so
+    # the series reads only its input's words through the process-wide memos
+    monkeypatch.setattr(fl, "_word_weight_memo", {})
+    monkeypatch.setattr(fl, "_word_degree_memo", {})
+    W = Window(6, 2)
+    x = TensorElement(W, {(A,): Fraction(3, 7), (X1,): 1, (A, B): -2})
+    assert len(exp(x).terms) > len(x.terms)
+    assert set(fl._word_weight_memo) <= set(x.terms)
+    assert set(fl._word_degree_memo) <= set(x.terms)
+
+
+def test_slice_dim_counts_without_building(monkeypatch):
+    gens = (A, X1, Generator("y", 2), Generator("c", 1, weight=2))
+    monkeypatch.setattr(fl, "_slice_cache", {})
+    dims = {(w, d): fl.slice_dim(gens, w, d) for w in range(1, 6) for d in range(0, 2 * w + 1)}
+    assert fl._slice_cache == {}
+    assert all(lie_slice(gens, w, d).dim == n for (w, d), n in dims.items())
+    with pytest.raises(ValueError, match="weight must be >= 1"):
+        fl.slice_dim(gens, 0, 0)
+
+
 def test_bch_associative():
     rng = random.Random(12)
     W = Window(4, 0)
