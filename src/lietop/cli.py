@@ -381,7 +381,8 @@ class BuiltModel:
 
 
 def _make_evaluator(pf: PresentationFile, window: Window):
-    """Returns (eval_expr, logs) for one window."""
+    """Returns (eval_expr, logs) for one window; a word's log is taken when
+    eval_expr or a caller first reads its name."""
     by_name = {g.name: g for g in pf.generators}
     logs = WordLogs(pf, window)
 
