@@ -67,10 +67,6 @@ class InertnessVerdict:
     def failing(self) -> list[tuple[int, LieElement]]:
         return [(d, self.complex.element(v, d)) for d, v in self.witnesses]
 
-    @property
-    def inert_up_to_window(self) -> bool:
-        return self.status == INERT_UP_TO_WINDOW
-
 
 def attach_cells(base: DglPresentation, amap: AttachingMap) -> DglPresentation:
     """free_product(base, free on cells) with diff extended by cell -> target.
@@ -175,37 +171,25 @@ def surjectivity_verdict(
     return InertnessVerdict(window, status, witnesses, injective, cx_att)
 
 
-def inert_homological(
-    base: DglPresentation,
-    amap: AttachingMap,
-    window: Window | None = None,
-) -> InertnessVerdict:
-    """Homological inertness test on the window (surjectivity of H(j))."""
-    if window is None:
-        window = base.window
-    base_w = base.rewindow(window)
-    att = attach_cells(base_w, amap)
-    base_table = homology(base_w)
+def inert_homological(base: DglPresentation, amap: AttachingMap) -> InertnessVerdict:
+    """Homological inertness test on the base's window (surjectivity of H(j))."""
+    att = attach_cells(base, amap)
+    base_table = homology(base)
     att_table = homology(att)
     injective = targets_injective(base_table, amap)
     return surjectivity_verdict(base_table, att_table, injective)
 
 
-def saturate_ideal(
-    base: DglPresentation,
-    elements: list[LieElement],
-    cx: ChainComplex | None = None,
-) -> dict[int, Echelon]:
+def saturate_ideal(base: DglPresentation, elements: list[LieElement],
+                   cx: ChainComplex) -> dict[int, Echelon]:
     """Per-degree echelons of the closed ideal generated by the elements.
 
     Breadth-first: bracket every accepted spanning vector with each
-    generator, through the chain complex's ad_g columns; every round raises
-    weight, so the window bound terminates the saturation.  Jacobi makes
-    generator brackets sufficient.
+    generator, through the ad_g columns of cx, the base's chain complex;
+    every round raises weight, so the window bound terminates the
+    saturation.  Jacobi makes generator brackets sufficient.
     """
     window = base.window
-    if cx is None:
-        cx = ChainComplex(base)
     echelons: dict[int, Echelon] = {}
     frontier: list[tuple[int, Vector]] = []
     for element in elements:
@@ -253,28 +237,21 @@ class QuotientReport:
         return [d for d in self.degrees if not self.agree(d)]
 
 
-def quotient_consistency(
-    base: DglPresentation,
-    amap: AttachingMap,
-    window: Window | None = None,
-) -> QuotientReport:
+def quotient_consistency(base: DglPresentation, amap: AttachingMap) -> QuotientReport:
     """Compare dim H(attached) against dim(H(base)/I) per degree.
 
     Requires a zero differential on the base, so H(base) is the truncated
     algebra itself.  I is the closed ideal generated by the targets,
     saturated breadth-first by bracketing with the generators; termination
-    is forced by the window's weight bound.
+    is forced by the base window's weight bound.
     """
-    if window is None:
-        window = base.window
-    base_w = base.rewindow(window)
-    if base_w.diff:
+    if base.diff:
         raise ValueError("quotient_consistency requires a zero differential on the base")
-    att = attach_cells(base_w, amap)
+    att = attach_cells(base, amap)
     att_table = homology(att)
 
-    cx = ChainComplex(base_w)
-    echelons = saturate_ideal(base_w, [t for _, t in amap.cells], cx)
+    cx = ChainComplex(base)
+    echelons = saturate_ideal(base, [t for _, t in amap.cells], cx)
 
     attached_dims: dict[int, int] = {}
     quotient: dict[int, int] = {}
@@ -282,7 +259,7 @@ def quotient_consistency(
         attached_dims[d] = att_table.dims[d]
         ideal_dim = echelons[d].rank if d in echelons else 0
         quotient[d] = cx.dim(d) - ideal_dim
-    return QuotientReport(window, attached_dims, quotient)
+    return QuotientReport(base.window, attached_dims, quotient)
 
 
 class AnickCertificate:
@@ -350,20 +327,14 @@ def inert_anick(
 
 
 def sequential_attach(
-    base: DglPresentation,
-    g1: AttachingMap,
-    g2: AttachingMap,
-    window: Window | None = None,
+    base: DglPresentation, g1: AttachingMap, g2: AttachingMap,
 ) -> tuple[DglPresentation, InertnessVerdict, InertnessVerdict, InertnessVerdict]:
     """Attach g1 then g2; returns the doubly-attached presentation plus the
     two partial verdicts and the combined one, so the sequential-splitting
     equivalence (combined inert iff both partial) can be asserted."""
-    if window is None:
-        window = base.window
-    base_w = base.rewindow(window)
-    p1 = attach_cells(base_w, g1)
+    p1 = attach_cells(base, g1)
     p2 = attach_cells(p1, g2)
-    base_table = homology(base_w)
+    base_table = homology(base)
     t1 = homology(p1)
     t2 = homology(p2)
     inj1 = targets_injective(base_table, g1)

@@ -233,25 +233,21 @@ def _parse_group_word(cur: _Cursor, start: Token) -> list[tuple[Token, int]]:
 class PresentationFile:
     """Parsed directives; expressions stay as ASTs until a window is fixed."""
 
-    def __init__(self, generators: list[Generator] | None = None,
-                 diffs: list[tuple[str, object, int, int]] | None = None,
-                 cells: list[tuple[str, int, object, int, int]] | None = None,
-                 words: dict[str, list[tuple[str, int]]] | None = None,
-                 word_order: list[str] | None = None, order: list[str] | None = None,
-                 window: Window | None = None):
-        self.generators = [] if generators is None else generators
-        self.diffs = [] if diffs is None else diffs  # name, expr, line, col of the name
-        self.cells = [] if cells is None else cells  # name, degree, expr, line, col of the name
-        self.words = {} if words is None else words
-        self.word_order = [] if word_order is None else word_order
-        self.order, self.window = order, window
+    def __init__(self):
+        self.generators: list[Generator] = []
+        self.diffs: dict[str, object] = {}  # generator name -> expr
+        self.cells: list[tuple[str, int, object, int, int]] = []  # name, degree, expr, line, col of the name
+        self.words: dict[str, list[tuple[str, int]]] = {}  # name -> (letter, exponent) pairs
+        self.order: list[str] | None = None
+        self.window: Window | None = None
 
 
 def parse(text: str) -> PresentationFile:
     pf = PresentationFile()
     names: set[str] = set()
-    # the generators that word and order directives name, with the message
-    # for each; they are checked after the loop, as generators may come later
+    # the generators that diff, word and order directives name, with the
+    # message for each; they are checked after the loop, as generators may
+    # come later
     refs: list[tuple[Token, str]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw.partition("#")[0], line_no)
@@ -273,9 +269,10 @@ def parse(text: str) -> PresentationFile:
             cur.expect("=")
             expr = _parse_expr(cur)
             cur.end_of_line()
-            if any(name == tok.text for name, *_ in pf.diffs):
+            if tok.text in pf.diffs:
                 raise ParseError(f"second diff for generator {tok.text!r}", tok.line, tok.col)
-            pf.diffs.append((tok.text, expr, tok.line, tok.col))
+            pf.diffs[tok.text] = expr
+            refs.append((tok, f"diff for unknown generator {tok.text!r}"))
         elif head.text == "cell":
             tok = cur.expect("name")
             name = tok.text
@@ -296,7 +293,6 @@ def parse(text: str) -> PresentationFile:
                 raise ParseError(f"name {name!r} already declared", head.line, head.col)
             names.add(name)
             pf.words[name] = [(tok.text, exponent) for tok, exponent in letters]
-            pf.word_order.append(name)
             refs.extend((tok, f"word {name}: unknown generator {tok.text!r}") for tok, _ in letters)
         elif head.text == "window":
             cur.expect_keyword("weight")
@@ -319,6 +315,9 @@ def parse(text: str) -> PresentationFile:
             if pf.order is not None:
                 raise ParseError("second order directive", head.line, head.col)
             pf.order = [tok.text for tok in order]
+            for i, tok in enumerate(order):
+                if tok.text in pf.order[:i]:
+                    raise ParseError(f"order repeats generator {tok.text!r}", tok.line, tok.col)
             refs.extend((tok, f"order mentions unknown generator {tok.text!r}") for tok in order)
         else:
             raise ParseError(f"unknown directive {head.text!r}", head.line, head.col)
@@ -336,55 +335,20 @@ def parse(text: str) -> PresentationFile:
 # ---------------------------------------------------------------------------
 
 
-class WordLogs(Mapping):
-    """The logs of a file's group words at one window, by word name.  Every
-    word is checked when this is made; its log is taken when its name is
-    first read, and kept, so a word that nothing reads costs nothing."""
-
-    def __init__(self, pf: PresentationFile, window: Window):
-        by_name = {g.name: g for g in pf.generators}
-        self._gens, self._window = tuple(pf.generators), window
-        self._words: dict[str, list[tuple[Generator, int]]] = {}
-        self._logs: dict[str, LieElement] = {}
-        for wname in pf.word_order:
-            letters = []
-            for letter, exponent in pf.words[wname]:
-                g = by_name.get(letter)
-                if g is None:
-                    raise ValueError(f"word {wname}: unknown generator {letter!r}")
-                letters.append((g, exponent))
-            check_group_word(letters, self._gens)
-            self._words[wname] = letters
-
-    def __getitem__(self, name: str) -> LieElement:
-        el = self._logs.get(name)
-        if el is None:
-            el = self._logs[name] = log_group_word(self._words[name], self._gens, self._window)
-        return el
-
-    def __contains__(self, name) -> bool:
-        return name in self._words
-
-    def __iter__(self):
-        return iter(self._words)
-
-    def __len__(self) -> int:
-        return len(self._words)
-
-
 class BuiltModel:
     def __init__(self, base: dgl_mod.DglPresentation, amap: attach_mod.AttachingMap,
-                 attached: dgl_mod.DglPresentation, logs: WordLogs,
+                 attached: dgl_mod.DglPresentation, logs: Mapping[str, LieElement],
                  order: list[Generator] | None, window: Window):
         self.base, self.amap, self.attached = base, amap, attached
         self.logs, self.order, self.window = logs, order, window
 
 
-def _make_evaluator(pf: PresentationFile, window: Window):
-    """Returns (eval_expr, logs) for one window; a word's log is taken when
-    eval_expr or a caller first reads its name."""
-    by_name = {g.name: g for g in pf.generators}
-    logs = WordLogs(pf, window)
+def _make_evaluator(gens: tuple[Generator, ...], words: dict[str, list[tuple[Generator, int]]],
+                    window: Window):
+    """Returns (eval_expr, logs) for one window; logs maps each word name to
+    its log, taken when eval_expr or a caller first reads the name."""
+    by_name = {g.name: g for g in gens}
+    logs = dgl_mod.LazyMapping(words, lambda name: log_group_word(words[name], gens, window))
 
     def eval_expr(expr) -> LieElement:
         kind = expr[0]
@@ -414,15 +378,14 @@ def _make_evaluator(pf: PresentationFile, window: Window):
     return eval_expr, logs
 
 
-def _expr_bounds(pf: PresentationFile, expr, window: Window) -> tuple[int, int]:
+def _expr_bounds(by_name: dict[str, Generator], expr, window: Window) -> tuple[int, int]:
     """Syntactic (weight, degree) bound of an expression; word names are
     unbounded series and are capped by the model window."""
-    by_name = {g.name: g for g in pf.generators}
     kind = expr[0]
     if kind == "sum":
         w = d = 0
         for _, term in expr[1]:
-            tw, td = _expr_bounds(pf, term, window)
+            tw, td = _expr_bounds(by_name, term, window)
             w, d = max(w, tw), max(d, td)
         return w, d
     if kind == "name":
@@ -431,45 +394,50 @@ def _expr_bounds(pf: PresentationFile, expr, window: Window) -> tuple[int, int]:
             return g.weight, g.degree
         return window.max_weight, window.max_degree
     if kind == "bracket":
-        w1, d1 = _expr_bounds(pf, expr[1], window)
-        w2, d2 = _expr_bounds(pf, expr[2], window)
+        w1, d1 = _expr_bounds(by_name, expr[1], window)
+        w2, d2 = _expr_bounds(by_name, expr[2], window)
         return w1 + w2, d1 + d2
     if kind == "ad":
         _, n, tok, inner = expr
         g = by_name.get(tok.text)
         gw, gd = (g.weight, g.degree) if g is not None else (1, 0)
-        wi, di = _expr_bounds(pf, inner, window)
+        wi, di = _expr_bounds(by_name, inner, window)
         return n * gw + wi, n * gd + di
     raise AssertionError(kind)
 
 
 def build(pf: PresentationFile, window: Window | None = None) -> BuiltModel:
+    """The model of a parsed file at a window (default: the file's); parse
+    has checked every name a directive gives, and each word is checked here,
+    once, whether or not anything reads it."""
     if window is None:
         window = pf.window or DEFAULT_WINDOW
-    by_name = {g.name: g for g in pf.generators}
-    eval_expr, logs = _make_evaluator(pf, window)
+    gens = tuple(pf.generators)
+    by_name = {g.name: g for g in gens}
+    words: dict[str, list[tuple[Generator, int]]] = {}
+    for wname, letters in pf.words.items():
+        words[wname] = [(by_name[letter], exponent) for letter, exponent in letters]
+        check_group_word(words[wname], gens)
+    eval_expr, logs = _make_evaluator(gens, words, window)
 
-    diffs: dict[Generator, LieElement] = {}
-    for name, expr, line_no, col in pf.diffs:
-        g = by_name.get(name)
-        if g is None:
-            raise ParseError(f"diff for unknown generator {name!r}", line_no, col)
-        diffs[g] = eval_expr(expr)
-    base = dgl_mod.DglPresentation(pf.generators, diffs, window)
+    diffs = {by_name[name]: eval_expr(expr) for name, expr in pf.diffs.items()}
+    base = dgl_mod.DglPresentation(gens, diffs, window)
 
     cells = []
     for name, degree, expr, line_no, col in pf.cells:
         # evaluate at a window wide enough for the full expression, so the
         # cell inherits the true weight of its target even when the model
         # window truncates the target away
-        bw, bd = _expr_bounds(pf, expr, window)
+        bw, bd = _expr_bounds(by_name, expr, window)
         if (bw, bd) == (window.max_weight, window.max_degree):
             target = eval_expr(expr)
         else:
             wide = Window(max(bw, window.max_weight), max(bd, window.max_degree))
-            eval_wide, _ = _make_evaluator(pf, wide)
-            target = eval_wide(expr)
+            target = _make_evaluator(gens, words, wide)[0](expr)
         t = target.value
+        if t.is_zero() and degree != 1:
+            raise ParseError(f"cell {name} has degree {degree} but its target is zero, "
+                             "which attaches in degree 1", line_no, col)
         if not t.is_zero() and t.degree() != degree - 1:
             raise ParseError(
                 f"cell {name} has degree {degree} but its target has degree {t.degree()}",
@@ -478,15 +446,7 @@ def build(pf: PresentationFile, window: Window | None = None) -> BuiltModel:
         cells.append((name, target))
     amap = attach_mod.AttachingMap(cells)
     attached = attach_mod.attach_cells(base, amap)
-
-    order = None
-    if pf.order is not None:
-        order = []
-        for name in pf.order:
-            g = by_name.get(name)
-            if g is None:
-                raise ValueError(f"order mentions unknown generator {name!r}")
-            order.append(g)
+    order = None if pf.order is None else [by_name[name] for name in pf.order]
     return BuiltModel(base, amap, attached, logs, order, window)
 
 
@@ -568,6 +528,9 @@ def run(argv: list[str]) -> tuple[int, str]:
         raise ValueError(f"--kmax must be at least 1, got {ns.kmax}")
     if ns.max_wedge < 0:
         raise ValueError(f"--max-wedge must be at least 0, got {ns.max_wedge}")
+    for i, name in enumerate(ns.order or ()):
+        if name in ns.order[:i]:
+            raise ValueError(f"--order repeats generator {name}")
 
     rep = Report()
     freelie._reset_term_limit_cache()
@@ -605,7 +568,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     elif ns.command == "inert":
         if not model.amap.cells:
             raise ValueError("inert requires at least one cell directive")
-        verdict = attach_mod.inert_homological(model.base, model.amap, window)
+        verdict = attach_mod.inert_homological(model.base, model.amap)
         _report_verdict(rep, "inert", verdict)
         order = model.order
         if ns.order:
@@ -708,10 +671,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     try:
         code, out = run(argv)
-    except (ParseError, TermBudgetExceeded) as exc:
-        sys.stderr.write(f"lietop: {exc}\n")
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, TermBudgetExceeded) as exc:
         sys.stderr.write(f"lietop: {exc}\n")
         return 2
     sys.stdout.write(out)

@@ -67,13 +67,11 @@ class DglPresentation:
     def __init__(
         self,
         generators,
-        diff: dict[Generator, LieElement | TensorElement] | None = None,
-        window: Window | None = None,
+        diff: dict[Generator, LieElement | TensorElement],
+        window: Window,
         validate_d_squared: bool = True,
     ):
         self.generators: tuple[Generator, ...] = tuple(generators)
-        if window is None:
-            raise ValueError("a truncation window is required")
         self.window = window
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
@@ -81,7 +79,6 @@ class DglPresentation:
         gen_set = set(self.generators)
 
         self.diff: dict[Generator, LieElement] = {}
-        diff = diff or {}
         for g, img in diff.items():
             if g not in gen_set:
                 raise ValueError(f"diff given for unknown generator {g.name}")
@@ -214,7 +211,8 @@ class HomologyTable:
                  complex: "ChainComplex"):
         self.window, self.dims = window, dims
         self.stabilized, self.complex = stabilized, complex
-        self.cycles: Mapping[int, list[Vector]] = _Cycles(complex, dims)
+        self.cycles: Mapping[int, list[Vector]] = LazyMapping(
+            dims, lambda d: _canonical_cycles(complex, d))
 
     @property
     def degrees(self) -> list[int]:
@@ -225,30 +223,31 @@ class HomologyTable:
         return {d: [self.complex.element(v, d) for v in vs] for d, vs in self.cycles.items()}
 
 
-class _Cycles(Mapping):
-    """degree -> canonical representatives over the chain basis of a
-    complex, for the degrees of a homology table, each built on first access."""
+class LazyMapping(Mapping):
+    """A mapping over fixed keys whose value for a key is built by
+    build(key) on first read and kept.  Safe for concurrent readers: a key
+    keeps the value stored first, whichever reader built it."""
 
-    def __init__(self, cx: "ChainComplex", degrees: dict[int, int]):
-        self._cx, self._degrees = cx, degrees
-        self._built: dict[int, list[Vector]] = {}
+    def __init__(self, keys, build):
+        self._keys, self._build = keys, build
+        self._built: dict = {}
 
-    def __getitem__(self, d: int) -> list[Vector]:
-        out = self._built.get(d)
+    def __getitem__(self, key):
+        out = self._built.get(key)
         if out is None:
-            if d not in self._degrees:
-                raise KeyError(d)
-            out = self._built.setdefault(d, _canonical_cycles(self._cx, d))
+            if key not in self._keys:
+                raise KeyError(key)
+            out = self._built.setdefault(key, self._build(key))
         return out
 
-    def __contains__(self, d) -> bool:
-        return d in self._degrees
+    def __contains__(self, key) -> bool:
+        return key in self._keys
 
     def __iter__(self):
-        return iter(self._degrees)
+        return iter(self._keys)
 
     def __len__(self) -> int:
-        return len(self._degrees)
+        return len(self._keys)
 
 
 def _canonical_cycles(cx: "ChainComplex", d: int) -> list[Vector]:

@@ -158,9 +158,6 @@ class Window:
     def __hash__(self):
         return hash((self.max_weight, self.max_degree))
 
-    def __le__(self, other):
-        return self.max_weight <= other.max_weight and self.max_degree <= other.max_degree
-
     def __repr__(self):
         return f"Window({self.max_weight}, {self.max_degree})"
 
@@ -907,18 +904,11 @@ def log_group_word(
 # ---------------------------------------------------------------------------
 
 
-def format_tensor(t: TensorElement, gens=None) -> str:
+def format_tensor(t: TensorElement) -> str:
     """Words rendered as dotted letter strings; debugging aid."""
     if t.is_zero():
         return "0"
-    if gens is None:
-        pos = {}
-    else:
-        pos = {g: i for i, g in enumerate(gens)}
-    items = sorted(
-        t.terms.items(),
-        key=lambda kv: (len(kv[0]), [pos.get(g, g.name) for g in kv[0]]),
-    )
+    items = sorted(t.terms.items(), key=lambda kv: (len(kv[0]), [g.name for g in kv[0]]))
     parts = []
     for word, coeff in items:
         body = ".".join(g.name for g in word) if word else "1"

@@ -109,7 +109,7 @@ class NilpotentLieData:
     graded antisymmetry and degree homogeneity on the bracketed pairs and
     their mirrors, graded Jacobi, nilpotency (the lower central series must
     reach zero), the degree of the differential, d^2 = 0 and the
-    right-derivation rule.
+    right-derivation rule, and returns the dual it checked.
 
     All but the first two are read off check_sullivan's report on the dual
     Sullivan algebra (cochains): nilpotency is its filtration_exhausts, and
@@ -164,7 +164,7 @@ class NilpotentLieData:
     def dim(self) -> int:
         return len(self.basis)
 
-    def validate(self) -> None:
+    def validate(self) -> SullivanData:
         deg = self.degrees
         for i, j in sorted(set(self.brackets) | {(j, i) for i, j in self.brackets}):
             left = self.brackets.get((i, j), {})
@@ -176,7 +176,8 @@ class NilpotentLieData:
                     raise ValueError(f"bracket ({i},{j}) not degree-homogeneous")
         wrong = [j for j in sorted(self.diff) if any(deg[k] != deg[j] - 1 for k in self.diff[j])]
         d0, d1 = _dual_differential(self)
-        report = check_sullivan(SullivanData([(name, d + 1) for name, d in self.basis], {} if wrong else d0, d1))
+        dual = SullivanData([(name, d + 1) for name, d in self.basis], {} if wrong else d0, d1)
+        report = check_sullivan(dual)
         first: dict[int, Monomial] = {}  # the smallest nonzero monomial per wedge length
         for m in sorted(m for _, dd in report.d_squared_violations for m in dd):
             first.setdefault(len(m), m)
@@ -190,6 +191,7 @@ class NilpotentLieData:
             raise ValueError(f"d^2 != 0 on basis element {first[1][0]}")
         if 2 in first:
             raise ValueError("derivation rule fails on pair ({},{})".format(*first[2]))
+        return dual
 
 
 class SullivanData:
@@ -244,11 +246,10 @@ def cochains(L: NilpotentLieData) -> SullivanData:
 
     This is where Lie data is validated on its way to a Sullivan algebra,
     also when it was constructed unchecked (as truncation_lie_data does):
-    validate runs check_sullivan on the result, so what cochains returns
-    satisfies d^2 = 0 and the Sullivan condition.
+    validate builds the dual, runs check_sullivan on it and returns it, so
+    what cochains returns satisfies d^2 = 0 and the Sullivan condition.
     """
-    L.validate()
-    return SullivanData([(name, d + 1) for name, d in L.basis], *_dual_differential(L))
+    return L.validate()
 
 
 def _dual_differential(L: NilpotentLieData) -> tuple[dict[int, Coeffs], dict[int, dict[tuple[int, int], Fraction]]]:

@@ -5,7 +5,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
-from lietop.cli import PresentationFile, _Cursor, _make_evaluator, _parse_expr, _tokenize_line
+from lietop.cli import _Cursor, _make_evaluator, _parse_expr, _tokenize_line
 from lietop.freelie import LieElement, LieSlice, TensorElement, Window
 from lietop.qlinalg import SparseMatrix, SubspaceBasis, Vector, span_basis
 from lietop.sullivan import SullivanData, _derive, _images
@@ -56,7 +56,7 @@ def eval_lie_expr(text: str, generators, window: Window) -> LieElement:
     cur = _Cursor(_tokenize_line(text, 1))
     expr = _parse_expr(cur)
     cur.end_of_line()
-    eval_expr, _ = _make_evaluator(PresentationFile(generators=list(generators)), window)
+    eval_expr, _ = _make_evaluator(tuple(generators), {}, window)
     return eval_expr(expr)
 
 

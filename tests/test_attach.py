@@ -591,7 +591,7 @@ def test_saturate_ideal_ranks_unchanged(name):
         source, window = str(Path(__file__).parent / "golden" / name), Window(4, 3)
     model = cli.build(cli.parse(cli._load_source(source)[1]), window)
     base = model.base.rewindow(model.window)
-    echelons = saturate_ideal(base, [t for _, t in model.amap.cells])
+    echelons = saturate_ideal(base, [t for _, t in model.amap.cells], ChainComplex(base))
     assert {d: ech.rank for d, ech in echelons.items()} == IDEAL_RANKS[name]
 
 
@@ -634,7 +634,7 @@ def test_witness_elements_print_as_the_cli_prints_them(name, window, stem):
     # the CLI prints witnesses from their chain vectors; the Lie elements
     # that `failing` builds for library callers format to the same text
     model = _golden_model(name, window)
-    verdict = inert_homological(model.base, model.amap, model.window)
+    verdict = inert_homological(model.base, model.amap)
     records = dict(line.split(": ", 1) for line in (GOLDEN / f"{stem}.records").read_text().splitlines())
     printed = [(int(records[f"inert.failing.{i}.degree"]), records[f"inert.failing.{i}.witness"])
                for i in range(len(verdict.witnesses))]

@@ -87,7 +87,9 @@ def test_parse_word_directive():
     ("generator a degree 0\norder a > q\n", "line 2, col 11: order mentions unknown generator 'q'"),
     ("generator a degree 0\ngenerator b degree 1\ndiff b = a\ndiff b = 2 a\n",
      "line 4, col 6: second diff for generator 'b'"),
-], ids=["word", "order", "second-diff"])
+    ("generator a degree 0\ngenerator b degree 0\norder a > b > a\n",
+     "line 3, col 15: order repeats generator 'a'"),
+], ids=["word", "order", "second-diff", "order-repeat"])
 def test_parse_reports_bad_references_with_position(text, message):
     with pytest.raises(ParseError) as info:
         parse(text)
@@ -109,7 +111,9 @@ def test_parse_rejects_repeated_directives(text, message):
     ("generator a degree 0\ndiff q = a\n", "line 2, col 6: diff for unknown generator 'q'"),
     ("generator x degree 1\ncell sy degree 2 attach [x,x]\n",
      "line 2, col 6: cell sy has degree 2 but its target has degree 2"),
-], ids=["diff", "cell"])
+    ("generator a degree 0\ncell s degree 5 attach [a,a]\n",
+     "line 2, col 6: cell s has degree 5 but its target is zero, which attaches in degree 1"),
+], ids=["diff", "cell", "zero-target"])
 def test_build_reports_errors_at_the_name(text, message):
     with pytest.raises(ParseError) as info:
         build(parse(text))
@@ -133,6 +137,12 @@ def test_main_unknown_word_letter_exit_2_with_position(tmp_path, capsys):
     f.write_text("generator a degree 0\nword w = a q\n")
     assert cli.main(["logword", "w", "--file", str(f)]) == 2
     assert "line 2, col 12: word w: unknown generator 'q'" in capsys.readouterr().err
+
+
+def test_zero_target_cell_builds_in_degree_1():
+    # the one degree a zero target attaches in; any other is a ParseError
+    model = build(parse("generator a degree 0\ncell s degree 1 attach [a,a]\n"))
+    assert model.attached.generator("s").degree == 1
 
 
 def test_cell_degree_mismatch():
@@ -457,10 +467,12 @@ def test_missing_file_flag_exit_2(capsys):
             ["sullivan", "--file", "wedge-circles", "--max-wedge", "-1"],
             "--max-wedge must be at least 0, got -1",
         ),
+        (["inert", "--file", "torus", "--order", "b", "a", "b"], "--order repeats generator b"),
     ],
 )
 def test_out_of_range_caps_exit_2(argv, message, capsys):
-    # both used to print an empty table
+    # the caps used to print an empty table, and a repeated --order name to
+    # let its last position win
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

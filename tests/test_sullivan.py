@@ -284,23 +284,32 @@ def test_diff_degree_failure_names_the_first_element():
 def test_sullivan_command_validates_once(monkeypatch):
     calls = []
     series = []
+    duals = []
     validate = NilpotentLieData.validate
     lower_central_dims = sullivan._lower_central_dims
+    dual_differential = sullivan._dual_differential
 
     def counted(self):
         calls.append(self)
-        validate(self)
+        return validate(self)
 
     def counted_series(rows):
         series.append(rows)
         return lower_central_dims(rows)
 
+    def counted_dual(L):
+        duals.append(L)
+        return dual_differential(L)
+
     monkeypatch.setattr(NilpotentLieData, "validate", counted)
     monkeypatch.setattr(sullivan, "_lower_central_dims", counted_series)
+    monkeypatch.setattr(sullivan, "_dual_differential", counted_dual)
     code, _ = cli.run(["sullivan", "--file", "torus", "--window", "4", "2"])
     assert code == 0
     assert len(calls) == 1
     assert len(series) == 1
+    # cochains returns the dual that validate built and checked
+    assert len(duals) == 1
 
 
 @pytest.mark.parametrize("validate", [True, False])

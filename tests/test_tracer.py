@@ -37,5 +37,5 @@ def test_tracer_hooks_read_existing_attributes():
     assert lie_slice(gens, 2, 2).words
     assert dgl.ChainComplex(model.attached).boundary(3).entries
     assert dgl.homology(model.attached).representatives
-    verdict = attach.inert_homological(model.base, model.amap, model.window)
+    verdict = attach.inert_homological(model.base, model.amap)
     assert verdict.failing
