@@ -134,8 +134,9 @@ def surjectivity_verdict(
     the attached cycles; the map is onto in degree d exactly when its rank
     is the boundary rank plus dim H_d.  Only a degree where it falls short
     builds the attached cycle basis, and each of its cycles outside the span
-    gives a witness: that cycle reduced against the boundary space
-    (canonical under the monomial order).
+    gives a witness: that cycle reduced against the span so far, which it
+    then joins, and scaled to lead with 1 (canonical under the monomial
+    order; the span contains the boundary space).
     """
     window = att_table.window
     cx_att, cx_base = att_table.complex, base_table.complex
@@ -151,14 +152,9 @@ def surjectivity_verdict(
         if hit.rank == boundaries.rank + att_table.dims[d]:
             continue
         for vec in att_table.cycles[d]:
-            residual, _ = hit.reduce(vec)
-            if not residual:
-                continue
-            canon, _ = boundaries.reduce(residual)
-            pivot = min(canon)
-            canon = {c: val / canon[pivot] for c, val in canon.items()}
-            witnesses.append((d, canon))
-            hit.insert(residual)
+            canon = hit.keep(vec)
+            if canon is not None:
+                witnesses.append((d, canon))
     if not injective:
         # inert maps have injective H(gamma) on the cells; failure is exact
         status = NOT_INERT

@@ -256,12 +256,13 @@ def parse(text: str) -> PresentationFile:
             continue
         head = cur.expect("name", "a directive")
         if head.text == "generator":
-            name = cur.expect("name").text
+            tok = cur.expect("name")
+            name = tok.text
             cur.expect_keyword("degree")
             degree = int(cur.expect("int").text)
             cur.end_of_line()
             if name in names:
-                raise ParseError(f"name {name!r} already declared", head.line, head.col)
+                raise ParseError(f"name {name!r} already declared", tok.line, tok.col)
             names.add(name)
             pf.generators.append(Generator(name, degree))
         elif head.text == "diff":
@@ -282,15 +283,16 @@ def parse(text: str) -> PresentationFile:
             expr = _parse_expr(cur)
             cur.end_of_line()
             if name in names:
-                raise ParseError(f"name {name!r} already declared", head.line, head.col)
+                raise ParseError(f"name {name!r} already declared", tok.line, tok.col)
             names.add(name)
             pf.cells.append((name, degree, expr, tok.line, tok.col))
         elif head.text == "word":
-            name = cur.expect("name").text
+            tok = cur.expect("name")
+            name = tok.text
             cur.expect("=")
             letters = _parse_group_word(cur, head)
             if name in names:
-                raise ParseError(f"name {name!r} already declared", head.line, head.col)
+                raise ParseError(f"name {name!r} already declared", tok.line, tok.col)
             names.add(name)
             pf.words[name] = [(tok.text, exponent) for tok, exponent in letters]
             refs.extend((tok, f"word {name}: unknown generator {tok.text!r}") for tok, _ in letters)

@@ -20,12 +20,16 @@ structure constants of sullivan.truncation_lie_data.  Only the generators'
 differential images pass through tensor words, once each; derive works on
 tensor words and remains for d^2 checks and tensor-given inputs.
 
-A ChainComplex eliminates each boundary map once, column by column; the
-one pass gives its image, the echelon that stage ranks, representatives and
-attach verdicts all read, and, from the columns that vanish, its kernel.
-Homology dimensions are read off its ranks; representatives are built
-per degree when first read, stay coordinate vectors over the chain basis
-and print from them; Lie elements are built only when a library caller asks.
+Chain coordinates are integers wherever they are integral.  A
+ChainComplex eliminates each boundary map untracked for its image, the
+echelon that ranks, stage ranks, representatives and attach verdicts all
+read; the kernel of a boundary is eliminated, tracked, only when the cycles
+of its degree are first read.  So a boundary is eliminated at most twice,
+and twice only where a degree's cycles are read.  Homology dimensions are
+read off the ranks; representatives are built per degree when first read,
+none where the homology is zero, stay coordinate vectors over the chain
+basis and print from them; Lie elements are built only when a library
+caller asks.
 """
 
 from __future__ import annotations
@@ -195,11 +199,12 @@ class HomologyTable:
     """Per-degree homology of the weight-truncated quotient.
 
     Degrees run from 0 to max_degree - 1; the top window degree is omitted.
-    dims and stabilized come from the ranks of one elimination per boundary
-    map.  cycles[d] holds the canonical representatives over the degree-d
-    chain basis of `complex`, the kernel reduced against the boundaries; it
-    is built on first access, degree by degree, so a caller that reads only
-    dims never builds a cycle basis.  The CLI prints them with format_vector;
+    dims and stabilized come from the ranks of the untracked image
+    eliminations.  cycles[d] holds the canonical representatives over the
+    degree-d chain basis of `complex`, the kernel reduced against the
+    boundaries; it is built on first access, degree by degree, so a caller
+    that reads only dims never builds a cycle basis, and it is [] with no
+    elimination where dims[d] is 0.  The CLI prints them with format_vector;
     `representatives` builds Lie elements for library callers only.
     stabilized[d] records whether the dimension is unchanged between the
     (N-1) and N weight stages; it is a report, never a convergence claim.
@@ -212,7 +217,7 @@ class HomologyTable:
         self.window, self.dims = window, dims
         self.stabilized, self.complex = stabilized, complex
         self.cycles: Mapping[int, list[Vector]] = LazyMapping(
-            dims, lambda d: _canonical_cycles(complex, d))
+            dims, lambda d: _canonical_cycles(complex, d) if dims[d] else [])
 
     @property
     def degrees(self) -> list[int]:
@@ -252,17 +257,9 @@ class LazyMapping(Mapping):
 
 def _canonical_cycles(cx: "ChainComplex", d: int) -> list[Vector]:
     """The kernel basis in degree d reduced against the boundary space, each
-    vector that survives scaled to lead with 1 and added to the span."""
+    vector that survives kept in the span and scaled to lead with 1."""
     image = cx.image(d).copy()
-    chosen: list[Vector] = []
-    for v in cx.cycles(d).rows:
-        residual, _ = image.reduce(v)
-        if residual:
-            lead = residual[min(residual)]
-            residual = {c: val / lead for c, val in residual.items()}
-            image.insert(residual)
-            chosen.append(residual)
-    return chosen
+    return [v for v in map(image.keep, cx.cycles(d).rows) if v is not None]
 
 
 class ChainBasis:
@@ -410,7 +407,7 @@ class ChainBasis:
         sub, sub_off = self._locate(degree, j)
         k = slc.accepted.get((i, j - sub_off))
         if k is not None:
-            return {off + k: ONE}
+            return {off + k: 1}
         col = slc.generator_bracket(i, sub, j - sub_off)
         col = self._ad[key] = {off + c: v for c, v in col.items()}
         return col
@@ -488,7 +485,8 @@ class ChainComplex(ChainBasis):
 
     The boundary matrices are those of the chain basis, in ascending weight;
     each column remembers its weight so ranks of the (N-1)-stage come from
-    the same elimination as the full ranks.
+    the same elimination as the full ranks.  Images are eliminated untracked;
+    a kernel is eliminated, tracked, on its first read.
     """
 
     def __init__(self, p: DglPresentation):
@@ -510,13 +508,13 @@ class ChainComplex(ChainBasis):
 
     def image(self, degree: int) -> Echelon:
         """Echelon of the boundary space in degree d: the columns of
-        d: C_{d+1} -> C_d, eliminated once, which also finds `cycles(d + 1)`.
-        Consumers that grow it take a copy."""
+        d: C_{d+1} -> C_d inserted into an untracked Echelon, which keeps no
+        kernel.  Consumers that grow it take a copy."""
         cached = self._images.get(degree)
         if cached is not None:
             return cached
-        cols = (self.boundary_column(degree + 1, j) for j in range(self.dim(degree + 1)))
-        ech, pivots, self._kernels[degree + 1] = eliminate_columns(cols, self.dim(degree))
+        ech = Echelon(self.dim(degree))
+        pivots = [ech._insert(self.boundary_column(degree + 1, j))[0] for j in range(self.dim(degree + 1))]
         # Columns and rows run in ascending weight: the pivots that (N-1)-stage
         # columns add in (N-1)-stage rows count the (N-1)-stage rank.
         n = self.window.max_weight
@@ -527,12 +525,16 @@ class ChainComplex(ChainBasis):
 
     def cycles(self, degree: int) -> SubspaceBasis:
         """Leftmost-pivot reduced echelon basis of the kernel of
-        d: C_d -> C_{d-1}, from the null vectors that `image(d - 1)` found."""
+        d: C_d -> C_{d-1}, from the null vectors of a tracked elimination of
+        its columns, run on the first read and kept."""
+        n = self.dim(degree)
         if degree == 0:
-            n = self.dim(0)
-            return SubspaceBasis(n, [{j: ONE} for j in range(n)], list(range(n)))
-        self.image(degree - 1)
-        return span_basis(self.dim(degree), self._kernels[degree])
+            return SubspaceBasis(n, [{j: 1} for j in range(n)], list(range(n)))
+        null = self._kernels.get(degree)
+        if null is None:
+            cols = (self.boundary_column(degree, j) for j in range(n))
+            null = self._kernels[degree] = eliminate_columns(cols, self.dim(degree - 1))[1]
+        return span_basis(n, null)
 
     def stage_rank(self, degree: int) -> int:
         """Rank of d: C_{d+1} -> C_d on the weight-<=(N-1) stage."""

@@ -488,8 +488,8 @@ class LieSlice:
         self.tracked = Echelon(len(self.lead), track=True)
         # [P(u), P(v)] over lead, keyed by (u, v); entries are added whole
         self._products: dict[tuple[Key, Key], dict[int, int]] = {}
-        # (weight, degree) of the left factors that the products split off
-        self._sizes: dict[Key, tuple[int, int]] = {}
+        # (weight, degree, split, square) of the words that the products read
+        self._shapes: dict[Key, tuple[int, int, int, bool]] = {}
 
     @property
     def dim(self) -> int:
@@ -539,21 +539,21 @@ class LieSlice:
 
     def _expansion(self, u: Key) -> dict[Word, int]:
         """The tensor expansion of P(u), u a leading word: [P(u1), P(u2)] for
-        a Lyndon word u1u2 split by _split, half of [P(w), P(w)] for a square
+        a Lyndon word u1u2 split as _shape says, half of [P(w), P(w)] for a square
         ww.  A factor's expansion is the peel row of its word in its slice."""
         gens = self.gens
         if len(u) == 1:
             return {(gens[u[0]],): 1}
 
         def factor(x: Key) -> tuple[dict[Word, int], int]:
-            sub = lie_slice(gens, *_size(self, x))
+            sub = lie_slice(gens, *_shape(self, x)[:2])
             row = sub.peel._rows[sub.word_index[tuple(gens[i] for i in x)]]
             return {sub.words[j]: c for j, c in row.items()}, sub.degree
 
-        if _is_square(u):
+        _, _, j, square = _shape(self, u)
+        if square:
             w = factor(u[: len(u) // 2])
             return {x: c // 2 for x, c in _word_commutator(*w, *w).items()}
-        j = _split(u)
         return _word_commutator(*factor(u[:j]), *factor(u[j:]))
 
     def coordinates(self, terms: dict[Word, Fraction]) -> Vector | None:
@@ -630,24 +630,18 @@ def slice_dim(gens: tuple[Generator, ...] | list[Generator], weight: int, degree
     return len(_leading_words(tuple(gens), weight, degree))
 
 
-def _size(slc: LieSlice, u: Key) -> tuple[int, int]:
-    """(weight, degree) of the word u, memoised in slc."""
-    size = slc._sizes.get(u)
-    if size is None:
-        gens = slc.gens
-        size = slc._sizes[u] = (sum(gens[i].weight for i in u), sum(gens[i].degree for i in u))
-    return size
-
-
-def _is_square(u: Key) -> bool:
-    """Whether u is ww; no Lyndon word is."""
-    return u[: len(u) // 2] == u[len(u) // 2 :]
-
-
-def _split(u: Key) -> int:
-    """Where the standard factorization of a Lyndon word u splits it: before
-    its lexicographically smallest proper suffix; 0 for a letter."""
-    return min(range(1, len(u)), key=lambda j: u[j:], default=0)
+def _shape(slc: LieSlice, u: Key) -> tuple[int, int, int, bool]:
+    """(weight, degree, split, square) of the word u, memoised in slc: split
+    is where the standard factorization of a Lyndon word u splits it, before
+    its lexicographically smallest proper suffix (0 for a letter), and square
+    says whether u is ww, which no Lyndon word is."""
+    shape = slc._shapes.get(u)
+    if shape is None:
+        gens, h = slc.gens, len(u) // 2
+        shape = slc._shapes[u] = (
+            sum(gens[i].weight for i in u), sum(gens[i].degree for i in u),
+            min(range(1, len(u)), key=lambda j: u[j:], default=0), u[:h] == u[h:])
+    return shape
 
 
 def _product(slc: LieSlice, u: Key, v: Key) -> dict[int, int]:
@@ -657,16 +651,15 @@ def _product(slc: LieSlice, u: Key, v: Key) -> dict[int, int]:
     out = slc._products.get((u, v))
     if out is not None:
         return out
-    du = _size(slc, u)[1]
+    _, du, j, square = _shape(slc, u)
     dv = slc.degree - du
-    j = _split(u)
     if u == v:
         out = {slc.lead_index[u + u]: 2} if du % 2 else {}
-    elif _is_square(u):
+    elif square:
         # [P(ww), x] = [P(w), [P(w), x]] for odd w, and [[w,w],w] = 0
         w = u[: len(u) // 2]
         out = {} if v == w else _nested(slc, w, w, v)
-    elif _is_square(v) or u > v:
+    elif _shape(slc, v)[3] or u > v:
         sign = 1 if du * dv % 2 else -1
         out = {s: sign * c for s, c in _product(slc, v, u).items()}
     elif not j or u[j:] >= v:
@@ -676,7 +669,7 @@ def _product(slc: LieSlice, u: Key, v: Key) -> dict[int, int]:
         # Jacobi on u = u1u2: [[u1,u2],v] = [u1,[u2,v]] - (-1)^{|u1||u2|} [u2,[u1,v]]
         u1, u2 = u[:j], u[j:]
         out = _nested(slc, u1, u2, v)
-        d1 = _size(slc, u1)[1]
+        d1 = _shape(slc, u1)[1]
         sign = 1 if d1 * (du - d1) % 2 else -1
         for s, c in _nested(slc, u2, u1, v).items():
             out[s] = out.get(s, 0) + sign * c
@@ -687,7 +680,7 @@ def _product(slc: LieSlice, u: Key, v: Key) -> dict[int, int]:
 
 def _nested(slc: LieSlice, x: Key, y: Key, v: Key) -> dict[int, int]:
     """[P(x), [P(y), P(v)]] over the leading words of slc."""
-    wx, dx = _size(slc, x)
+    wx, dx = _shape(slc, x)[:2]
     sub = lie_slice(slc.gens, slc.weight - wx, slc.degree - dx)
     return _bracket_sum(slc, x, sub, _product(sub, y, v))
 

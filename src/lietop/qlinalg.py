@@ -1,6 +1,7 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors are dicts column -> Fraction with zero entries absent.  Everything
+Vectors are dicts column -> rational with zero entries absent; an entry is an
+int when it is integral and a Fraction otherwise.  Everything
 here is exact; there is no floating point anywhere in the package.  Column
 indices are plain ints; callers fix their meaning (a chain-basis index over
 the chain basis of dgl, a leading-word index in a Lie slice), and their
@@ -8,9 +9,11 @@ order fixes pivots, and hence reported bases and representative cycles.
 
 Inside, elimination runs in integers: an Echelon stores primitive integer
 rows in semi-echelon form and reduces fraction-free, in the style of Bareiss
-(Math. Comp. 1968).  Fractions appear only where values are handed to
-callers: residuals, coordinates and the reduced row-echelon basis, which is
-built on demand.  eliminate_columns finds a matrix's image and kernel in one pass.
+(Math. Comp. 1968).  Fractions appear only where values handed to callers
+are not integral: residuals, coordinates, kept vectors and the reduced
+row-echelon basis, which is built on demand.  An untracked Echelon gives a
+matrix's image and rank; eliminate_columns tracks combinations and is run
+only where a kernel is read.
 """
 
 from __future__ import annotations
@@ -19,20 +22,19 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-Vector = dict[int, Fraction]
+Vector = dict[int, Fraction | int]
 IntVector = dict[int, int]
-
-ZERO = Fraction(0)
 
 
 def add_scaled(out: Vector, b: Vector, scale: Fraction | int) -> None:
-    """out += scale*b in place, dropping entries that cancel."""
+    """out += scale*b in place, dropping entries that cancel; an integral
+    sum is kept as an int."""
     if not scale:
         return
     for col, val in b.items():
-        s = out.get(col, ZERO) + scale * val
+        s = out.get(col, 0) + scale * val
         if s:
-            out[col] = s
+            out[col] = s if type(s) is int or s.denominator != 1 else s.numerator
         else:
             out.pop(col, None)
 
@@ -47,10 +49,10 @@ def _integral(v: Vector) -> tuple[IntVector, int]:
 
 
 def _fractions(x: IntVector, den: int) -> Vector:
-    """x/den as Fractions, zero entries dropped; den > 0."""
+    """x/den, zero entries dropped, integral entries as ints; den > 0."""
     if den == 1:
-        return {col: Fraction(c) for col, c in x.items() if c}
-    return {col: Fraction(c, den) for col, c in x.items() if c}
+        return {col: c for col, c in x.items() if c}
+    return {col: c // den if c % den == 0 else Fraction(c, den) for col, c in x.items() if c}
 
 
 def _eliminate(
@@ -142,9 +144,9 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def coordinates(self, v: Vector) -> list[Fraction] | None:
+    def coordinates(self, v: Vector) -> list[Fraction | int] | None:
         """Coordinates of v in this basis, or None if v is outside the span."""
-        coords = [v.get(p, ZERO) for p in self.pivots]
+        coords = [v.get(p, 0) for p in self.pivots]
         residual = dict(v)
         for c, row in zip(coords, self.rows):
             add_scaled(residual, row, -c)
@@ -203,6 +205,16 @@ class Echelon:
     def insert(self, v: Vector) -> bool:
         """Insert v; returns True if it enlarged the span."""
         return self._insert(v)[0] is not None
+
+    def keep(self, v: Vector) -> Vector | None:
+        """Insert v; if it enlarged the span, returns its residual scaled to
+        lead with 1, the canonical representative of v modulo the old span
+        (the residual, made primitive, is the new row)."""
+        pivot = self._insert(v)[0]
+        if pivot is None:
+            return None
+        row = self._rows[pivot]
+        return _fractions(row, row[pivot])
 
     def _insert(self, v: Vector) -> tuple[int | None, int, IntVector]:
         """Insert v; returns (pivot, scale, combo).  pivot is None when v is
@@ -269,11 +281,12 @@ def span_basis(ambient: int, vectors) -> SubspaceBasis:
     return ech.basis()
 
 
-def eliminate_columns(columns, ambient: int) -> tuple[Echelon, list[int | None], list[IntVector]]:
-    """Eliminates a matrix's columns, vectors in Q^ambient, once, in order.
-    Returns the untracked echelon of the column space, the pivot each column
-    added (None if it is in the span of earlier ones), and a basis of the
-    null space: for each such column j, the relation its elimination found."""
+def eliminate_columns(columns, ambient: int) -> tuple[list[int | None], list[IntVector]]:
+    """Eliminates a matrix's columns, vectors in Q^ambient, in order, tracked.
+    Returns the pivot each column added (None if it is in the span of earlier
+    ones) and a basis of the null space: for each such column j, the relation
+    its elimination found.  A caller that needs only the image or its rank
+    inserts the columns into an untracked Echelon instead."""
     ech = Echelon(ambient, track=True)
     pivots: list[int | None] = []
     accepted: list[int] = []  # the column of each accepted vector
@@ -285,10 +298,7 @@ def eliminate_columns(columns, ambient: int) -> tuple[Echelon, list[int | None],
             null.append({j: scale, **{accepted[k]: -e for k, e in combo.items() if e}})
         else:
             accepted.append(j)
-    image = Echelon(ambient)  # rows primitive again, as if inserted untracked
-    image._rows = {p: {c: e // g for c, e in row.items()}
-                   for p, row in ech._rows.items() for g in [gcd(*row.values())]}
-    return image, pivots, null
+    return pivots, null
 
 
 def kernel_basis(m: SparseMatrix) -> SubspaceBasis:
@@ -297,4 +307,4 @@ def kernel_basis(m: SparseMatrix) -> SubspaceBasis:
     columns: list[Vector] = [{} for _ in range(m.cols)]
     for (i, j), val in m.entries.items():
         columns[j][i] = val
-    return span_basis(m.cols, eliminate_columns(columns, m.rows)[2])
+    return span_basis(m.cols, eliminate_columns(columns, m.rows)[1])

@@ -17,7 +17,7 @@ from lietop.attach import (
     saturate_ideal,
     sequential_attach,
 )
-from lietop import cli
+from lietop import cli, dgl
 from lietop.dgl import ChainComplex, DglPresentation, free_presentation, homology
 from lietop.freelie import (
     Generator,
@@ -623,6 +623,33 @@ def test_inert_verdict_builds_no_attached_cycle_basis(monkeypatch, name, window,
         argv += ["--window", str(window.max_weight), str(window.max_degree)]
     code, out = cli.run(argv)
     assert code == 0 and out.encode() == (GOLDEN / f"{stem}.records").read_bytes()
+
+
+def test_inert_torus_eliminates_no_kernel_on_the_attached_side(monkeypatch):
+    # the attached model is ranked by untracked image eliminations; a kernel
+    # is eliminated only where a degree's cycles are read, and an
+    # inert-up-to-window verdict reads none on the attached side
+    kernels: list[tuple[tuple[str, ...], int]] = []
+    eliminate, cycles = dgl.eliminate_columns, ChainComplex.cycles
+    current: list[ChainComplex] = []
+
+    def counted(self, degree):
+        current.append(self)
+        try:
+            return cycles(self, degree)
+        finally:
+            current.pop()
+
+    def tracked(columns, ambient):
+        kernels.append((tuple(g.name for g in current[-1].p.generators), ambient))
+        return eliminate(columns, ambient)
+
+    monkeypatch.setattr(ChainComplex, "cycles", counted)
+    monkeypatch.setattr(dgl, "eliminate_columns", tracked)
+    code, out = cli.run(["inert", "--file", "torus", "--window", "8", "3", "--format", "records"])
+    assert code == 0 and out.encode() == (GOLDEN / "inert-torus-8-3.records").read_bytes()
+    cells = {cell for cell, _ in _golden_model("torus", Window(8, 3)).amap.cells}
+    assert not any(cells & set(names) for names, _ in kernels)
 
 
 @pytest.mark.parametrize("name, window, stem", [

@@ -63,6 +63,18 @@ def test_parse_duplicate_names():
         parse("generator x degree 0\ngenerator x degree 1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("generator a degree 0\n  generator a degree 1\n", "line 2, col 13: name 'a' already declared"),
+    ("generator a degree 0\ngenerator b degree 0\n  cell a degree 1 attach [a,b]\n",
+     "line 3, col 8: name 'a' already declared"),
+    ("generator a degree 0\n word a = a\n", "line 2, col 7: name 'a' already declared"),
+], ids=["generator", "cell", "word"])
+def test_parse_reports_duplicate_name_at_the_name(text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 def test_parse_comments_and_blank_lines():
     pf = parse("# hi\n\ngenerator a degree 0  # trailing\n")
     assert [g.name for g in pf.generators] == ["a"]

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from lietop import cli
+from lietop import cli, dgl
 from lietop.dgl import (
     ChainComplex,
     DglPresentation,
@@ -569,6 +569,59 @@ def test_boundary_matches_word_space_oracle(name, window):
         if d < p.window.max_degree:
             block = [row[: cx.dim(d + 1, n - 1)] for row in dense(cx.boundary(d + 1))[: cx.dim(d, n - 1)]]
             assert cx.stage_rank(d) == dense_rank(block), d
+
+
+KERNEL_CASES = [("torus", Window(6, 3)), ("lemaire28", Window(4, 2)), ("cp2", Window(6, 6)),
+                (GOLDEN_CRITERION6, Window(5, 3))]
+
+
+@pytest.mark.parametrize("name, window", KERNEL_CASES, ids=[Path(n).name for n, _ in KERNEL_CASES])
+def test_cycles_match_dense_kernel_in_either_read_order(name, window):
+    # the kernel is eliminated on its own first read, so it is the same
+    # whether the untracked image one degree down was eliminated before it
+    p = cli.build(cli.parse(cli._load_source(name)[1]), window).attached
+    first, later = ChainComplex(p), ChainComplex(p)
+    for d in range(1, window.max_degree + 1):
+        m = ChainComplex(p).boundary(d)
+        null, pivots = dense_null_space(dense(m), m.cols)
+        rows = [{j: c for j, c in enumerate(row) if c} for row in null]
+        got_first = first.cycles(d)
+        assert later.image(d - 1).rank == m.cols - len(null), d
+        got_later = later.cycles(d)
+        for got in (got_first, got_later):
+            assert got.pivots == pivots and got.rows == rows, d
+        assert first.image(d - 1)._rows == later.image(d - 1)._rows, d
+
+
+@pytest.mark.parametrize("name", ["genus2", GOLDEN_CRITERION6], ids=["genus2", "criterion6"])
+def test_boundary_columns_keep_integral_entries_as_ints(name):
+    p = cli.build(cli.parse(cli._load_source(name)[1]), Window(5, 3)).attached
+    cx = ChainComplex(p)
+    entries = [c for d in range(1, 4) for j in range(cx.dim(d)) for c in cx.boundary_column(d, j).values()]
+    assert entries and all(type(c) is int for c in entries if c.denominator == 1)
+
+
+@pytest.mark.parametrize("name, window, golden", [
+    ("genus2", Window(6, 3), "homology-genus2-6-3.records"),
+    (GOLDEN_CRITERION6, Window(5, 3), None),
+], ids=["genus2", "criterion6"])
+def test_homology_eliminates_no_kernel_where_homology_is_zero(monkeypatch, name, window, golden):
+    # images are eliminated untracked, and a degree with H_d = 0 reads no
+    # cycles; here only degree 0 has classes, so no kernel is eliminated
+    tracked, read = [], []
+    eliminate, cycles = dgl.eliminate_columns, ChainComplex.cycles
+    monkeypatch.setattr(dgl, "eliminate_columns", lambda *args: tracked.append(args) or eliminate(*args))
+    monkeypatch.setattr(ChainComplex, "cycles", lambda self, d: read.append(d) or cycles(self, d))
+    code, out = cli.run(["homology", "--file", name, "--window", str(window.max_weight),
+                         str(window.max_degree), "--format", "records"])
+    assert code == 0 and tracked == [] and read == [0]
+    if golden:
+        assert out.encode() == (Path(GOLDEN_CRITERION6).parent / golden).read_bytes()
+    else:
+        # the target's weight-1 part leaves the free Lie algebra on two letters
+        free = sum(witt(2, k) for k in range(1, window.max_weight + 1))
+        assert f"homology.0.dim: {free}\n" in out and f"homology.0.rep.{free - 1}: " in out
+        assert "homology.1.dim: 0\n" in out and "homology.2.dim: 0\n" in out
 
 
 def test_format_vector_matches_format_lie():
