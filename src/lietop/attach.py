@@ -282,14 +282,13 @@ def leading_word(t: TensorElement, order: list[Generator]) -> Word:
 def inert_anick(
     relators: list[TensorElement],
     order: list[Generator],
-    include_self_overlap: bool = True,
 ) -> AnickCertificate:
     """Leading-monomial certificate: pass iff no leading word is a contiguous
     subword of another and no nonempty proper suffix of any w_i equals a
     proper prefix of any w_j.
 
-    Self-overlap (i = j) is included by default; the cited source requires
-    it even though "any other" could be read as excluding it.
+    Self-overlap (i = j) is included; the cited source requires it even
+    though "any other" could be read as excluding it.
     """
     leading = [leading_word(t, order) for t in relators]
 
@@ -309,8 +308,6 @@ def inert_anick(
                 )
     for i, wi in enumerate(leading):
         for j, wj in enumerate(leading):
-            if i == j and not include_self_overlap:
-                continue
             for k in range(1, len(wi)):
                 suffix = wi[k:]
                 if len(suffix) < len(wj) and wj[: len(suffix)] == suffix:

@@ -12,11 +12,13 @@ weight.  The top degree of the window is omitted from homology tables: its
 incoming boundaries are not fully visible.
 
 Boundaries are assembled in bracket coordinates over the chain basis (the
-left-normed bracket bases of the window's slices) from the columns of
-ad_g, one matrix per generator g, and each basis tree [g, b] is factored as
-its slice recorded on accepting it; the same coordinate bracket serves the
-ideal saturation of module attach, the indecomposables here, and the
-structure constants of sullivan.truncation_lie_data.  Only the generators'
+left-normed bracket bases of the window's slices): each basis tree [g, b]
+is factored as its slice recorded on accepting it, and its boundary follows
+the derivation rule from db and [dg, b].  Every bracket of basis elements
+is computed in its target slice by the Lyndon-basis rewriting of module
+freelie (LieSlice.bracket); the same coordinate bracket serves the ideal
+saturation of module attach, the indecomposables here, and the structure
+constants of sullivan.truncation_lie_data.  Only the generators'
 differential images pass through tensor words, once each; derive works on
 tensor words and remains for d^2 checks and tensor-given inputs.
 
@@ -268,10 +270,10 @@ class ChainBasis:
 
     Degree-d chains are the direct sum of the (w, d) Lie slices, w <= N, in
     ascending weight; chain index j of degree d names a left-normed basis
-    tree of its slice.  The algebra is generated by its letters, so the
-    columns of ad_{g_i} determine every bracket: a basis tree [g_i, b]
-    brackets by  [[g_i, b], y] = [g_i, [b, y]] - (-1)^{|g_i||b|} [b, [g_i, y]],
-    and boundaries follow  d[g_i, b] = [g_i, db] + (-1)^{|b|} [dg_i, b].
+    tree of its slice.  [e_a, e_b] is LieSlice.bracket in the target slice,
+    of e_a's super-Lyndon coordinates with e_b's tree; the columns of
+    ad_{g_i} are its brackets with one letter, and boundaries follow
+    d[g_i, b] = [g_i, db] + (-1)^{|b|} [dg_i, b].
     Only the generators' diffs pass through tensor words, once each.
     Brackets beyond the window are dropped, as in word space.  Columns are
     memoised on the object; returned vectors must not be mutated.
@@ -393,7 +395,7 @@ class ChainBasis:
     def ad(self, i: int, degree: int, j: int) -> Vector:
         """Column j of ad_{g_i}: [g_i, e_j] for e_j of degree `degree`, over
         the chain basis of degree + deg g_i: a unit vector when the tree was
-        accepted there, else a solve, memoised."""
+        accepted there, else LieSlice.bracket of the letter g_i, memoised."""
         key = (i, degree, j)
         col = self._ad.get(key)
         if col is not None:
@@ -408,7 +410,7 @@ class ChainBasis:
         k = slc.accepted.get((i, j - sub_off))
         if k is not None:
             return {off + k: 1}
-        col = slc.generator_bracket(i, sub, j - sub_off)
+        col = slc.bracket({(i,): 1}, sub, j - sub_off)
         col = self._ad[key] = {off + c: v for c, v in col.items()}
         return col
 
@@ -421,25 +423,18 @@ class ChainBasis:
 
     def _basis_bracket(self, da: int, a: int, db: int, b: int) -> Vector:
         """[e_a, e_b] over the chain basis of degree da + db, for e_a of
-        degree da and e_b of degree db."""
+        degree da and e_b of degree db: e_a's super-Lyndon coordinates
+        bracketed with e_b in the target slice (LieSlice.bracket)."""
         key = (da, a, db, b)
         out = self._brackets.get(key)
         if out is None:
             out = {}
-            window = self.window
-            if (
-                da + db <= window.max_degree
-                and self.weights(da)[a] + self.weights(db)[b] <= window.max_weight
-            ):
-                i, ds, s = self._matched(da)[a]
-                if ds is None:
-                    out = self.ad(i, db, b)
-                else:
-                    g = self.p.generators[i]
-                    out = self.ad_vector(i, ds + db, self._basis_bracket(ds, s, db, b))
-                    sign = 1 if g.degree * ds % 2 else -1
-                    for c, v in self.ad(i, db, b).items():
-                        add_scaled(out, self._basis_bracket(ds, s, db + g.degree, c), sign * v)
+            slot = self._slot(da + db, self.weights(da)[a] + self.weights(db)[b])
+            if slot is not None:
+                slc, off = slot
+                (sa, a_off), (sb, b_off) = self._locate(da, a), self._locate(db, b)
+                x = {sa.lead[t]: c for t, c in sa.coords[a - a_off].items()}
+                out = {off + c: v for c, v in slc.bracket(x, sb, b - b_off).items()}
             self._brackets[key] = out
         return out
 
@@ -592,14 +587,13 @@ def homology(p: DglPresentation) -> HomologyTable:
     return p._homology
 
 
-def indecomposable_dims(p: DglPresentation, table: HomologyTable | None = None) -> dict[int, int]:
+def indecomposable_dims(p: DglPresentation) -> dict[int, int]:
     """Per-degree dims of H/[H,H].
 
     [H,H]_d is spanned by classes of brackets of representatives; each
     bracket is reduced against the boundary space before counting.
     """
-    if table is None:
-        table = homology(p)
+    table = homology(p)
     cx = table.complex
     out: dict[int, int] = {}
     for d in table.degrees:

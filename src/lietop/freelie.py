@@ -6,9 +6,12 @@ bracket bases; there is no abstract bracket-tree normal form.  Each
 (weight, degree) slice is built in super-Lyndon coordinates: the standard
 bracketings of Lyndon words, and squares of odd-degree ones, form a basis,
 and candidate basis brackets are computed over it by Lyndon-basis rewriting,
-with no tensor words.  The standard bracketings are triangular against their
-leading words, so word-space queries (coordinates, membership) peel off
-leading words in integers; a slice builds that peel on its first such query.
+with no tensor words.  The same rewriting is the one bracket of basis
+elements: LieSlice.bracket gives [x, b] over a slice's trees for x over
+leading words, and module dgl computes chain brackets with it.  The standard
+bracketings are triangular against their leading words, so word-space
+queries (coordinates, membership) peel off leading words in integers; a
+slice builds that peel on its first such query.
 All results are relative to a truncation window (max weight, max degree):
 arithmetic silently drops terms beyond the window, which makes every
 computation here a computation in a finite-dimensional nilpotent quotient.
@@ -27,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import factorial, lcm
 
-from .qlinalg import Echelon, SubspaceBasis, Vector
+from .qlinalg import Echelon, SubspaceBasis, Vector, add_scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -112,24 +115,13 @@ class Generator:
 
 Word = tuple[Generator, ...]
 
-_word_degree_memo: dict[Word, int] = {}
-_word_weight_memo: dict[Word, int] = {}
-
 
 def word_degree(word: Word) -> int:
-    d = _word_degree_memo.get(word)
-    if d is None:
-        d = sum(g.degree for g in word)
-        _word_degree_memo[word] = d
-    return d
+    return sum(g.degree for g in word)
 
 
 def word_weight(word: Word) -> int:
-    w = _word_weight_memo.get(word)
-    if w is None:
-        w = sum(g.weight for g in word)
-        _word_weight_memo[word] = w
-    return w
+    return sum(g.weight for g in word)
 
 
 class Window:
@@ -501,10 +493,15 @@ class LieSlice:
             self.trees.append(tree)
             self.coords.append(vec)
 
-    def generator_bracket(self, i: int, sub: "LieSlice", k: int) -> Vector:
-        """Coordinates of [g_i, b_k] over this slice's basis, where b_k is the
-        k-th basis element of sub, the slice just below this one by g_i."""
-        return self.tracked.coordinates(_bracket_sum(self, (i,), sub, sub.coords[k]))
+    def bracket(self, x: dict[Key, int], sub: "LieSlice", k: int) -> Vector:
+        """Coordinates of [x, b_k] over this slice's trees, where b_k is the
+        k-th tree of sub and x = sum_u x[u] P(u) is given over the leading
+        words u of one slice, whose weight and degree add up with sub's to
+        this slice's."""
+        out: dict[int, int] = {}
+        for u, c in x.items():
+            add_scaled(out, _bracket_sum(self, u, sub, sub.coords[k]), c)
+        return self.tracked.coordinates(out)
 
     @cached_property
     def words(self) -> list[Word]:
@@ -746,8 +743,11 @@ def lie_slice(gens: tuple[Generator, ...] | list[Generator], weight: int, degree
     for i, g in enumerate(gens):
         if g.weight == weight and g.degree == degree:
             slc._accept((i, None), i, {slc.lead_index[(i,)]: 1})
+    # candidates past a full slice are all dependent, so none is offered
     for i, sub in subs:
         for k, tree_b in enumerate(sub.trees):
+            if slc.dim == len(slc.lead):
+                break
             slc._accept((i, k), (i, tree_b), _bracket_sum(slc, (i,), sub, sub.coords[k]))
     if slc.dim != slc.tracked.ambient:
         raise RuntimeError(f"slice ({weight}, {degree}) has {slc.dim} basis trees for "
@@ -916,16 +916,14 @@ def tree_str(tree: Tree, gens: tuple[Generator, ...]) -> str:
     return f"[{gens[i].name},{tree_str(sub, gens)}]"
 
 
-def format_lie(el: LieElement, gens=None) -> str:
-    """Render a certified element over left-normed bracket bases.
+def format_lie(el: LieElement, gens) -> str:
+    """Render a certified element over the left-normed bracket bases of the
+    slices on gens.
 
     The output re-parses (module cli) to the same TensorElement.
     """
     t = el.value if isinstance(el, LieElement) else el
-    if gens is None:
-        gens = tuple(sorted(t.letters(), key=lambda g: (g.name, g.degree, g.weight)))
-    else:
-        gens = tuple(gens)
+    gens = tuple(gens)
     parts: list[tuple[Fraction, Tree]] = []
     for (w, d), terms in sorted(t.bislices().items()):
         slc = lie_slice(gens, w, d)

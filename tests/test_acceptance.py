@@ -267,7 +267,7 @@ def test_criterion_8_lemaire_growth():
     values = []
     for r0 in (2, 3, 4):
         p = model(r0)
-        values.append(indecomposable_dims(p, homology(p))[1])
+        values.append(indecomposable_dims(p)[1])
     # r0 = 2 cross-checked by hand: the seven quadratic targets are linearly
     # independent, so no degree-1 cycles survive at that stage
     assert values[0] == 0

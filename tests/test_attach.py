@@ -274,7 +274,6 @@ def test_anick_self_overlap_default_and_flag():
     W = Window(2, 0)
     aa = TensorElement(W, {(A, A): 1})
     assert not inert_anick([aa], [A, B]).passed
-    assert inert_anick([aa], [A, B], include_self_overlap=False).passed
 
 
 def test_anick_zero_relator_rejected():
@@ -503,7 +502,7 @@ def test_hidden_generator_growth_extends():
     values = []
     for r0 in (2, 3, 4, 5):
         p = model(r0)
-        values.append(indecomposable_dims(p, homology(p))[1])
+        values.append(indecomposable_dims(p)[1])
     assert values == [0, 1, 2, 3]
 
 

@@ -670,11 +670,18 @@ def random_chain(rng, cx, degree, max_weight):
     return {j: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)) for j in picked}
 
 
-@pytest.mark.parametrize("presentation", [cp2, torus, lambda: free_presentation([A, X], Window(5, 4))],
-                         ids=["cp2", "torus", "free-mixed"])
+def attached(name, window):
+    return lambda: cli.build(cli.parse(cli._load_source(name)[1]), window).attached
+
+
+@pytest.mark.parametrize("presentation", [cp2, torus, lambda: free_presentation([A, X], Window(5, 4)),
+                                          attached(GOLDEN_CRITERION6, Window(5, 3)),
+                                          attached("genus2", Window(5, 3))],
+                         ids=["cp2", "torus", "free-mixed", "criterion6", "genus2"])
 def test_chain_bracket_matches_word_space_bracket(presentation):
-    # seeded random pairs, odd x odd included (cp2, free-mixed): the
-    # coordinate bracket against freelie.bracket of the built elements
+    # seeded random pairs, odd x odd included (all but torus): the
+    # coordinate bracket against freelie.bracket of the built elements;
+    # criterion6's cell has an inhomogeneous target and fractional ad solves
     p = presentation()
     cx = ChainComplex(p)
     rng = random.Random(5)

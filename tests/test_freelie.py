@@ -321,6 +321,25 @@ def test_tree_choice_against_greedy_word_space(name, window):
         assert lie_slice(gens, w, d).trees == trees, (w, d)
 
 
+@pytest.mark.parametrize("name, window", [("genus2", Window(6, 3)), ("torus", Window(10, 3))])
+def test_full_slices_are_offered_no_candidates(monkeypatch, name, window):
+    # once a slice has a tree for every leading word, every further
+    # candidate is dependent, so lie_slice stops offering them
+    gens = cli.build(cli.parse(cli._load_source(name)[1]), window).attached.generators
+    offered, accept = [], fl.LieSlice._accept
+
+    def counting(slc, *args):
+        offered.append(slc.dim == len(slc.lead))
+        accept(slc, *args)
+
+    monkeypatch.setattr(fl, "_slice_cache", {})
+    monkeypatch.setattr(fl.LieSlice, "_accept", counting)
+    for w in range(1, window.max_weight + 1):
+        for d in range(window.max_degree + 1):
+            lie_slice(gens, w, d)
+    assert offered and not any(offered)
+
+
 def test_slices_build_without_tensor_words(monkeypatch):
     # fresh slices of the torus model's generators at (8,3) are built from
     # the generators alone: no tensor word is listed or multiplied out
@@ -624,18 +643,6 @@ def test_series_against_plain_oracle():
             got = log_group_word(word, gens, W)
             assert index_terms(got.value, gens) == plain_log(product, *bounds)
 
-def test_series_powers_stay_out_of_the_word_memos(monkeypatch):
-    # the product loop hands each power's weights and degrees to the next, so
-    # the series reads only its input's words through the process-wide memos
-    monkeypatch.setattr(fl, "_word_weight_memo", {})
-    monkeypatch.setattr(fl, "_word_degree_memo", {})
-    W = Window(6, 2)
-    x = TensorElement(W, {(A,): Fraction(3, 7), (X1,): 1, (A, B): -2})
-    assert len(exp(x).terms) > len(x.terms)
-    assert set(fl._word_weight_memo) <= set(x.terms)
-    assert set(fl._word_degree_memo) <= set(x.terms)
-
-
 def test_slice_dim_counts_without_building(monkeypatch):
     gens = (A, X1, Generator("y", 2), Generator("c", 1, weight=2))
     monkeypatch.setattr(fl, "_slice_cache", {})
@@ -813,7 +820,7 @@ def test_format_lie_simple():
 
 
 def test_format_lie_zero():
-    assert format_lie(LieElement(TensorElement.zero(Window(2, 0)))) == "0"
+    assert format_lie(LieElement(TensorElement.zero(Window(2, 0))), (A, B)) == "0"
 
 
 def test_format_lie_negative_leading():
@@ -824,15 +831,16 @@ def test_format_lie_negative_leading():
 
 
 def test_letters_ordered_by_weight_when_names_and_degrees_tie():
-    # without an explicit generator order the letters sort by (name, degree,
-    # weight); a tie left to set iteration order would flip the sign
+    # without an explicit generator order certify_lie sorts the letters by
+    # (name, degree, weight); a tie left to set iteration order would flip
+    # the sign, which format_lie prints over the order it is given
     W = Window(3, 0)
     for i in range(8):
         light, heavy = Generator(f"s{i}", 0), Generator(f"s{i}", 0, weight=2)
         el = bracket(gen_el(light, W), gen_el(heavy, W))
         assert certify_lie(el.value) == el
-        assert format_lie(el) == f"[s{i},s{i}]"
-        assert format_lie(-el) == f"-[s{i},s{i}]"
+        assert format_lie(el, (light, heavy)) == f"[s{i},s{i}]"
+        assert format_lie(-el, (light, heavy)) == f"-[s{i},s{i}]"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The package is pure stdlib: every import in src/lietop is relative to
 lietop or names a standard-library module.  Importing the CLI loads every
-layer module and nothing slow to import that it does not use."""
+layer module and nothing slow to import that it does not use.  The only
+process-wide dicts are the slice cache and the weak generator table."""
 
 import ast
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 from helpers import checkout_env
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lietop"
+DICT_TYPES = {"dict", "defaultdict", "OrderedDict", "Counter", "WeakValueDictionary", "WeakKeyDictionary"}
 
 
 def test_package_imports_only_stdlib_and_lietop():
@@ -44,3 +46,22 @@ def test_cli_import_loads_layers_without_dataclasses():
     assert "dataclasses" not in loaded
     layers = {f"lietop.{m}" for m in ("freelie", "qlinalg", "dgl", "attach", "sullivan")}
     assert layers <= loaded, sorted(layers - loaded)
+
+
+def test_module_level_dicts_are_the_slice_cache_and_generator_table():
+    # a module-level dict lives as long as the process; memos belong on the
+    # objects they serve
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            is_dict = isinstance(value, (ast.Dict, ast.DictComp)) or (
+                isinstance(value, ast.Call) and ast.unparse(value.func).split(".")[-1] in DICT_TYPES)
+            if is_dict:
+                found.extend(f"{path.stem}.{ast.unparse(t)}" for t in targets)
+    assert sorted(found) == ["freelie._generators", "freelie._slice_cache"]
