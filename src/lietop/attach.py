@@ -181,7 +181,7 @@ def saturate_ideal(base: DglPresentation, elements: list[LieElement],
     """Per-degree echelons of the closed ideal generated by the elements.
 
     Breadth-first: bracket every accepted spanning vector with each
-    generator, through the ad_g columns of cx, the base's chain complex;
+    generator in the coordinates of cx, the base's chain complex;
     every round raises weight, so the window bound terminates the
     saturation.  Jacobi makes generator brackets sufficient.
     """
@@ -198,11 +198,12 @@ def saturate_ideal(base: DglPresentation, elements: list[LieElement],
         v = cx.coordinates(t, d)
         if echelons.setdefault(d, Echelon(cx.dim(d))).insert(v):
             frontier.append((d, v))
+    letters = [(cx.generator(i), g) for i, g in enumerate(base.generators)]
     while frontier:
         new_frontier: list[tuple[int, Vector]] = []
         for d, v in frontier:
-            for i, g in enumerate(base.generators):
-                br = cx.ad_vector(i, d, v)
+            for x, g in letters:
+                br = cx.bracket(x, g.degree, v, d)
                 if not br:
                     continue
                 ech = echelons.setdefault(d + g.degree, Echelon(cx.dim(d + g.degree)))

@@ -570,8 +570,6 @@ def run(argv: list[str]) -> tuple[int, str]:
     elif ns.command == "inert":
         if not model.amap.cells:
             raise ValueError("inert requires at least one cell directive")
-        verdict = attach_mod.inert_homological(model.base, model.amap)
-        _report_verdict(rep, "inert", verdict)
         order = model.order
         if ns.order:
             by_name = {g.name: g for g in model.base.generators}
@@ -579,6 +577,8 @@ def run(argv: list[str]) -> tuple[int, str]:
             if missing:
                 raise ValueError(f"--order mentions unknown generators: {', '.join(missing)}")
             order = [by_name[n] for n in ns.order]
+        verdict = attach_mod.inert_homological(model.base, model.amap)
+        _report_verdict(rep, "inert", verdict)
         if order is not None:
             # targets were evaluated at expression-wide windows, so the
             # certificate sees the full relators, not their truncations

@@ -13,12 +13,14 @@ incoming boundaries are not fully visible.
 
 Boundaries are assembled in bracket coordinates over the chain basis (the
 left-normed bracket bases of the window's slices): each basis tree [g, b]
-is factored as its slice recorded on accepting it, and its boundary follows
-the derivation rule from db and [dg, b].  Every bracket of basis elements
-is computed in its target slice by the Lyndon-basis rewriting of module
-freelie (LieSlice.bracket); the same coordinate bracket serves the ideal
-saturation of module attach, the indecomposables here, and the structure
-constants of sullivan.truncation_lie_data.  Only the generators'
+is factored as its slice recorded on accepting it, and its boundary is the
+derivation rule as two chain brackets, [g, db] and [dg, b].  Every bracket
+of basis elements comes from one routine: a unit vector where [g, b] is
+itself a basis tree, else computed in its target slice by the Lyndon-basis
+rewriting of module freelie (LieSlice.bracket) and memoised; the same
+coordinate bracket serves the boundaries, the ideal saturation of module
+attach, the indecomposables here, and the structure constants of
+sullivan.truncation_lie_data.  Only the generators'
 differential images pass through tensor words, once each; derive works on
 tensor words and remains for d^2 checks and tensor-given inputs.
 
@@ -37,7 +39,6 @@ caller asks.
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
@@ -185,9 +186,6 @@ class DglPresentation:
             validate_d_squared=False,
         )
 
-    def homology(self) -> "HomologyTable":
-        return homology(self)
-
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)
         return f"DglPresentation({gens}; window={self.window})"
@@ -264,6 +262,25 @@ def _canonical_cycles(cx: "ChainComplex", d: int) -> list[Vector]:
     return [v for v in map(image.keep, cx.cycles(d).rows) if v is not None]
 
 
+class _Layouts(dict):
+    """degree -> (slots by weight, slots by chain index), built on first
+    read.  A slot is a slice and the chain index of its first tree; weight w
+    is entry w - 1 of the first list, zero slices included, and the second
+    names the slot of every chain index."""
+
+    def __init__(self, gens: tuple[Generator, ...], max_weight: int):
+        super().__init__()
+        self.gens, self.max_weight = gens, max_weight
+
+    def __missing__(self, degree: int) -> tuple[list[tuple[LieSlice, int]], list[tuple[LieSlice, int]]]:
+        by_weight, by_index = [], []
+        for w in range(1, self.max_weight + 1):
+            slot = (lie_slice(self.gens, w, degree), len(by_index))
+            by_weight.append(slot)
+            by_index.extend([slot] * slot[0].dim)
+        return self.setdefault(degree, (by_weight, by_index))
+
+
 class ChainBasis:
     """Coordinates of a presentation's truncated free Lie algebra over its
     chain basis, with brackets and boundaries computed in them.
@@ -271,8 +288,9 @@ class ChainBasis:
     Degree-d chains are the direct sum of the (w, d) Lie slices, w <= N, in
     ascending weight; chain index j of degree d names a left-normed basis
     tree of its slice.  [e_a, e_b] is LieSlice.bracket in the target slice,
-    of e_a's super-Lyndon coordinates with e_b's tree; the columns of
-    ad_{g_i} are its brackets with one letter, and boundaries follow
+    of e_a's super-Lyndon coordinates with e_b's tree, or a unit vector
+    where e_a is a generator g_i and the slice accepted the tree [g_i, e_b];
+    bracket extends it bilinearly, and boundaries follow
     d[g_i, b] = [g_i, db] + (-1)^{|b|} [dg_i, b].
     Only the generators' diffs pass through tensor words, once each.
     Brackets beyond the window are dropped, as in word space.  Columns are
@@ -282,64 +300,36 @@ class ChainBasis:
     def __init__(self, p: DglPresentation):
         self.p = p
         self.window = p.window
-        self._slices: dict[int, list[LieSlice]] = {}
-        self._offsets: dict[int, list[int]] = {}
-        self._col_weights: dict[int, list[int]] = {}
-        self._slots: dict[int, dict[int, tuple[LieSlice, int]]] = {}  # degree -> weight -> (slice, offset)
+        self._layouts = _Layouts(p.generators, p.window.max_weight)
         # degree -> per chain index (i, None, None) for the generator g_i, or
         # (i, d_b, b) for the tree [g_i, e_b], e_b of degree d_b
         self._factors: dict[int, list[tuple[int, int | None, int | None]]] = {}
-        self._ad: dict[tuple[int, int, int], Vector] = {}  # columns that needed a solve
-        self._brackets: dict[tuple[int, int, int, int], Vector] = {}
+        self._brackets: dict[tuple[int, int, int, int], Vector] = {}  # the solves of _basis_bracket
         self._columns: dict[tuple[int, int], Vector] = {}
-        self._diffs: dict[int, Vector] = {}
 
     def slices(self, degree: int) -> list[LieSlice]:
-        cached = self._slices.get(degree)
-        if cached is not None:
-            return cached
-        out = []
-        for w in range(1, self.window.max_weight + 1):
-            slc = lie_slice(self.p.generators, w, degree)
-            if slc.dim:
-                out.append(slc)
-        self._slices[degree] = out
-        offsets = []
-        total = 0
-        weights = []
-        for slc in out:
-            offsets.append(total)
-            total += slc.dim
-            weights.extend([slc.weight] * slc.dim)
-        self._offsets[degree] = offsets
-        self._col_weights[degree] = weights
-        self._slots[degree] = {slc.weight: (slc, off) for slc, off in zip(out, offsets)}
-        return out
+        """The nonzero degree-d slices, in ascending weight."""
+        return [slc for slc, _ in self._layouts[degree][0] if slc.dim]
 
     def _slot(self, degree: int, weight: int) -> tuple[LieSlice, int] | None:
         """The (weight, degree) slice and its offset, or None if it is zero
         or outside the window."""
-        if not 0 <= degree <= self.window.max_degree:
+        if not (0 <= degree <= self.window.max_degree and 1 <= weight <= self.window.max_weight):
             return None
-        self.slices(degree)
-        return self._slots[degree].get(weight)
+        slot = self._layouts[degree][0][weight - 1]
+        return slot if slot[0].trees else None
 
     def _locate(self, degree: int, j: int) -> tuple[LieSlice, int]:
         """The slice holding degree-d chain index j, and its offset."""
-        offsets = self._offsets[degree]
-        k = bisect_right(offsets, j) - 1
-        return self._slices[degree][k], offsets[k]
+        return self._layouts[degree][1][j]
 
     def weights(self, degree: int) -> list[int]:
         """The weight of every degree-d chain-basis element."""
-        self.slices(degree)
-        return self._col_weights[degree]
+        return [slc.weight for slc, _ in self._layouts[degree][1]]
 
     def dim(self, degree: int, max_weight: int | None = None) -> int:
-        weights = self.weights(degree)
-        if max_weight is None:
-            return len(weights)
-        return sum(1 for w in weights if w <= max_weight)
+        by_weight, by_index = self._layouts[degree]
+        return len(by_index) if max_weight is None else sum(slc.dim for slc, _ in by_weight[:max_weight])
 
     def coordinates(self, t: TensorElement, degree: int) -> Vector:
         """Coordinates of a degree-d Lie tensor element over the chain basis."""
@@ -357,7 +347,6 @@ class ChainBasis:
 
     def element(self, coords: Vector, degree: int) -> LieElement:
         """The Lie element with these coordinates over the degree-d chain basis."""
-        self.slices(degree)
         terms: dict[Word, Fraction] = {}
         for j in sorted(coords):
             slc, off = self._locate(degree, j)
@@ -366,7 +355,6 @@ class ChainBasis:
 
     def format_vector(self, coords: Vector, degree: int) -> str:
         """format_lie's text for element(coords, degree), without building it."""
-        self.slices(degree)
         parts = []
         for j in sorted(coords):
             slc, off = self._locate(degree, j)
@@ -392,50 +380,35 @@ class ChainBasis:
             self._factors[degree] = factors
         return factors
 
-    def ad(self, i: int, degree: int, j: int) -> Vector:
-        """Column j of ad_{g_i}: [g_i, e_j] for e_j of degree `degree`, over
-        the chain basis of degree + deg g_i: a unit vector when the tree was
-        accepted there, else LieSlice.bracket of the letter g_i, memoised."""
-        key = (i, degree, j)
-        col = self._ad.get(key)
-        if col is not None:
-            return col
+    def generator(self, i: int) -> Vector:
+        """g_i over the chain basis of its degree; {} when g_i has no slot
+        in the window."""
         g = self.p.generators[i]
-        target, weight = degree + g.degree, self.weights(degree)[j] + g.weight
-        slot = self._slot(target, weight)
-        if slot is None:
-            return {}
-        slc, off = slot
-        sub, sub_off = self._locate(degree, j)
-        k = slc.accepted.get((i, j - sub_off))
-        if k is not None:
-            return {off + k: 1}
-        col = slc.bracket({(i,): 1}, sub, j - sub_off)
-        col = self._ad[key] = {off + c: v for c, v in col.items()}
-        return col
-
-    def ad_vector(self, i: int, degree: int, v: Vector) -> Vector:
-        """[g_i, v] for a chain v of degree `degree`."""
-        out: Vector = {}
-        for j, c in v.items():
-            add_scaled(out, self.ad(i, degree, j), c)
-        return out
+        slot = self._slot(g.degree, g.weight)
+        return {} if slot is None else {slot[1] + slot[0].accepted[(i, None)]: 1}
 
     def _basis_bracket(self, da: int, a: int, db: int, b: int) -> Vector:
         """[e_a, e_b] over the chain basis of degree da + db, for e_a of
-        degree da and e_b of degree db: e_a's super-Lyndon coordinates
-        bracketed with e_b in the target slice (LieSlice.bracket)."""
+        degree da and e_b of degree db; {} beyond the window.  Where e_a is
+        a generator g_i and the target slice accepted the tree [g_i, e_b], a
+        unit vector; else e_a's super-Lyndon coordinates bracketed with e_b
+        in the target slice (LieSlice.bracket).  Only the solves are
+        memoised."""
         key = (da, a, db, b)
         out = self._brackets.get(key)
-        if out is None:
-            out = {}
-            slot = self._slot(da + db, self.weights(da)[a] + self.weights(db)[b])
-            if slot is not None:
-                slc, off = slot
-                (sa, a_off), (sb, b_off) = self._locate(da, a), self._locate(db, b)
-                x = {sa.lead[t]: c for t, c in sa.coords[a - a_off].items()}
-                out = {off + c: v for c, v in slc.bracket(x, sb, b - b_off).items()}
-            self._brackets[key] = out
+        if out is not None:
+            return out
+        (sa, a_off), (sb, b_off) = self._locate(da, a), self._locate(db, b)
+        slot = self._slot(da + db, sa.weight + sb.weight)
+        if slot is None:
+            return {}
+        slc, off = slot
+        # accepted keys the tree [g_i, b_k] by (i, k), and e_a's tree is i exactly when e_a is g_i
+        k = slc.accepted.get((sa.trees[a - a_off], b - b_off))
+        if k is not None:
+            return {off + k: 1}
+        x = {sa.lead[t]: c for t, c in sa.coords[a - a_off].items()}
+        out = self._brackets[key] = {off + c: v for c, v in slc.bracket(x, sb, b - b_off).items()}
         return out
 
     def bracket(self, x: Vector, dx: int, y: Vector, dy: int) -> Vector:
@@ -444,33 +417,29 @@ class ChainBasis:
         out: Vector = {}
         for a, ca in x.items():
             for b, cb in y.items():
-                add_scaled(out, self._basis_bracket(dx, a, dy, b), ca * cb)
+                br = self._basis_bracket(dx, a, dy, b)
+                if br:
+                    add_scaled(out, br, ca * cb)
         return out
-
-    def _diff(self, i: int) -> Vector:
-        col = self._diffs.get(i)
-        if col is None:
-            g = self.p.generators[i]
-            img = self.p.diff.get(g)
-            col = {} if img is None else self.coordinates(img.value, g.degree - 1)
-            self._diffs[i] = col
-        return col
 
     def boundary_column(self, degree: int, j: int) -> Vector:
         """d e_j for e_j of degree `degree` >= 1, over the chain basis of
-        degree - 1."""
+        degree - 1: the diff image of a generator, the derivation rule on a
+        tree [g_i, e_s]."""
         key = (degree, j)
         col = self._columns.get(key)
         if col is None:
             i, ds, s = self._matched(degree)[j]
+            g = self.p.generators[i]
             if ds is None:
-                col = self._diff(i)
+                img = self.p.diff.get(g)
+                col = {} if img is None else self.coordinates(img.value, degree - 1)
             else:
-                col = self.ad_vector(i, ds - 1, self.boundary_column(ds, s)) if ds else {}
-                sign = -1 if ds % 2 else 1
-                dg_degree = self.p.generators[i].degree - 1
-                for t, c in self._diff(i).items():
-                    add_scaled(col, self._basis_bracket(dg_degree, t, ds, s), sign * c)
+                # d[g_i, e_s] = [g_i, d e_s] + (-1)^{|e_s|} [dg_i, e_s]; x is one unit vector
+                x = self.generator(i)
+                col = self.bracket(x, g.degree, self.boundary_column(ds, s), ds - 1) if ds else {}
+                dx = self.boundary_column(g.degree, *x) if g.degree else {}
+                add_scaled(col, self.bracket(dx, g.degree - 1, {s: 1}, ds), -1 if ds % 2 else 1)
             self._columns[key] = col
         return col
 
@@ -549,7 +518,7 @@ class ChainComplex(ChainBasis):
             raise ValueError("sub-complex must have a prefix of the generators and the same window")
         here = {
             slc.weight: (off, {tree: k for k, tree in enumerate(slc.trees)})
-            for slc, off in zip(self.slices(degree), self._offsets[degree])
+            for slc, off in self._layouts[degree][0]
         }
         out: list[int] = []
         for slc in sub.slices(degree):

@@ -580,8 +580,8 @@ def word_space_boundary(cx, degree: int):
     peeled back into chain coordinates with ChainComplex.coordinates.
 
     Unlike the other oracles it shares the slices and their coordinates with
-    the package; it checks the assembly of boundaries from ad_g columns and
-    the bracket rule, which it does not use.
+    the package; it checks the assembly of boundaries from chain brackets
+    by the derivation rule, which it does not use.
     """
     from lietop.freelie import TensorElement
     from lietop.qlinalg import SparseMatrix

@@ -213,6 +213,16 @@ def test_quotient_consistency_cp2_detects_inequality():
     assert r.quotient_dims[4] == 0
 
 
+def test_base_generator_outside_the_window():
+    # h has no chain slot at (3,2), so every bracket with it is dropped: the
+    # saturation and the verdict read the window as if h were absent
+    W = Window(3, 2)
+    base = free_presentation([A, B, Generator("h", 5)], W)
+    r = quotient_consistency(base, torus_map(W))
+    assert r.attached_dims == r.quotient_dims == {0: 2, 1: 0}
+    assert inert_homological(base, torus_map(W)).status == INERT_UP_TO_WINDOW
+
+
 def test_quotient_consistency_requires_zero_diff():
     W = Window(4, 4)
     x = Generator("x", 1)
@@ -570,7 +580,7 @@ def test_inclusion_matches_tensor_round_trip():
 
 # per-degree ranks of the saturated target ideal on the base at the default
 # windows (criterion6 at (4,3)), as computed with word-space generator
-# brackets before they moved to ad_g columns
+# brackets before they moved to chain coordinates
 IDEAL_RANKS = {
     "cp2": {2: 1},
     "torus": {0: 21},

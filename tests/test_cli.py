@@ -382,6 +382,19 @@ def test_run_order_flag_overrides(tmp_path):
     assert "anick.leading.0: b.a" in out
 
 
+def test_unknown_order_name_exits_before_the_verdict(monkeypatch, capsys):
+    # --order names are resolved before any verdict work: a patched verdict
+    # that raises is never reached
+    def refuse(*args):
+        raise AssertionError("the verdict ran before --order was checked")
+
+    monkeypatch.setattr(cli.attach_mod, "inert_homological", refuse)
+    assert cli.main(["inert", "--file", "torus", "--window", "12", "3", "--order", "a", "q"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--order mentions unknown generators: q" in captured.err
+
+
 def test_main_parse_error_exit_2(tmp_path, capsys):
     f = tmp_path / "bad.lt"
     f.write_text("diff x = [\n")

@@ -674,14 +674,17 @@ def attached(name, window):
     return lambda: cli.build(cli.parse(cli._load_source(name)[1]), window).attached
 
 
+criterion6 = attached(GOLDEN_CRITERION6, Window(5, 3))
+
+
 @pytest.mark.parametrize("presentation", [cp2, torus, lambda: free_presentation([A, X], Window(5, 4)),
-                                          attached(GOLDEN_CRITERION6, Window(5, 3)),
-                                          attached("genus2", Window(5, 3))],
+                                          criterion6, attached("genus2", Window(5, 3))],
                          ids=["cp2", "torus", "free-mixed", "criterion6", "genus2"])
 def test_chain_bracket_matches_word_space_bracket(presentation):
-    # seeded random pairs, odd x odd included (all but torus): the
-    # coordinate bracket against freelie.bracket of the built elements;
-    # criterion6's cell has an inhomogeneous target and fractional ad solves
+    # seeded random pairs, odd x odd included (all but torus), then every
+    # generator against every degree-1 basis element: the coordinate
+    # bracket against freelie.bracket of the built elements; criterion6's
+    # cell has an inhomogeneous target and fractional generator solves
     p = presentation()
     cx = ChainComplex(p)
     rng = random.Random(5)
@@ -702,6 +705,19 @@ def test_chain_bracket_matches_word_space_bracket(presentation):
     assert nonzero >= 20
     if presentation is not torus:
         assert odd_pairs
+    # unit vectors where the slice accepted the tree [g_i, e_j], solves
+    # where it did not
+    units = fractional = 0
+    for i, g in enumerate(p.generators):
+        for j in range(cx.dim(1)):
+            got = cx.bracket(cx.generator(i), g.degree, {j: 1}, 1)
+            br = bracket(generator_element(g, p.window), cx.element({j: 1}, 1))
+            assert got == cx.coordinates(br.value, g.degree + 1), (g.name, j)
+            units += list(got.values()) == [1]
+            fractional += any(c.denominator != 1 for c in got.values())
+    assert units
+    if presentation is criterion6:
+        assert fractional
 
 
 # ---------------------------------------------------------------------------
