@@ -18,17 +18,18 @@ linear dependency among the target classes (inert maps have independent ones).
 The verdicts read the boundary-space echelons that the homology tables'
 chain complexes already hold, growing copies of them, and work on chain
 vectors throughout.  Base cycles enter the attached complex by re-indexing
-bracket trees, with no tensor round trip.  Surjectivity is decided per
-degree by a rank count, so the attached cycle basis is built only in a
-degree where it fails.  Witnesses stay chain vectors; they are built as Lie
-elements only when a library caller reads InertnessVerdict.failing.
+bracket trees, with no tensor round trip.  A degree whose attached chains
+are all base chains is onto by construction; the rest are decided by a rank
+count, so the attached cycle basis is built only in a degree where it fails.
+Witnesses stay chain vectors; they are built as Lie elements only when a
+library caller reads InertnessVerdict.failing.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .dgl import ChainComplex, DglPresentation, HomologyTable, homology
+from .dgl import ChainComplex, DglPresentation, GeneratorError, HomologyTable, homology
 from .freelie import (
     Generator,
     LieElement,
@@ -81,16 +82,16 @@ def attach_cells(base: DglPresentation, amap: AttachingMap) -> DglPresentation:
     diff: dict[Generator, TensorElement] = {g: img.value for g, img in base.diff.items()}
     for name, target in amap.cells:
         if name in taken:
-            raise ValueError(f"cell name {name} collides with an existing generator")
+            raise GeneratorError(f"cell name {name} collides with an existing generator", name)
         taken.add(name)
         t = target.value
         if not t.is_zero() and not t.is_homogeneous():
-            raise ValueError(f"target of cell {name} is not degree-homogeneous")
+            raise GeneratorError(f"target of cell {name} is not degree-homogeneous", name)
         weight = t.min_weight() or 1
         t = t.rewindow(window)
         residual = base.derive(t)
         if not residual.is_zero():
-            raise ValueError(f"target of cell {name} is not a cycle")
+            raise GeneratorError(f"target of cell {name} is not a cycle", name)
         degree = (t.degree() if not t.is_zero() else target.value.degree()) or 0
         cell = Generator(name, degree + 1, weight=weight)
         gens.append(cell)
@@ -130,7 +131,10 @@ def surjectivity_verdict(
 ) -> InertnessVerdict:
     """Is H(base) -> H(attached) surjective in every reportable degree?
 
-    The included base cycles and the attached boundaries span a subspace of
+    A degree whose attached chains are all base chains is onto by
+    construction: there the inclusion is a bijective chain map, injective
+    one degree down, so every attached cycle is a base cycle.  Elsewhere the
+    included base cycles and the attached boundaries span a subspace of
     the attached cycles; the map is onto in degree d exactly when its rank
     is the boundary rank plus dim H_d.  Only a degree where it falls short
     builds the attached cycle basis, and each of its cycles outside the span
@@ -142,7 +146,7 @@ def surjectivity_verdict(
     cx_att, cx_base = att_table.complex, base_table.complex
     witnesses: list[tuple[int, Vector]] = []
     for d in att_table.degrees:
-        if att_table.dims[d] == 0:
+        if att_table.dims[d] == 0 or cx_att.dim(d) == cx_base.dim(d):
             continue
         boundaries = cx_att.image(d)
         hit = boundaries.copy()

@@ -24,10 +24,10 @@ computation-level findings (an --expect mismatch), 2 input errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Mapping
 from fractions import Fraction
-from importlib import resources
 
 from . import attach as attach_mod
 from . import dgl as dgl_mod
@@ -86,9 +86,9 @@ def _tokenize_line(text: str, line_no: int) -> list[Token]:
                 j += 1
             out.append(Token("name", text[i:j], line_no, col))
             i = j
-        elif ch.isdigit():
+        elif ch.isdecimal():  # exactly the digits int() reads
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             out.append(Token("int", text[i:j], line_no, col))
             i = j
@@ -236,7 +236,8 @@ class PresentationFile:
     def __init__(self):
         self.generators: list[Generator] = []
         self.diffs: dict[str, object] = {}  # generator name -> expr
-        self.cells: list[tuple[str, int, object, int, int]] = []  # name, degree, expr, line, col of the name
+        self.cells: list[tuple[str, int, object]] = []  # name, degree, expr
+        self.at: dict[str, tuple[int, int]] = {}  # diff or cell name -> line, col of the name
         self.words: dict[str, list[tuple[str, int]]] = {}  # name -> (letter, exponent) pairs
         self.order: list[str] | None = None
         self.window: Window | None = None
@@ -273,6 +274,7 @@ def parse(text: str) -> PresentationFile:
             if tok.text in pf.diffs:
                 raise ParseError(f"second diff for generator {tok.text!r}", tok.line, tok.col)
             pf.diffs[tok.text] = expr
+            pf.at[tok.text] = tok.line, tok.col
             refs.append((tok, f"diff for unknown generator {tok.text!r}"))
         elif head.text == "cell":
             tok = cur.expect("name")
@@ -285,7 +287,8 @@ def parse(text: str) -> PresentationFile:
             if name in names:
                 raise ParseError(f"name {name!r} already declared", tok.line, tok.col)
             names.add(name)
-            pf.cells.append((name, degree, expr, tok.line, tok.col))
+            pf.cells.append((name, degree, expr))
+            pf.at[name] = tok.line, tok.col
         elif head.text == "word":
             tok = cur.expect("name")
             name = tok.text
@@ -423,10 +426,13 @@ def build(pf: PresentationFile, window: Window | None = None) -> BuiltModel:
     eval_expr, logs = _make_evaluator(gens, words, window)
 
     diffs = {by_name[name]: eval_expr(expr) for name, expr in pf.diffs.items()}
-    base = dgl_mod.DglPresentation(gens, diffs, window)
+    try:
+        base = dgl_mod.DglPresentation(gens, diffs, window)
+    except dgl_mod.GeneratorError as exc:
+        raise ParseError(str(exc), *pf.at[exc.name]) from None
 
     cells = []
-    for name, degree, expr, line_no, col in pf.cells:
+    for name, degree, expr in pf.cells:
         # evaluate at a window wide enough for the full expression, so the
         # cell inherits the true weight of its target even when the model
         # window truncates the target away
@@ -439,15 +445,19 @@ def build(pf: PresentationFile, window: Window | None = None) -> BuiltModel:
         t = target.value
         if t.is_zero() and degree != 1:
             raise ParseError(f"cell {name} has degree {degree} but its target is zero, "
-                             "which attaches in degree 1", line_no, col)
-        if not t.is_zero() and t.degree() != degree - 1:
+                             "which attaches in degree 1", *pf.at[name])
+        # an inhomogeneous target, of degree None, is attach_cells' to reject
+        if t.degree() not in (None, degree - 1):
             raise ParseError(
                 f"cell {name} has degree {degree} but its target has degree {t.degree()}",
-                line_no, col,
+                *pf.at[name],
             )
         cells.append((name, target))
     amap = attach_mod.AttachingMap(cells)
-    attached = attach_mod.attach_cells(base, amap)
+    try:
+        attached = attach_mod.attach_cells(base, amap)
+    except dgl_mod.GeneratorError as exc:
+        raise ParseError(str(exc), *pf.at[exc.name]) from None
     order = None if pf.order is None else [by_name[name] for name in pf.order]
     return BuiltModel(base, amap, attached, logs, order, window)
 
@@ -500,10 +510,10 @@ def _report_verdict(rep: Report, prefix: str, v: attach_mod.InertnessVerdict) ->
 def _load_source(name: str | None) -> tuple[str, str]:
     if name is None:
         raise ValueError("this command needs --file")
+    path = name
     if name in BUILTIN_EXAMPLES:
-        data = resources.files("lietop").joinpath(f"examples/{name}.lt").read_text()
-        return name, data
-    with open(name, "r", encoding="utf-8") as fh:
+        path = os.path.join(os.path.dirname(__file__), "examples", f"{name}.lt")
+    with open(path, "r", encoding="utf-8") as fh:
         return name, fh.read()
 
 

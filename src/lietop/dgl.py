@@ -63,6 +63,15 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+class GeneratorError(ValueError):
+    """Invalid input about one generator, whose name it carries: its
+    differential, or for a cell its target."""
+
+    def __init__(self, message: str, name: str):
+        super().__init__(message)
+        self.name = name
+
+
 class DglPresentation:
     """A profree dgl given by generators, degrees, and differential images.
 
@@ -95,23 +104,23 @@ class DglPresentation:
             if img.is_zero():
                 continue
             if g.degree == 0:
-                raise ValueError(f"degree-0 generator {g.name} must have zero diff")
+                raise GeneratorError(f"degree-0 generator {g.name} must have zero diff", g.name)
             if img.degree() != g.degree - 1:
-                raise ValueError(
-                    f"diff of {g.name} must be homogeneous of degree {g.degree - 1}"
+                raise GeneratorError(
+                    f"diff of {g.name} must be homogeneous of degree {g.degree - 1}", g.name
                 )
             if (img.min_weight() or 1) < 1:
-                raise ValueError(f"diff of {g.name} has a weight-0 term")
+                raise GeneratorError(f"diff of {g.name} has a weight-0 term", g.name)
             lie = certify_lie(img, self.generators)
             if lie is None:
-                raise ValueError(f"diff of {g.name} is not in the free Lie subalgebra")
+                raise GeneratorError(f"diff of {g.name} is not in the free Lie subalgebra", g.name)
             self.diff[g] = lie
         self._homology: "HomologyTable | None" = None
         if validate_d_squared:
             bad = self.check_d_squared()
             if bad:
                 bad_names = ", ".join(g.name for g, _ in bad)
-                raise ValueError(f"d^2 != 0 on generators: {bad_names}")
+                raise GeneratorError(f"d^2 != 0 on generators: {bad_names}", bad[0][0].name)
 
     def generator(self, name: str) -> Generator:
         for g in self.generators:

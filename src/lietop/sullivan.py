@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 
 from .dgl import ChainBasis
-from .qlinalg import Echelon, SparseMatrix, Vector, kernel_basis
+from .qlinalg import Echelon, SparseMatrix, Vector, add_scaled, kernel_basis
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -57,13 +57,6 @@ def _scaled(table: dict) -> tuple[dict, int]:
     return {
         key: {k: c.numerator * (den // c.denominator) for k, c in cs.items()} for key, cs in table.items()
     }, den
-
-
-def _add(out: dict[int, int], v: dict[int, int] | None, scale: int) -> None:
-    """out += scale*v; entries that cancel stay as 0."""
-    if v:
-        for k, e in v.items():
-            out[k] = out.get(k, 0) + scale * e
 
 
 def _check_indices(what: str, indices, n: int) -> None:
@@ -90,8 +83,7 @@ def _lower_central_dims(rows: list[dict[int, dict[int, int]]]) -> list[int]:
             for i in sorted(set().union(*(rows[m] for m in vec))):
                 br: dict[int, int] = {}
                 for m, c in vec.items():
-                    _add(br, rows[i].get(m), c)
-                br = {k: c for k, c in br.items() if c}
+                    add_scaled(br, rows[i].get(m, {}), c)
                 if br and ech.insert(br):
                     nxt.append(br)
         dims.append(len(nxt))
@@ -401,7 +393,7 @@ def check_sullivan(sd: SullivanData) -> SullivanReport:
     images, den = _images(sd.dim, sd.d0, sd.d1)
     violations = []
     for k, (name, _) in enumerate(sd.basis):
-        dd = _derive(images, degs, _derive(images, degs, {(k,): 1}))
+        dd = _derive(images, degs, dict(images[k]))
         dd = {m: Fraction(c, den * den) for m, c in dd.items() if c}
         if dd:
             violations.append((name, dd))
@@ -517,13 +509,6 @@ def semiquadratic_homology(
     for k in range(n):
         by_degree.setdefault(degs[k], []).append(k)
 
-    def d0_vec(v: Vector) -> Vector:
-        out: Vector = {}
-        for k, ck in v.items():
-            for j, c in sd.d0.get(k, {}).items():
-                _acc(out, j, ck * c)
-        return out
-
     rank0: dict[int, int] = {}
     right: dict[int, int] = {}
     for d, ks in sorted(by_degree.items()):
@@ -533,7 +518,10 @@ def semiquadratic_homology(
         ech = Echelon(n)
         kern = 0  # dim of the kernel of d0 on V cap ker d1 in degree d
         for row in kernel_basis(SparseMatrix(n * n, len(ks), entries)).rows:
-            if not ech.insert(d0_vec({ks[local]: c for local, c in row.items()})):
+            image: Vector = {}  # d0 of the kernel vector
+            for local, c in row.items():
+                add_scaled(image, sd.d0.get(ks[local], {}), c)
+            if not ech.insert(image):
                 kern += 1
         rank0[d] = ech.rank
         right[d] = kern - rank0.get(d - 1, 0)
@@ -586,7 +574,7 @@ def truncation_lie_data(p) -> NilpotentLieData:
             db, b, wb = cells[j]
             if wa + wb > max_weight or da + db > max_degree:
                 continue
-            br = chains.bracket({a: ONE}, da, {b: ONE}, db)
+            br = chains.bracket({a: 1}, da, {b: 1}, db)
             if not br:
                 continue
             cs = brackets[(i, j)] = globally(br, da + db)

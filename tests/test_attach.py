@@ -99,8 +99,9 @@ def test_attach_rejects_non_cycle():
     x = Generator("x", 1)
     h = Generator("h", 2)
     base = DglPresentation([x, h], {h: el(x, W)}, W)
-    with pytest.raises(ValueError, match="not a cycle"):
+    with pytest.raises(ValueError, match="not a cycle") as info:
         attach_cells(base, AttachingMap([("s", el(h, W))]))
+    assert info.value.name == "s"  # the CLI reports it at cell s
 
 
 def test_attach_rejects_name_collision():
@@ -632,6 +633,23 @@ def test_inert_verdict_builds_no_attached_cycle_basis(monkeypatch, name, window,
         argv += ["--window", str(window.max_weight), str(window.max_degree)]
     code, out = cli.run(argv)
     assert code == 0 and out.encode() == (GOLDEN / f"{stem}.records").read_bytes()
+
+
+def test_degree_without_cell_chains_skips_the_rank_test(monkeypatch):
+    # cells have degree >= 1, so every degree-0 attached chain is a base
+    # chain and degree 0 is onto by construction: its base cycles are never
+    # included into the attached complex
+    degrees: list[int] = []
+    inclusion = ChainComplex.inclusion
+
+    def recorded(self, sub, degree):
+        degrees.append(degree)
+        return inclusion(self, sub, degree)
+
+    monkeypatch.setattr(ChainComplex, "inclusion", recorded)
+    code, out = cli.run(["inert", "--file", "genus2", "--window", "6", "3", "--format", "records"])
+    assert code == 0 and out.encode() == (GOLDEN / "inert-genus2-6-3.records").read_bytes()
+    assert 0 not in degrees
 
 
 def test_inert_torus_eliminates_no_kernel_on_the_attached_side(monkeypatch):

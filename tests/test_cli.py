@@ -125,7 +125,18 @@ def test_parse_rejects_repeated_directives(text, message):
      "line 2, col 6: cell sy has degree 2 but its target has degree 2"),
     ("generator a degree 0\ncell s degree 5 attach [a,a]\n",
      "line 2, col 6: cell s has degree 5 but its target is zero, which attaches in degree 1"),
-], ids=["diff", "cell", "zero-target"])
+    ("generator a degree ²\n", "line 1, col 20: unexpected character '²'"),
+    ("generator a degree 0\n  diff a = a\n", "line 2, col 8: degree-0 generator a must have zero diff"),
+    ("generator a degree 0\ngenerator h degree 2\ndiff h = a\n",
+     "line 3, col 6: diff of h must be homogeneous of degree 1"),
+    ("generator a degree 0\ngenerator b degree 0\ngenerator u degree 1\ngenerator v degree 2\n"
+     "diff u = [a,b]\ndiff v = [a,u]\n", "line 6, col 6: d^2 != 0 on generators: v"),
+    ("generator x degree 1\ngenerator h degree 2\ndiff h = x\n  cell s degree 3 attach h\n",
+     "line 4, col 8: target of cell s is not a cycle"),
+    ("generator a degree 0\ngenerator x degree 1\ncell s degree 1 attach a + x\n",
+     "line 3, col 6: target of cell s is not degree-homogeneous"),
+], ids=["diff", "cell", "zero-target", "superscript-digit", "degree-0-diff", "diff-degree",
+        "d-squared", "non-cycle-target", "inhomogeneous-target"])
 def test_build_reports_errors_at_the_name(text, message):
     with pytest.raises(ParseError) as info:
         build(parse(text))

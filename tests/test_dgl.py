@@ -66,16 +66,18 @@ def random_lie(rng, gens, window, weights, degree):
 
 def test_degree_zero_diff_rejected():
     W = Window(3, 3)
-    with pytest.raises(ValueError, match="degree-0"):
+    with pytest.raises(ValueError, match="^degree-0 generator a must have zero diff$") as info:
         DglPresentation([A, B], {A: generator_element(B, W)}, W)
+    assert info.value.name == "a"  # the CLI reports it at a's diff directive
 
 
 def test_degree_mismatch_rejected():
     W = Window(3, 3)
     sy = Generator("sy", 3)
     x = Generator("x", 1)
-    with pytest.raises(ValueError, match="homogeneous of degree"):
+    with pytest.raises(ValueError, match="^diff of sy must be homogeneous of degree 2$") as info:
         DglPresentation([x, sy], {sy: generator_element(x, W)}, W)
+    assert info.value.name == "sy"
 
 
 def test_non_lie_diff_rejected():

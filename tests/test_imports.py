@@ -48,6 +48,17 @@ def test_cli_import_loads_layers_without_dataclasses():
     assert layers <= loaded, sorted(layers - loaded)
 
 
+def test_cli_import_without_site_loads_no_resource_machinery():
+    # -S keeps site-packages' .pth hooks from importing these first; the
+    # built-in examples are plain files next to the package
+    probe = "import sys, lietop.cli; print(' '.join(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, check=True, text=True,
+                         env=checkout_env())
+    loaded = set(out.stdout.split())
+    assert "lietop.cli" in loaded
+    assert not loaded & {"importlib.resources", "pathlib", "tempfile"}, sorted(loaded)
+
+
 def test_module_level_dicts_are_the_slice_cache_and_generator_table():
     # a module-level dict lives as long as the process; memos belong on the
     # objects they serve
