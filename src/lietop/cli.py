@@ -39,7 +39,6 @@ from .freelie import (
     TermBudgetExceeded,
     Window,
     bracket,
-    check_group_word,
     format_lie,
     generator_element,
     log_group_word,
@@ -247,9 +246,10 @@ def parse(text: str) -> PresentationFile:
     pf = PresentationFile()
     names: set[str] = set()
     # the generators that diff, word and order directives name, with the
-    # message for each; they are checked after the loop, as generators may
-    # come later
+    # message for each, and the letters of words, which must have degree 0;
+    # they are checked after the loop, as generators may come later
     refs: list[tuple[Token, str]] = []
+    word_letters: list[Token] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw.partition("#")[0], line_no)
         cur = _Cursor(tokens)
@@ -299,6 +299,7 @@ def parse(text: str) -> PresentationFile:
             names.add(name)
             pf.words[name] = [(tok.text, exponent) for tok, exponent in letters]
             refs.extend((tok, f"word {name}: unknown generator {tok.text!r}") for tok, _ in letters)
+            word_letters.extend(tok for tok, _ in letters)
         elif head.text == "window":
             cur.expect_keyword("weight")
             w = int(cur.expect("int").text)
@@ -328,10 +329,13 @@ def parse(text: str) -> PresentationFile:
             raise ParseError(f"unknown directive {head.text!r}", head.line, head.col)
     if not pf.generators:
         raise ParseError("no generators", 1, 1)
-    generators = {g.name for g in pf.generators}
+    degrees = {g.name: g.degree for g in pf.generators}
     for tok, message in refs:
-        if tok.text not in generators:
+        if tok.text not in degrees:
             raise ParseError(message, tok.line, tok.col)
+    for tok in word_letters:
+        if degrees[tok.text]:
+            raise ParseError(f"group words require degree-0 generators, got {tok.text}", tok.line, tok.col)
     return pf
 
 
@@ -413,8 +417,7 @@ def _expr_bounds(by_name: dict[str, Generator], expr, window: Window) -> tuple[i
 
 def build(pf: PresentationFile, window: Window | None = None) -> BuiltModel:
     """The model of a parsed file at a window (default: the file's); parse
-    has checked every name a directive gives, and each word is checked here,
-    once, whether or not anything reads it."""
+    has checked every name a directive gives and every word's letters."""
     if window is None:
         window = pf.window or DEFAULT_WINDOW
     gens = tuple(pf.generators)
@@ -422,7 +425,6 @@ def build(pf: PresentationFile, window: Window | None = None) -> BuiltModel:
     words: dict[str, list[tuple[Generator, int]]] = {}
     for wname, letters in pf.words.items():
         words[wname] = [(by_name[letter], exponent) for letter, exponent in letters]
-        check_group_word(words[wname], gens)
     eval_expr, logs = _make_evaluator(gens, words, window)
 
     diffs = {by_name[name]: eval_expr(expr) for name, expr in pf.diffs.items()}
@@ -674,6 +676,8 @@ def _group_word_element(arg: str, model: BuiltModel, window: Window) -> LieEleme
         g = by_name.get(tok.text)
         if g is None:
             raise ParseError(f"unknown generator {tok.text!r} in group word {arg!r}", tok.line, tok.col)
+        if g.degree:
+            raise ParseError(f"group words require degree-0 generators, got {tok.text}", tok.line, tok.col)
         letters.append((g, exponent))
     return log_group_word(letters, model.base.generators, window)
 

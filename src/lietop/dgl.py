@@ -27,13 +27,13 @@ tensor words and remains for d^2 checks and tensor-given inputs.
 Chain coordinates are integers wherever they are integral.  A
 ChainComplex eliminates each boundary map untracked for its image, the
 echelon that ranks, stage ranks, representatives and attach verdicts all
-read; the kernel of a boundary is eliminated, tracked, only when the cycles
-of its degree are first read.  So a boundary is eliminated at most twice,
-and twice only where a degree's cycles are read.  Homology dimensions are
-read off the ranks; representatives are built per degree when first read,
-none where the homology is zero, stay coordinate vectors over the chain
-basis and print from them; Lie elements are built only when a library
-caller asks.
+read; the cycles of a degree are qlinalg.kernel_basis of its boundary's
+columns, computed on first read and kept.  So a boundary is eliminated at
+most twice, and twice only where a degree's cycles are read; qlinalg is
+read only through its public names.  Homology dimensions are read off the
+ranks; representatives are built per degree when first read, none where
+the homology is zero, stay coordinate vectors over the chain basis and
+print from them; Lie elements are built only when a library caller asks.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ from .freelie import (
     merge_windows,
     slice_dim,
 )
-from .qlinalg import (Echelon, IntVector, SparseMatrix, SubspaceBasis, Vector, add_scaled,
-                      eliminate_columns, span_basis)
+from .qlinalg import Echelon, SparseMatrix, SubspaceBasis, Vector, add_scaled, kernel_basis
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -456,17 +455,16 @@ class ChainBasis:
 class ChainComplex(ChainBasis):
     """Chain data of a presentation on its window, assembled degree by degree.
 
-    The boundary matrices are those of the chain basis, in ascending weight;
-    each column remembers its weight so ranks of the (N-1)-stage come from
-    the same elimination as the full ranks.  Images are eliminated untracked;
-    a kernel is eliminated, tracked, on its first read.
+    The boundary matrices are those of the chain basis, in ascending weight,
+    so ranks of the (N-1)-stage are read off the same elimination as the
+    full ranks.  Images are eliminated untracked; a kernel is eliminated,
+    tracked, on its first read.
     """
 
     def __init__(self, p: DglPresentation):
         super().__init__(p)
         self._images: dict[int, Echelon] = {}
-        self._stage_ranks: dict[int, int] = {}
-        self._kernels: dict[int, list[IntVector]] = {}
+        self._kernels: dict[int, SubspaceBasis] = {}
 
     def boundary(self, degree: int) -> SparseMatrix:
         """The matrix of d: C_degree -> C_{degree-1}; homology never builds it."""
@@ -483,36 +481,35 @@ class ChainComplex(ChainBasis):
         """Echelon of the boundary space in degree d: the columns of
         d: C_{d+1} -> C_d inserted into an untracked Echelon, which keeps no
         kernel.  Consumers that grow it take a copy."""
-        cached = self._images.get(degree)
-        if cached is not None:
-            return cached
-        ech = Echelon(self.dim(degree))
-        pivots = [ech._insert(self.boundary_column(degree + 1, j))[0] for j in range(self.dim(degree + 1))]
-        # Columns and rows run in ascending weight: the pivots that (N-1)-stage
-        # columns add in (N-1)-stage rows count the (N-1)-stage rank.
-        n = self.window.max_weight
-        stage_cols, stage_rows = self.dim(degree + 1, n - 1), self.dim(degree, n - 1)
-        self._stage_ranks[degree] = sum(1 for p in pivots[:stage_cols] if p is not None and p < stage_rows)
-        self._images[degree] = ech
+        ech = self._images.get(degree)
+        if ech is None:
+            ech = Echelon(self.dim(degree))
+            for j in range(self.dim(degree + 1)):
+                ech.insert(self.boundary_column(degree + 1, j))
+            self._images[degree] = ech
         return ech
 
     def cycles(self, degree: int) -> SubspaceBasis:
         """Leftmost-pivot reduced echelon basis of the kernel of
-        d: C_d -> C_{d-1}, from the null vectors of a tracked elimination of
-        its columns, run on the first read and kept."""
-        n = self.dim(degree)
-        if degree == 0:
-            return SubspaceBasis(n, [{j: 1} for j in range(n)], list(range(n)))
-        null = self._kernels.get(degree)
-        if null is None:
-            cols = (self.boundary_column(degree, j) for j in range(n))
-            null = self._kernels[degree] = eliminate_columns(cols, self.dim(degree - 1))[1]
-        return span_basis(n, null)
+        d: C_d -> C_{d-1} (all of C_0 in degree 0): kernel_basis of its
+        columns, run on the first read and kept."""
+        basis = self._kernels.get(degree)
+        if basis is None:
+            n = self.dim(degree)
+            if degree == 0:
+                basis = SubspaceBasis(n, [{j: 1} for j in range(n)], list(range(n)))
+            else:
+                cols = (self.boundary_column(degree, j) for j in range(n))
+                basis = kernel_basis(cols, self.dim(degree - 1))
+            basis = self._kernels.setdefault(degree, basis)
+        return basis
 
     def stage_rank(self, degree: int) -> int:
-        """Rank of d: C_{d+1} -> C_d on the weight-<=(N-1) stage."""
-        self.image(degree)
-        return self._stage_ranks[degree]
+        """Rank of d: C_{d+1} -> C_d on the weight-<=(N-1) stage, for a d
+        that never lowers weight: the image's pivots in (N-1)-stage rows.
+        Rows run in ascending weight, so a weight-N column leaves none there."""
+        rows = self.dim(degree, self.window.max_weight - 1)
+        return sum(1 for p in self.image(degree).pivots if p < rows)
 
     def inclusion(self, sub: "ChainComplex", degree: int) -> list[int]:
         """Index here of each degree-d chain-basis element of sub.

@@ -858,9 +858,18 @@ def bch(x: LieElement, y: LieElement) -> LieElement:
     return certified
 
 
-def check_group_word(word: list[tuple[Generator, int]], gens) -> None:
-    """Raises ValueError unless word is a sequence of (generator, exponent)
-    over degree-0 generators of gens, with exponents +1 or -1."""
+def log_group_word(
+    word: list[tuple[Generator, int]],
+    gens,
+    window: Window,
+) -> LieElement:
+    """log of a product of exp(+-g) over degree-0 generators.
+
+    word is a sequence of (generator, exponent) over degree-0 generators of
+    gens, with exponent +1 or -1, else ValueError; a group generator g maps
+    to log(exp g) = g.
+    """
+    gens = tuple(gens)
     known = set(gens)
     for g, e in word:
         if g not in known:
@@ -869,20 +878,6 @@ def check_group_word(word: list[tuple[Generator, int]], gens) -> None:
             raise ValueError(f"group words require degree-0 generators, got {g.name}")
         if e not in (1, -1):
             raise ValueError("group word exponents must be +1 or -1")
-
-
-def log_group_word(
-    word: list[tuple[Generator, int]],
-    gens,
-    window: Window,
-) -> LieElement:
-    """log of a product of exp(+-g) over degree-0 generators.
-
-    word is a sequence of (generator, exponent) with exponent +1 or -1;
-    a group generator g maps to log(exp g) = g.
-    """
-    gens = tuple(gens)
-    check_group_word(word, gens)
     out = TensorElement.unit(window)
     for g, e in word:
         out = mul(out, exp(Fraction(e) * TensorElement.generator(g, window)))

@@ -12,8 +12,8 @@ rows in semi-echelon form and reduces fraction-free, in the style of Bareiss
 (Math. Comp. 1968).  Fractions appear only where values handed to callers
 are not integral: residuals, coordinates, kept vectors and the reduced
 row-echelon basis, which is built on demand.  An untracked Echelon gives a
-matrix's image and rank; eliminate_columns tracks combinations and is run
-only where a kernel is read.
+matrix's image, its rank and its pivots; kernel_basis, the one kernel
+routine, tracks combinations and is run only where a kernel is read.
 """
 
 from __future__ import annotations
@@ -171,8 +171,8 @@ class Echelon:
     against a later one, nor changed at all once stored, so `copy` shares
     them.  A residual still comes out zero at every pivot column, and the
     span meets that coordinate subspace only in 0, so residuals and
-    coordinates are those of the reduced row-echelon form; `basis` and
-    `rows` build that form on demand.
+    coordinates are those of the reduced row-echelon form; `basis` builds
+    that form on demand.
 
     With track=True every stored row carries its expression over the
     accepted vectors as originally inserted (integer coefficients sharing the
@@ -192,8 +192,9 @@ class Echelon:
         return len(self._rows)
 
     @property
-    def rows(self) -> list[Vector]:
-        return self.basis().rows
+    def pivots(self):
+        """A read-only view of the pivot columns, in insertion order."""
+        return self._rows.keys()
 
     def reduce(self, v: Vector) -> tuple[Vector, Vector]:
         """Returns (residual, combo) with residual = v - sum combo[k]*accepted[k]."""
@@ -249,10 +250,6 @@ class Echelon:
             return None
         return combo
 
-    def contains(self, v: Vector) -> bool:
-        residual, _ = self.reduce(v)
-        return not residual
-
     def copy(self) -> "Echelon":
         """An independent echelon with the same rows, ready to grow."""
         out = Echelon(self.ambient, self.track)
@@ -281,30 +278,18 @@ def span_basis(ambient: int, vectors) -> SubspaceBasis:
     return ech.basis()
 
 
-def eliminate_columns(columns, ambient: int) -> tuple[list[int | None], list[IntVector]]:
-    """Eliminates a matrix's columns, vectors in Q^ambient, in order, tracked.
-    Returns the pivot each column added (None if it is in the span of earlier
-    ones) and a basis of the null space: for each such column j, the relation
-    its elimination found.  A caller that needs only the image or its rank
-    inserts the columns into an untracked Echelon instead."""
+def kernel_basis(columns, ambient: int) -> SubspaceBasis:
+    """The leftmost-pivot reduced echelon basis of the null space of the
+    matrix whose columns, vectors in Q^ambient, are given in order.  They
+    are inserted into a tracked Echelon, and each column j in the span of
+    earlier ones gives the relation its elimination found."""
     ech = Echelon(ambient, track=True)
-    pivots: list[int | None] = []
     accepted: list[int] = []  # the column of each accepted vector
     null: list[IntVector] = []
     for j, v in enumerate(columns):
         pivot, scale, combo = ech._insert(v)
-        pivots.append(pivot)
         if pivot is None:
             null.append({j: scale, **{accepted[k]: -e for k, e in combo.items() if e}})
         else:
             accepted.append(j)
-    return pivots, null
-
-
-def kernel_basis(m: SparseMatrix) -> SubspaceBasis:
-    """The leftmost-pivot reduced echelon basis of the null space of m,
-    from the null vectors that eliminate_columns finds among m's columns."""
-    columns: list[Vector] = [{} for _ in range(m.cols)]
-    for (i, j), val in m.entries.items():
-        columns[j][i] = val
-    return span_basis(m.cols, eliminate_columns(columns, m.rows)[1])
+    return span_basis(len(accepted) + len(null), null)

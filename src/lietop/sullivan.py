@@ -33,7 +33,7 @@ import math
 from fractions import Fraction
 
 from .dgl import ChainBasis
-from .qlinalg import Echelon, SparseMatrix, Vector, add_scaled, kernel_basis
+from .qlinalg import Echelon, Vector, add_scaled, kernel_basis
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -449,7 +449,7 @@ def _rank_of_map(images: Images, degs: list[int], dom: list[Monomial]) -> int:
     return ech.rank
 
 
-def wedge_homology(sd: SullivanData, max_wedge: int = 3) -> dict[int, dict[int, int]]:
+def wedge_homology(sd: SullivanData, max_wedge: int) -> dict[int, dict[int, int]]:
     """dims of H^[k](Lambda V, d1) per cohomological degree, for k <= max_wedge.
 
     Quadratic case only (d0 = 0): the differential raises wedge degree by
@@ -514,10 +514,10 @@ def semiquadratic_homology(
     for d, ks in sorted(by_degree.items()):
         # the d1 columns of degree d; row i*n + j holds v_i v_j, so rows go
         # in the lexicographic order of pairs
-        entries = {(i * n + j, col): c for col, k in enumerate(ks) for (i, j), c in sd.d1.get(k, {}).items()}
+        columns = [{i * n + j: c for (i, j), c in sd.d1.get(k, {}).items()} for k in ks]
         ech = Echelon(n)
         kern = 0  # dim of the kernel of d0 on V cap ker d1 in degree d
-        for row in kernel_basis(SparseMatrix(n * n, len(ks), entries)).rows:
+        for row in kernel_basis(columns, n * n).rows:
             image: Vector = {}  # d0 of the kernel vector
             for local, c in row.items():
                 add_scaled(image, sd.d0.get(ks[local], {}), c)

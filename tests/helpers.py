@@ -27,6 +27,14 @@ def rref(m: SparseMatrix) -> tuple[SubspaceBasis, int]:
     return b, b.dim
 
 
+def columns(m: SparseMatrix) -> list[Vector]:
+    """The columns of m, as vectors in Q^m.rows."""
+    out: list[Vector] = [{} for _ in range(m.cols)]
+    for (i, j), val in m.entries.items():
+        out[j][i] = val
+    return out
+
+
 def dense(m: SparseMatrix) -> list[list[Fraction]]:
     """m as a list of rows."""
     out = [[Fraction(0)] * m.cols for _ in range(m.rows)]

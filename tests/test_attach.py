@@ -450,13 +450,13 @@ def test_witness_is_genuine():
     for vcol in cols.values():
         boundaries.insert(vcol)
     wvec = cx.coordinates(witness.value, deg)
-    assert not boundaries.contains(wvec)
+    assert boundaries.reduce(wvec)[0]
     hit = Echelon(cx.dim(deg))
-    for row in boundaries.rows:
+    for row in boundaries.basis().rows:
         hit.insert(dict(row))
     for rep in homology(base).representatives.get(deg, []):
         hit.insert(cx.coordinates(rep.value.rewindow(W), deg))
-    assert not hit.contains(wvec)
+    assert hit.reduce(wvec)[0]
 
 
 def test_anick_family_fully_visible():
@@ -657,7 +657,7 @@ def test_inert_torus_eliminates_no_kernel_on_the_attached_side(monkeypatch):
     # is eliminated only where a degree's cycles are read, and an
     # inert-up-to-window verdict reads none on the attached side
     kernels: list[tuple[tuple[str, ...], int]] = []
-    eliminate, cycles = dgl.eliminate_columns, ChainComplex.cycles
+    eliminate, cycles = dgl.kernel_basis, ChainComplex.cycles
     current: list[ChainComplex] = []
 
     def counted(self, degree):
@@ -672,7 +672,7 @@ def test_inert_torus_eliminates_no_kernel_on_the_attached_side(monkeypatch):
         return eliminate(columns, ambient)
 
     monkeypatch.setattr(ChainComplex, "cycles", counted)
-    monkeypatch.setattr(dgl, "eliminate_columns", tracked)
+    monkeypatch.setattr(dgl, "kernel_basis", tracked)
     code, out = cli.run(["inert", "--file", "torus", "--window", "8", "3", "--format", "records"])
     assert code == 0 and out.encode() == (GOLDEN / "inert-torus-8-3.records").read_bytes()
     cells = {cell for cell, _ in _golden_model("torus", Window(8, 3)).amap.cells}

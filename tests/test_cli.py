@@ -96,12 +96,13 @@ def test_parse_word_directive():
 
 @pytest.mark.parametrize("text, message", [
     ("generator a degree 0\nword w = a q\n", "line 2, col 12: word w: unknown generator 'q'"),
+    ("generator x degree 1\nword w = x x\n", "line 2, col 10: group words require degree-0 generators, got x"),
     ("generator a degree 0\norder a > q\n", "line 2, col 11: order mentions unknown generator 'q'"),
     ("generator a degree 0\ngenerator b degree 1\ndiff b = a\ndiff b = 2 a\n",
      "line 4, col 6: second diff for generator 'b'"),
     ("generator a degree 0\ngenerator b degree 0\norder a > b > a\n",
      "line 3, col 15: order repeats generator 'a'"),
-], ids=["word", "order", "second-diff", "order-repeat"])
+], ids=["word", "word-odd-letter", "order", "second-diff", "order-repeat"])
 def test_parse_reports_bad_references_with_position(text, message):
     with pytest.raises(ParseError) as info:
         parse(text)
@@ -200,13 +201,13 @@ def test_word_name_resolves_in_cell_target():
 
 @pytest.mark.parametrize("command", ["lcs", "homology"])
 def test_unused_word_over_odd_letter_exit_2(tmp_path, capsys, command):
-    # every word is checked when the file is built, whether or not anything reads it
+    # every word is checked when the file is parsed, whether or not anything reads it
     f = tmp_path / "odd.lt"
     f.write_text("generator a degree 0\ngenerator x degree 1\nword w = a x\n")
     assert cli.main([command, "--file", str(f)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "lietop: group words require degree-0 generators, got x\n"
+    assert captured.err == "lietop: line 3, col 12: group words require degree-0 generators, got x\n"
 
 
 def test_word_logs_taken_on_first_read(monkeypatch):
@@ -275,8 +276,9 @@ def test_run_homology_cp2_records():
 
 
 def refuse_second_elimination(monkeypatch):
-    # each boundary map is eliminated once, by ChainComplex.image, which also
-    # finds the cycles: no boundary matrix is built and no kernel_basis runs
+    # each boundary map is eliminated once, by ChainComplex.image, and a
+    # kernel only where a degree's cycles are read; these commands read none,
+    # so no boundary matrix is built and no kernel_basis runs
     def refuse(*args, **kwargs):
         raise AssertionError("a boundary map was eliminated twice")
 
@@ -350,6 +352,13 @@ def test_bch_arguments_use_the_word_grammar():
 def test_bch_bad_argument_exit_2_with_column(capsys, word, message):
     assert cli.main(["bch", word, "b", "--file", "torus"]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_bch_odd_letter_exit_2_at_its_token(capsys):
+    assert cli.main(["bch", "x", "a", "--file", "cp2", "--window", "3", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lietop: line 1, col 1: group words require degree-0 generators, got x\n"
 
 
 def test_run_logword():

@@ -862,7 +862,7 @@ def test_log_commutator_remainder_in_truncated_ideal():
     cx = ChainComplex(base)
     echelons = saturate_ideal(base, [ab], cx)
     vec = cx.coordinates(remainder.value, 0)
-    assert echelons[0].contains(vec)
+    assert not echelons[0].reduce(vec)[0]
 
 
 def test_attached_model_shares_the_base_slices():
