@@ -627,7 +627,12 @@ def run(argv: list[str]) -> tuple[int, str]:
             raise ValueError(f"no word directive named {name!r}")
         rep.add(f"logword.{name}", format_lie(model.logs[name], model.base.generators))
     elif ns.command == "sullivan":
-        data = sullivan.truncation_lie_data(model.attached)
+        attached = model.attached
+        if any(g.weight <= window.max_weight and g.degree > window.max_degree + 1 for g in attached.generators):
+            # a differential above the degree cap was cut off at build time
+            quotient = Window(window.max_weight, sullivan.quotient_degree(attached))
+            attached = build(pf, quotient).attached
+        data = sullivan.truncation_lie_data(attached)
         sd = sullivan.cochains(data)
         for i, (name, deg) in enumerate(sd.basis):
             rep.add(f"sullivan.v.{i}", f"{name}^ degree {deg}")

@@ -455,9 +455,10 @@ class LieSlice:
     Built on first use, by word-space queries (coordinates, contains, basis):
     words      -- all tensor words of this weight and degree, in monomial order
     word_index -- position of each word in words
+    expansions -- the integer expansion of each leading word's standard
+                  bracketing over word indices, in lead order
     peel       -- tracked echelon over word indices; its k-th row, keyed by
-                  the index of the k-th leading word, is the integer
-                  expansion of that word's standard bracketing
+                  the index of the k-th leading word, is expansions[k]
     kept_terms -- raw term dicts of the basis elements (windowless, integral)
 
     The leading words are the Lyndon words (generators compared in
@@ -512,19 +513,22 @@ class LieSlice:
         return {w: i for i, w in enumerate(self.words)}
 
     @cached_property
+    def expansions(self) -> list[dict[int, int]]:
+        index = self.word_index
+        return [{index[w]: c for w, c in self._expansion(u).items()} for u in self.lead]
+
+    @cached_property
     def peel(self) -> Echelon:
         # Each expansion has coefficient 1 at its smallest word and, inserted
         # in word order, meets no earlier pivot, so it is stored unchanged.
-        index = self.word_index
         peel = Echelon(len(self.words), track=True)
-        for u in self.lead:
-            peel.insert({index[w]: c for w, c in self._expansion(u).items()})
+        for vec in self.expansions:
+            peel.insert(vec)
         return peel
 
     @cached_property
     def kept_terms(self) -> list[dict[Word, int]]:
-        rows, words = self.peel._rows, self.words
-        expansions = [rows[p] for p in sorted(rows)]
+        expansions, words = self.expansions, self.words
         out = []
         for vec in self.coords:
             terms: dict[int, int] = {}
@@ -537,15 +541,14 @@ class LieSlice:
     def _expansion(self, u: Key) -> dict[Word, int]:
         """The tensor expansion of P(u), u a leading word: [P(u1), P(u2)] for
         a Lyndon word u1u2 split as _shape says, half of [P(w), P(w)] for a square
-        ww.  A factor's expansion is the peel row of its word in its slice."""
+        ww.  A factor's expansion is read from its slice."""
         gens = self.gens
         if len(u) == 1:
             return {(gens[u[0]],): 1}
 
         def factor(x: Key) -> tuple[dict[Word, int], int]:
             sub = lie_slice(gens, *_shape(self, x)[:2])
-            row = sub.peel._rows[sub.word_index[tuple(gens[i] for i in x)]]
-            return {sub.words[j]: c for j, c in row.items()}, sub.degree
+            return {sub.words[j]: c for j, c in sub.expansions[sub.lead_index[x]].items()}, sub.degree
 
         _, _, j, square = _shape(self, u)
         if square:

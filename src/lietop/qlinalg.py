@@ -144,19 +144,6 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def coordinates(self, v: Vector) -> list[Fraction | int] | None:
-        """Coordinates of v in this basis, or None if v is outside the span."""
-        coords = [v.get(p, 0) for p in self.pivots]
-        residual = dict(v)
-        for c, row in zip(coords, self.rows):
-            add_scaled(residual, row, -c)
-        if residual:
-            return None
-        return coords
-
-    def contains(self, v: Vector) -> bool:
-        return self.coordinates(v) is not None
-
     def __repr__(self):
         return f"SubspaceBasis(dim {self.dim} in Q^{self.ambient})"
 

@@ -25,29 +25,37 @@ series L^1 = L, L^{k+1} = [L, L^k] of the dual bracket: V_n = (L^{n+2})^perp.
 So a (d)gl is valid exactly when its dual satisfies (d0 + d1)^2 = 0 and its
 filtration exhausts V, and check_sullivan is the one routine that decides
 both: NilpotentLieData.validate reads its report on the dual.
+
+The pairing sign and its 1/2 on squares live in _pairing alone, which
+_dual_differential (Lie data to d0 and d1) and _dual_brackets (d1 back to
+brackets, for homotopy_lie and check_sullivan) both read; graded
+antisymmetry, [e_j, e_i] = -(-1)^{deg e_i deg e_j} [e_i, e_j], lives in
+_mirror alone.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from .dgl import ChainBasis
 from .qlinalg import Echelon, Vector, add_scaled, kernel_basis
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-HALF = Fraction(1, 2)
-
 Coeffs = dict[int, Fraction]
 
 
-def _acc(out: dict, key, val: Fraction) -> None:
-    s = out.get(key, ZERO) + val
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
+def _mirror(di: int, dj: int) -> int:
+    """The s in [e_j, e_i] = s [e_i, e_j], for Lie degrees di and dj."""
+    return 1 if di * dj % 2 else -1
+
+
+def _pairing(i: int, j: int, degs: list[int]) -> Fraction | int:
+    """The p with p c^k_ij the coefficient of v_i v_j, i <= j, in d1 v_k
+    under the frozen pairing; degs are the Lie degrees."""
+    if i == j:
+        return Fraction(1, 2)
+    return -1 if degs[i] * (degs[j] + 1) % 2 else 1
 
 
 def _scaled(table: dict) -> tuple[dict, int]:
@@ -160,7 +168,7 @@ class NilpotentLieData:
         deg = self.degrees
         for i, j in sorted(set(self.brackets) | {(j, i) for i, j in self.brackets}):
             left = self.brackets.get((i, j), {})
-            sign = -1 if (deg[i] * deg[j]) % 2 == 0 else 1
+            sign = _mirror(deg[i], deg[j])
             if left != {k: sign * c for k, c in self.brackets.get((j, i), {}).items()}:
                 raise ValueError(f"antisymmetry fails on pair ({i},{j})")
             for k in left:
@@ -195,7 +203,7 @@ class SullivanData:
     filtration are the business of check_sullivan, so that corrupted data
     can be built and then detected.  Every basis degree must be >= 1, which
     keeps each degree of Lambda(V) finite.  An index outside the basis is a
-    ValueError.
+    ValueError.  images is built on first read.
     """
 
     def __init__(self, basis: list[tuple[str, int]], d0: dict[int, dict[int, Fraction]] | None = None,
@@ -226,6 +234,19 @@ class SullivanData:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def images(self) -> tuple[Images, int]:
+        """(images, den): images[k] lists the terms of den*(d0 + d1) v_k,
+        with integer coefficients, den the lcm of all denominators of d0
+        and d1."""
+        dv: dict[int, dict[Monomial, Fraction]] = {}
+        for k in range(self.dim):
+            img = {(j,): c for j, c in self.d0.get(k, {}).items() if c}
+            img.update((pair, c) for pair, c in self.d1.get(k, {}).items() if c)
+            dv[k] = img
+        scaled, den = _scaled(dv)
+        return [list(scaled[k].items()) for k in range(self.dim)], den
+
 
 def cochains(L: NilpotentLieData) -> SullivanData:
     """The dual semi-quadratic Sullivan algebra of a nilpotent (d)gl.
@@ -245,61 +266,53 @@ def cochains(L: NilpotentLieData) -> SullivanData:
 
 
 def _dual_differential(L: NilpotentLieData) -> tuple[dict[int, Coeffs], dict[int, dict[tuple[int, int], Fraction]]]:
-    """(d0, d1) of cochains(L), zero terms dropped.  Only the brackets of
-    pairs i <= j are read, so they determine the rest only when L is graded
+    """(d0, d1) of cochains(L).  L keeps no zero term, and each (k, pair)
+    has one, so every term is assigned once.  Only the brackets of pairs
+    i <= j are read, so they determine the rest only when L is graded
     antisymmetric; the degrees are not checked."""
-    degs = L.degrees
     d1: dict[int, dict[tuple[int, int], Fraction]] = {}
     for (i, j), cs in L.brackets.items():
-        if i > j:
-            continue
-        if i == j:
+        if i <= j:
+            p = _pairing(i, j, L.degrees)
             for k, c in cs.items():
-                _acc(d1.setdefault(k, {}), (i, i), HALF * c)
-        else:
-            sign = -ONE if (degs[i] * (degs[j] + 1)) % 2 else ONE
-            for k, c in cs.items():
-                _acc(d1.setdefault(k, {}), (i, j), sign * c)
+                d1.setdefault(k, {})[(i, j)] = p * c
     d0: dict[int, Coeffs] = {}
     for j, cs in L.diff.items():
         for k, c in cs.items():
-            _acc(d0.setdefault(k, {}), j, c)
-    return {k: v for k, v in d0.items() if v}, {k: v for k, v in d1.items() if v}
+            d0.setdefault(k, {})[j] = c
+    return d0, d1
+
+
+def _dual_brackets(degs: list[int], d1: dict) -> dict[tuple[int, int], Coeffs]:
+    """The brackets {(i, j): {k: c}} dual to d1 (as in SullivanData), in
+    both orders, so graded antisymmetric whatever d1 is; degs are the Lie
+    degrees.  Zero terms of d1 are skipped."""
+    brackets: dict[tuple[int, int], Coeffs] = {}
+    for k, cs in d1.items():
+        for (i, j), c in cs.items():
+            if c:
+                p = _pairing(i, j, degs)
+                c = c * Fraction(p.denominator, p.numerator)  # c over p
+                brackets.setdefault((i, j), {})[k] = c
+                if i != j:
+                    brackets.setdefault((j, i), {})[k] = _mirror(degs[i], degs[j]) * c
+    return brackets
 
 
 def homotopy_lie(sd: SullivanData) -> NilpotentLieData:
-    """The Lie structure dual to the quadratic part (plus dual differential).
+    """The Lie structure dual to the quadratic part (plus dual differential),
+    validated.
 
     Exactly inverts cochains under the frozen pairing convention, so the
     roundtrip reproduces structure constants on the nose.
     """
-    L = _dual_lie(sd)
-    L.validate()
-    return L
-
-
-def _dual_lie(sd: SullivanData) -> NilpotentLieData:
-    """homotopy_lie's (d)gl, not validated: the brackets dual to d1 are
-    antisymmetric by construction, whatever d1 is."""
-    degs = [d - 1 for _, d in sd.basis]
-    basis = [(name, d - 1) for name, d in sd.basis]
-    brackets: dict[tuple[int, int], Coeffs] = {}
-    for k, cs in sd.d1.items():
-        for (i, j), c in cs.items():
-            if not c:
-                continue
-            if i == j:
-                _acc(brackets.setdefault((i, i), {}), k, 2 * c)
-            else:
-                sign = -ONE if (degs[i] * (degs[j] + 1)) % 2 else ONE
-                _acc(brackets.setdefault((i, j), {}), k, sign * c)
-                back = -ONE if (degs[i] * degs[j]) % 2 == 0 else ONE
-                _acc(brackets.setdefault((j, i), {}), k, back * sign * c)
+    degs = [d - 1 for d in sd.degrees]
     diff: dict[int, Coeffs] = {}
     for k, cs in sd.d0.items():
         for j, c in cs.items():
-            _acc(diff.setdefault(j, {}), k, c)
-    return NilpotentLieData(basis, brackets, diff, validate=False)
+            diff.setdefault(j, {})[k] = c
+    basis = [(name, d) for (name, _), d in zip(sd.basis, degs)]
+    return NilpotentLieData(basis, _dual_brackets(degs, sd.d1), diff)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +322,7 @@ def _dual_lie(sd: SullivanData) -> NilpotentLieData:
 
 Monomial = tuple[int, ...]
 Poly = dict[Monomial, Fraction]
+Images = list[list[tuple[Monomial, int]]]
 
 
 def mono_normalize(seq: tuple[int, ...], degs: list[int]) -> tuple[Monomial, int] | None:
@@ -329,26 +343,9 @@ def mono_normalize(seq: tuple[int, ...], degs: list[int]) -> tuple[Monomial, int
     return tuple(items), sign
 
 
-Images = list[list[tuple[Monomial, int]]]
-
-
-def _images(n: int, d0: dict, d1: dict) -> tuple[Images, int]:
-    """(images, den): images[k] lists the terms of den*(d0 + d1) v_k for the
-    n generators v_k, with integer coefficients, den the lcm of all
-    denominators of d0 and d1 (maps k -> {j: c} and k -> {(i, j): c}, as in
-    SullivanData)."""
-    dv: dict[int, dict[Monomial, Fraction]] = {}
-    for k in range(n):
-        img = {(j,): c for j, c in d0.get(k, {}).items() if c}
-        img.update((pair, c) for pair, c in d1.get(k, {}).items() if c)
-        dv[k] = img
-    scaled, den = _scaled(dv)
-    return [list(scaled[k].items()) for k in range(n)], den
-
-
 def _derive(images: Images, degs: list[int], p: dict) -> dict:
     """den * (d0 + d1)(p), extended to Lambda(V) as a derivation, for the
-    images and den of _images; terms that cancel stay as 0."""
+    images and den of SullivanData.images; terms that cancel stay as 0."""
     out: dict = {}
     for m, coeff in p.items():
         prefix_sign = 1  # (-1)^{degree left of position t}
@@ -390,7 +387,7 @@ def check_sullivan(sd: SullivanData) -> SullivanReport:
     bilinearity goes into this, so it is exact also when d^2 != 0.
     """
     degs = sd.degrees
-    images, den = _images(sd.dim, sd.d0, sd.d1)
+    images, den = sd.images
     violations = []
     for k, (name, _) in enumerate(sd.basis):
         dd = _derive(images, degs, dict(images[k]))
@@ -398,7 +395,7 @@ def check_sullivan(sd: SullivanData) -> SullivanReport:
         if dd:
             violations.append((name, dd))
     rows: list[dict[int, dict[int, int]]] = [{} for _ in range(sd.dim)]  # rows[i][j] = [e_i, e_j]
-    for (i, j), cs in _scaled(_dual_lie(sd).brackets)[0].items():
+    for (i, j), cs in _scaled(_dual_brackets([d - 1 for d in degs], sd.d1))[0].items():
         rows[i][j] = cs
     dims = _lower_central_dims(rows)
     return SullivanReport(violations, not dims[-1], [sd.dim - d for d in dims])
@@ -463,7 +460,7 @@ def wedge_homology(sd: SullivanData, max_wedge: int) -> dict[int, dict[int, int]
     if max_wedge < 0:
         raise ValueError("max_wedge must be >= 0")
     degs = sd.degrees
-    images, _ = _images(sd.dim, sd.d0, sd.d1)
+    images, _ = sd.images
     # d1 maps block (k, n) of Lambda^k V in degree n to block (k+1, n+1);
     # blocks go in ascending (k, n), so the in-rank of (k, n) is known
     result: dict[int, dict[int, int]] = {k: {} for k in range(max_wedge + 1)}
@@ -487,7 +484,7 @@ def semiquadratic_homology(
     is omitted: its incoming boundaries are not fully visible.
     """
     degs = sd.degrees
-    images, _ = _images(sd.dim, sd.d0, sd.d1)
+    images, _ = sd.images
     monos: dict[int, list[Monomial]] = {}
     # only degrees below max_degree are ranked (the top degree's target is
     # cut off), and every basis degree is >= 1, so no monomial has more
@@ -528,28 +525,36 @@ def semiquadratic_homology(
     return left, right
 
 
+def quotient_degree(p) -> int:
+    """The largest word degree within p's weight bound: the degree the
+    weight-<=N quotient of a presentation p reaches (unbounded knapsack)."""
+    best = [0] * (p.window.max_weight + 1)
+    for budget in range(1, p.window.max_weight + 1):
+        for g in p.generators:
+            if g.weight <= budget:
+                best[budget] = max(best[budget], best[budget - g.weight] + g.degree)
+    return best[p.window.max_weight]
+
+
 def truncation_lie_data(p) -> NilpotentLieData:
     """NilpotentLieData of a presentation's weight-<=N truncation.
 
     Basis elements are the chain-basis elements of every degree (dgl
     ChainBasis), named by their bracket expressions; structure constants are
     their brackets and the differential matrix their boundary columns, all
-    computed in chain coordinates.  The degree cap is widened to the largest
-    degree reachable within the weight bound: the degree cap alone is not
-    stable under brackets and the differential, so only the pure weight
-    quotient is an honest nilpotent dgl.  Meant for desk-scale truncations:
-    the construction is quadratic in the dimension.  The result is not
-    validated here; cochains validates it.
+    computed in chain coordinates.  The degree cap is widened to
+    quotient_degree(p): the degree cap alone is not stable under brackets
+    and the differential, so only the pure weight quotient is an honest
+    nilpotent dgl.  Widening is exact only when no generator of weight <= N
+    has degree > D + 1: such a generator's differential lies above D, was
+    cut off when p was built, and cannot be brought back, so p must then be
+    built at quotient_degree(p) to begin with.  Meant for desk-scale
+    truncations: the construction is quadratic in the dimension.  The
+    result is not validated here; cochains validates it.
     """
     from .freelie import Window, tree_str
 
-    # unbounded knapsack: the largest word degree a weight budget allows
-    best = [0] * (p.window.max_weight + 1)
-    for budget in range(1, p.window.max_weight + 1):
-        for g in p.generators:
-            if g.weight <= budget:
-                best[budget] = max(best[budget], best[budget - g.weight] + g.degree)
-    reachable = best[p.window.max_weight]
+    reachable = quotient_degree(p)
     if reachable > p.window.max_degree:
         p = p.rewindow(Window(p.window.max_weight, reachable))
     max_weight, max_degree = p.window.max_weight, p.window.max_degree
@@ -567,7 +572,7 @@ def truncation_lie_data(p) -> NilpotentLieData:
         return {start[degree] + j: c for j, c in v.items()}
 
     # each unordered pair is bracketed once; graded antisymmetry gives the
-    # mirror, [e_j, e_i] = -(-1)^{|e_i||e_j|} [e_i, e_j]
+    # mirror
     brackets: dict[tuple[int, int], Coeffs] = {}
     for i, (da, a, wa) in enumerate(cells):
         for j in range(i, len(cells)):
@@ -579,7 +584,7 @@ def truncation_lie_data(p) -> NilpotentLieData:
                 continue
             cs = brackets[(i, j)] = globally(br, da + db)
             if j != i:
-                brackets[(j, i)] = cs if da * db % 2 else {k: -c for k, c in cs.items()}
+                brackets[(j, i)] = {k: _mirror(da, db) * c for k, c in cs.items()}
     diff: dict[int, Coeffs] = {}
     for i, (d, a, _) in enumerate(cells):
         if d:

@@ -8,7 +8,7 @@ from pathlib import Path
 from lietop.cli import _Cursor, _make_evaluator, _parse_expr, _tokenize_line
 from lietop.freelie import LieElement, LieSlice, TensorElement, Window
 from lietop.qlinalg import SparseMatrix, SubspaceBasis, Vector, span_basis
-from lietop.sullivan import SullivanData, _derive, _images
+from lietop.sullivan import SullivanData, _derive
 
 
 def from_dense(data: list[list]) -> SparseMatrix:
@@ -71,7 +71,7 @@ def eval_lie_expr(text: str, generators, window: Window) -> LieElement:
 def sd_diff(sd: SullivanData, p: dict) -> dict:
     """d0 + d1 of sd extended to Lambda(V) as a derivation, with the
     package's integer images and derivation."""
-    images, den = _images(sd.dim, sd.d0, sd.d1)
+    images, den = sd.images
     return {m: Fraction(c) / den for m, c in _derive(images, sd.degrees, p).items() if c}
 
 

@@ -384,6 +384,19 @@ def test_run_sullivan():
     assert "sullivan.d1.[x,x]^: 1/2 x^*x^" in out
 
 
+@pytest.mark.parametrize("cut, wide", [((2, 1), (2, 3)), ((3, 1), (3, 4))])
+def test_run_sullivan_keeps_a_differential_above_the_degree_cap(cut, wide):
+    # d sy = [x,x] has degree 2 > D, so building at D cuts it off; the
+    # weight quotient reaches degree 3 or 4 and must be built there
+    def dual_lines(window):
+        code, out = run(["sullivan", "--file", "cp2", "--window", *map(str, window), "--format", "records"])
+        assert code == 0
+        return [line for line in out.splitlines() if line.startswith(("sullivan.v.", "sullivan.d0.", "sullivan.d1."))]
+
+    assert "sullivan.d0.[x,x]^: sy^" in dual_lines(cut)
+    assert dual_lines(cut) == dual_lines(wide)
+
+
 def test_run_anick_certificate_present():
     code, out = run(["inert", "--file", "anick29", "--format", "records"])
     assert code == 0

@@ -1,7 +1,8 @@
 """The package is pure stdlib: every import in src/lietop is relative to
 lietop or names a standard-library module.  Importing the CLI loads every
 layer module and nothing slow to import that it does not use.  The only
-process-wide dicts are the slice cache and the weak generator table."""
+process-wide dicts are the slice cache and the weak generator table.  No
+module but qlinalg reads qlinalg's private names, and none uses `/`."""
 
 import ast
 import json
@@ -76,3 +77,30 @@ def test_module_level_dicts_are_the_slice_cache_and_generator_table():
             if is_dict:
                 found.extend(f"{path.stem}.{ast.unparse(t)}" for t in targets)
     assert sorted(found) == ["freelie._generators", "freelie._slice_cache"]
+
+
+def test_only_qlinalg_reads_its_private_names():
+    # other modules go through qlinalg's public API, so its stored-row
+    # layout can change without touching them
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "qlinalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "qlinalg" and node.level == 1:
+                found.extend(f"{path.name}:{node.lineno} imports {a.name}" for a in node.names
+                             if a.name.startswith("_"))
+            elif isinstance(node, ast.Attribute) and node.attr in {"_rows", "_combos", "_insert"}:
+                found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert not found, "\n".join(found)
+
+
+def test_no_true_division():
+    # integral values are ints, so a / would silently make a float
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+    ]
+    assert not found, "\n".join(found)

@@ -54,23 +54,6 @@ def test_kernel_hand_example():
     assert apply(m, ker.rows[0]) == {}
 
 
-def test_membership_zero_vector():
-    basis, _ = rref(from_dense([[1, 2], [0, 1]]))
-    assert basis.coordinates({}) == [0, 0]
-
-
-def test_membership_basis_vector():
-    basis, _ = rref(from_dense([[1, 0], [0, 1]]))
-    assert basis.coordinates({0: Fraction(1)}) == [1, 0]
-
-
-def test_membership_span_example():
-    basis, _ = rref(from_dense([[1, 2]]))
-    assert basis.coordinates({0: Fraction(1), 1: Fraction(2)}) == [1]
-    assert basis.coordinates({0: Fraction(1)}) is None
-    assert basis.contains({0: Fraction(2), 1: Fraction(4)})
-
-
 small_matrices = st.lists(
     st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=5),
     min_size=1,

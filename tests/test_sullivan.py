@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -285,13 +286,25 @@ def test_sullivan_command_validates_once(monkeypatch):
     calls = []
     series = []
     duals = []
+    built = []
+    tables = []
+    init = NilpotentLieData.__init__
     validate = NilpotentLieData.validate
     lower_central_dims = sullivan._lower_central_dims
     dual_differential = sullivan._dual_differential
+    images = SullivanData.images.func
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
     def counted(self):
         calls.append(self)
         return validate(self)
+
+    def counted_images(self):
+        tables.append(self)
+        return images(self)
 
     def counted_series(rows):
         series.append(rows)
@@ -304,12 +317,20 @@ def test_sullivan_command_validates_once(monkeypatch):
     monkeypatch.setattr(NilpotentLieData, "validate", counted)
     monkeypatch.setattr(sullivan, "_lower_central_dims", counted_series)
     monkeypatch.setattr(sullivan, "_dual_differential", counted_dual)
+    monkeypatch.setattr(NilpotentLieData, "__init__", counted_init)
+    cached = cached_property(counted_images)
+    cached.__set_name__(SullivanData, "images")
+    monkeypatch.setattr(SullivanData, "images", cached)
     code, _ = cli.run(["sullivan", "--file", "torus", "--window", "4", "2"])
     assert code == 0
     assert len(calls) == 1
     assert len(series) == 1
     # cochains returns the dual that validate built and checked
     assert len(duals) == 1
+    # check_sullivan reads the dual brackets without a NilpotentLieData, and
+    # every table of the run shares one (d0 + d1) image table
+    assert len(built) == 1
+    assert len(tables) == 1
 
 
 @pytest.mark.parametrize("validate", [True, False])
