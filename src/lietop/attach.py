@@ -96,7 +96,7 @@ def attach_cells(base: DglPresentation, amap: AttachingMap) -> DglPresentation:
         cell = Generator(name, degree + 1, weight=weight)
         gens.append(cell)
         diff[cell] = t
-    return DglPresentation(gens, diff, window, validate_d_squared=False)
+    return DglPresentation(gens, diff, window)
 
 
 def targets_injective(base_table: HomologyTable, amap: AttachingMap) -> bool:

@@ -4,7 +4,8 @@ windows.
 A presentation is a generator list with degrees plus differential images;
 the differential extends to the whole truncated algebra as the right
 derivation  d(ab) = (-1)^{deg b} (da).b + a.(db),  which restricts on
-brackets to  d[x,y] = (-1)^{deg y} [dx,y] + [x,dy].
+brackets to  d[x,y] = (-1)^{deg y} [dx,y] + [x,dy].  Every presentation
+satisfies d^2 = 0 at its window: its constructor checks it, every time.
 
 Homology is computed degreewise on the weight-<=N quotient, which is an
 honest finite-dimensional nilpotent dgl because differentials never lower
@@ -76,7 +77,10 @@ class DglPresentation:
 
     Immutable after construction.  diff maps generators to certified Lie
     elements of degree one less, with all terms of weight >= 1; degree-0
-    generators always map to 0.
+    generators always map to 0.  Every presentation satisfies d^2 = 0 at its
+    window: the constructor runs check_d_squared and raises a GeneratorError
+    naming the generators where it fails.  rewindow, free_product, regrade
+    and attach.attach_cells build through it, so a wider window can raise.
     """
 
     def __init__(
@@ -84,7 +88,6 @@ class DglPresentation:
         generators,
         diff: dict[Generator, LieElement | TensorElement],
         window: Window,
-        validate_d_squared: bool = True,
     ):
         self.generators: tuple[Generator, ...] = tuple(generators)
         self.window = window
@@ -115,11 +118,10 @@ class DglPresentation:
                 raise GeneratorError(f"diff of {g.name} is not in the free Lie subalgebra", g.name)
             self.diff[g] = lie
         self._homology: "HomologyTable | None" = None
-        if validate_d_squared:
-            bad = self.check_d_squared()
-            if bad:
-                bad_names = ", ".join(g.name for g, _ in bad)
-                raise GeneratorError(f"d^2 != 0 on generators: {bad_names}", bad[0][0].name)
+        bad = self.check_d_squared()
+        if bad:
+            bad_names = ", ".join(g.name for g, _ in bad)
+            raise GeneratorError(f"d^2 != 0 on generators: {bad_names}", bad[0][0].name)
 
     def generator(self, name: str) -> Generator:
         for g in self.generators:
@@ -187,12 +189,7 @@ class DglPresentation:
         """The same presentation truncated/extended to another window."""
         if window == self.window:
             return self
-        return DglPresentation(
-            self.generators,
-            {g: img.value.rewindow(window) for g, img in self.diff.items()},
-            window,
-            validate_d_squared=False,
-        )
+        return DglPresentation(self.generators, self.diff, window)
 
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)
@@ -289,9 +286,10 @@ class _Layouts(dict):
         return self.setdefault(degree, (by_weight, by_index))
 
 
-class ChainBasis:
-    """Coordinates of a presentation's truncated free Lie algebra over its
-    chain basis, with brackets and boundaries computed in them.
+class ChainComplex:
+    """Chain data of a presentation on its window: coordinates of its
+    truncated free Lie algebra over the chain basis, with brackets,
+    boundaries, images and cycles computed in them, degree by degree.
 
     Degree-d chains are the direct sum of the (w, d) Lie slices, w <= N, in
     ascending weight; chain index j of degree d names a left-normed basis
@@ -303,6 +301,11 @@ class ChainBasis:
     Only the generators' diffs pass through tensor words, once each.
     Brackets beyond the window are dropped, as in word space.  Columns are
     memoised on the object; returned vectors must not be mutated.
+
+    The boundary matrices are those of the chain basis, in ascending weight,
+    so ranks of the (N-1)-stage are read off the same elimination as the
+    full ranks.  Images are eliminated untracked; a kernel is eliminated,
+    tracked, on its first read.
     """
 
     def __init__(self, p: DglPresentation):
@@ -314,6 +317,8 @@ class ChainBasis:
         self._factors: dict[int, list[tuple[int, int | None, int | None]]] = {}
         self._brackets: dict[tuple[int, int, int, int], Vector] = {}  # the solves of _basis_bracket
         self._columns: dict[tuple[int, int], Vector] = {}
+        self._images: dict[int, Echelon] = {}
+        self._kernels: dict[int, SubspaceBasis] = {}
 
     def slices(self, degree: int) -> list[LieSlice]:
         """The nonzero degree-d slices, in ascending weight."""
@@ -450,21 +455,6 @@ class ChainBasis:
                 add_scaled(col, self.bracket(dx, g.degree - 1, {s: 1}, ds), -1 if ds % 2 else 1)
             self._columns[key] = col
         return col
-
-
-class ChainComplex(ChainBasis):
-    """Chain data of a presentation on its window, assembled degree by degree.
-
-    The boundary matrices are those of the chain basis, in ascending weight,
-    so ranks of the (N-1)-stage are read off the same elimination as the
-    full ranks.  Images are eliminated untracked; a kernel is eliminated,
-    tracked, on its first read.
-    """
-
-    def __init__(self, p: DglPresentation):
-        super().__init__(p)
-        self._images: dict[int, Echelon] = {}
-        self._kernels: dict[int, SubspaceBasis] = {}
 
     def boundary(self, degree: int) -> SparseMatrix:
         """The matrix of d: C_degree -> C_{degree-1}; homology never builds it."""
@@ -610,7 +600,7 @@ def free_product(p1: DglPresentation, p2: DglPresentation) -> DglPresentation:
     """Presentation on the disjoint union of generators; windows merged by max.
 
     Name collisions on the right are renamed (primes appended) and reported
-    with a warning.
+    with a warning.  d^2 = 0 is checked again on the merged window.
     """
     window = merge_windows(p1.window, p2.window)
     taken = {g.name for g in p1.generators}
@@ -629,21 +619,12 @@ def free_product(p1: DglPresentation, p2: DglPresentation) -> DglPresentation:
         renamed = ", ".join(f"{old.name}->{new.name}" for old, new in rename.items())
         warnings.warn(f"free_product renamed colliding generators: {renamed}")
 
-    def rewrite(t: TensorElement) -> TensorElement:
-        if not rename:
-            return t.rewindow(window)
-        terms = {}
-        for word, c in t.terms.items():
-            terms[tuple(rename.get(g, g) for g in word)] = c
-        return TensorElement(window, terms)
-
     gens = tuple(p1.generators) + tuple(new_right)
-    diff: dict[Generator, TensorElement] = {}
-    for g, img in p1.diff.items():
-        diff[g] = img.value.rewindow(window)
+    diff: dict[Generator, LieElement | TensorElement] = dict(p1.diff)
     for g, img in p2.diff.items():
-        diff[rename.get(g, g)] = rewrite(img.value)
-    return DglPresentation(gens, diff, window, validate_d_squared=False)
+        terms = {tuple(rename.get(h, h) for h in word): c for word, c in img.value.terms.items()}
+        diff[rename.get(g, g)] = TensorElement(window, terms)
+    return DglPresentation(gens, diff, window)
 
 
 def regrade(p: DglPresentation, new_degrees: dict[Generator, int]) -> DglPresentation:
@@ -698,4 +679,4 @@ def regrade(p: DglPresentation, new_degrees: dict[Generator, int]) -> DglPresent
                 f"diff of {g.name} leaves the free Lie subalgebra under the new degrees"
             )
         diff[ng] = t
-    return DglPresentation(gens, diff, window, validate_d_squared=False)
+    return DglPresentation(gens, diff, window)

@@ -36,6 +36,14 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def coefficient(c) -> Fraction:
+    """c as a Fraction; a coefficient is an int or a Fraction, anything else
+    (a float, a string) is a ValueError."""
+    if isinstance(c, (int, Fraction)):
+        return Fraction(c)
+    raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
+
+
 class TermBudgetExceeded(RuntimeError):
     """A tensor element grew past the LIETOP_MAX_TERMS cap."""
 
@@ -174,7 +182,7 @@ class TensorElement:
         self.terms: dict[Word, Fraction] = {}
         if terms:
             for word, coeff in terms.items():
-                coeff = coeff if type(coeff) is Fraction else Fraction(coeff)
+                coeff = coeff if type(coeff) is Fraction else coefficient(coeff)
                 if coeff and window.admits(word):
                     self.terms[word] = coeff
         _check_term_budget(len(self.terms))
@@ -248,7 +256,7 @@ class TensorElement:
         return (-1) * self
 
     def __rmul__(self, scale) -> "TensorElement":
-        scale = Fraction(scale)
+        scale = coefficient(scale)
         if not scale:
             return TensorElement(self.window)
         return TensorElement(self.window, {w: scale * c for w, c in self.terms.items()})
@@ -400,7 +408,7 @@ class LieElement:
         return LieElement(-self.value)
 
     def __rmul__(self, scale) -> "LieElement":
-        return LieElement(Fraction(scale) * self.value)
+        return LieElement(coefficient(scale) * self.value)
 
     def __eq__(self, other):
         return isinstance(other, LieElement) and self.value == other.value

@@ -24,7 +24,8 @@ V_{n+1} = d1^{-1}(Lambda^2 V_n) is the annihilator of the lower central
 series L^1 = L, L^{k+1} = [L, L^k] of the dual bracket: V_n = (L^{n+2})^perp.
 So a (d)gl is valid exactly when its dual satisfies (d0 + d1)^2 = 0 and its
 filtration exhausts V, and check_sullivan is the one routine that decides
-both: NilpotentLieData.validate reads its report on the dual.
+both: NilpotentLieData.validate reads its report on the dual, and every
+NilpotentLieData is validated as it is built.
 
 The pairing sign and its 1/2 on squares live in _pairing alone, which
 _dual_differential (Lie data to d0 and d1) and _dual_brackets (d1 back to
@@ -39,7 +40,8 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .dgl import ChainBasis
+from .dgl import ChainComplex
+from .freelie import Window, coefficient, tree_str
 from .qlinalg import Echelon, Vector, add_scaled, kernel_basis
 
 Coeffs = dict[int, Fraction]
@@ -105,11 +107,13 @@ class NilpotentLieData:
 
     basis: list of (name, degree), every degree >= 0; brackets maps ordered
     pairs (i, j) to {k: c} with [e_i, e_j] = sum_k c e_k; diff, when
-    present, maps j to {k: m} with d e_j = sum_k m e_k.  validate() checks
+    present, maps j to {k: m} with d e_j = sum_k m e_k; every c and m is an
+    int or a Fraction.  The constructor always validates: validate() checks
     graded antisymmetry and degree homogeneity on the bracketed pairs and
     their mirrors, graded Jacobi, nilpotency (the lower central series must
     reach zero), the degree of the differential, d^2 = 0 and the
-    right-derivation rule, and returns the dual it checked.
+    right-derivation rule, and returns the dual it checked, which the
+    constructor keeps as `dual` for cochains.
 
     All but the first two are read off check_sullivan's report on the dual
     Sullivan algebra (cochains): nilpotency is its filtration_exhausts, and
@@ -129,7 +133,8 @@ class NilpotentLieData:
     so Jacobi and nilpotency are still decided first.
 
     Immutable by convention: the constructor copies its input.  A negative
-    degree is a ValueError, as is an index outside the basis.
+    degree is a ValueError, as is an index outside the basis, a coefficient
+    that is not an int or a Fraction, and data that fails validation.
     """
 
     def __init__(
@@ -137,7 +142,6 @@ class NilpotentLieData:
         basis: list[tuple[str, int]],
         brackets: dict[tuple[int, int], Coeffs],
         diff: dict[int, Coeffs] | None = None,
-        validate: bool = True,
     ):
         self.basis = list(basis)
         self.degrees = [d for _, d in self.basis]
@@ -147,18 +151,17 @@ class NilpotentLieData:
                 raise ValueError(f"basis element {name} has degree {d}; Lie degrees must be >= 0")
         self.brackets: dict[tuple[int, int], Coeffs] = {}
         for (i, j), cs in brackets.items():
-            cs = {k: Fraction(c) for k, c in cs.items() if c}
+            cs = {k: x for k, c in cs.items() if (x := coefficient(c))}
             if cs:
                 _check_indices("bracket", (i, j, *cs), n)
                 self.brackets[(i, j)] = cs
         self.diff: dict[int, Coeffs] = {}
         for j, cs in (diff or {}).items():
-            cs = {k: Fraction(c) for k, c in cs.items() if c}
+            cs = {k: x for k, c in cs.items() if (x := coefficient(c))}
             if cs:
                 _check_indices("diff", (j, *cs), n)
                 self.diff[j] = cs
-        if validate:
-            self.validate()
+        self.dual = self.validate()
 
     @property
     def dim(self) -> int:
@@ -199,18 +202,20 @@ class SullivanData:
 
     d0 maps k to {j: c} meaning d0 v_k = sum c v_j; d1 maps k to
     {(i, j): c} over ordered pairs i <= j meaning d1 v_k = sum c v_i v_j.
-    Construction checks shape and degrees only; d^2 = 0 and the Sullivan
-    filtration are the business of check_sullivan, so that corrupted data
-    can be built and then detected.  Every basis degree must be >= 1, which
-    keeps each degree of Lambda(V) finite.  An index outside the basis is a
-    ValueError.  images is built on first read.
+    Construction checks shape and degrees only, and stores every
+    coefficient, an int or a Fraction, as a Fraction; d^2 = 0 and the
+    Sullivan filtration are the business of check_sullivan, so that
+    corrupted data can be built and then detected.  Every basis degree must
+    be >= 1, which keeps each degree of Lambda(V) finite.  An index outside
+    the basis is a ValueError, as is any other coefficient.  images is built
+    on first read.
     """
 
     def __init__(self, basis: list[tuple[str, int]], d0: dict[int, dict[int, Fraction]] | None = None,
                  d1: dict[int, dict[tuple[int, int], Fraction]] | None = None):
         self.basis = basis
-        self.d0 = {} if d0 is None else d0
-        self.d1 = {} if d1 is None else d1
+        self.d0 = {k: {j: coefficient(c) for j, c in cs.items()} for k, cs in (d0 or {}).items()}
+        self.d1 = {k: {pair: coefficient(c) for pair, c in cs.items()} for k, cs in (d1 or {}).items()}
         self.degrees = degs = [d for _, d in basis]
         for name, d in self.basis:
             if d < 1:
@@ -257,12 +262,11 @@ def cochains(L: NilpotentLieData) -> SullivanData:
     Lambda^1 V, Lambda^2 V and Lambda^3 V: d^2 = 0, the derivation rule and
     Jacobi of L, read off the dual as NilpotentLieData.validate does.
 
-    This is where Lie data is validated on its way to a Sullivan algebra,
-    also when it was constructed unchecked (as truncation_lie_data does):
-    validate builds the dual, runs check_sullivan on it and returns it, so
-    what cochains returns satisfies d^2 = 0 and the Sullivan condition.
+    L was validated when it was built, and validation built this dual and
+    ran check_sullivan on it: cochains returns the dual L keeps, which
+    satisfies d^2 = 0 and the Sullivan condition, with no second check.
     """
-    return L.validate()
+    return L.dual
 
 
 def _dual_differential(L: NilpotentLieData) -> tuple[dict[int, Coeffs], dict[int, dict[tuple[int, int], Fraction]]]:
@@ -540,7 +544,7 @@ def truncation_lie_data(p) -> NilpotentLieData:
     """NilpotentLieData of a presentation's weight-<=N truncation.
 
     Basis elements are the chain-basis elements of every degree (dgl
-    ChainBasis), named by their bracket expressions; structure constants are
+    ChainComplex), named by their bracket expressions; structure constants are
     their brackets and the differential matrix their boundary columns, all
     computed in chain coordinates.  The degree cap is widened to
     quotient_degree(p): the degree cap alone is not stable under brackets
@@ -550,15 +554,14 @@ def truncation_lie_data(p) -> NilpotentLieData:
     cut off when p was built, and cannot be brought back, so p must then be
     built at quotient_degree(p) to begin with.  Meant for desk-scale
     truncations: the construction is quadratic in the dimension.  The
-    result is not validated here; cochains validates it.
+    result is validated as it is built, like all Lie data, and keeps the
+    dual that cochains returns.
     """
-    from .freelie import Window, tree_str
-
     reachable = quotient_degree(p)
     if reachable > p.window.max_degree:
         p = p.rewindow(Window(p.window.max_weight, reachable))
     max_weight, max_degree = p.window.max_weight, p.window.max_degree
-    chains = ChainBasis(p)
+    chains = ChainComplex(p)
     basis = []
     cells = []  # (degree, chain index, weight) of each basis element
     start: dict[int, int] = {}  # degree -> index of its first basis element
@@ -591,4 +594,4 @@ def truncation_lie_data(p) -> NilpotentLieData:
             img = chains.boundary_column(d, a)
             if img:
                 diff[i] = globally(img, d - 1)
-    return NilpotentLieData(basis, brackets, diff, validate=False)
+    return NilpotentLieData(basis, brackets, diff)

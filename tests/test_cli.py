@@ -293,7 +293,7 @@ def test_homology_prints_from_chain_coordinates(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("homology went through tensor words")
 
-    monkeypatch.setattr(dgl.ChainBasis, "element", refuse)
+    monkeypatch.setattr(dgl.ChainComplex, "element", refuse)
     monkeypatch.setattr(cli, "format_lie", refuse)
     refuse_second_elimination(monkeypatch)
     code, out = run(["homology", "--file", "genus2", "--format", "records"])

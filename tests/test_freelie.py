@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -380,6 +381,37 @@ def test_degree_zero_bracket_is_commutator():
         (A, B): Fraction(1),
         (B, A): Fraction(-1),
     }
+
+
+NOT_COEFFICIENTS = (0.1, "1/2")
+
+
+def not_a_coefficient(c):
+    return pytest.raises(ValueError, match=re.escape(f"coefficient {c!r} is not an int or a Fraction"))
+
+
+def test_tensor_terms_take_only_int_and_fraction_coefficients():
+    W = Window(2, 2)
+    assert TensorElement(W, {(A,): 2, (B,): Fraction(1, 2)}).terms == {(A,): 2, (B,): Fraction(1, 2)}
+    for c in NOT_COEFFICIENTS:
+        with not_a_coefficient(c):
+            TensorElement(W, {(A,): c})
+
+
+def test_tensor_scale_is_int_or_fraction():
+    t = TensorElement.generator(A, Window(2, 2))
+    assert (3 * t).terms == {(A,): 3}
+    for c in NOT_COEFFICIENTS:
+        with not_a_coefficient(c):
+            c * t
+
+
+def test_lie_scale_is_int_or_fraction():
+    x = gen_el(A, Window(2, 2))
+    assert (Fraction(1, 3) * x).value.terms == {(A,): Fraction(1, 3)}
+    for c in NOT_COEFFICIENTS:
+        with not_a_coefficient(c):
+            c * x
 
 
 def test_odd_self_bracket():

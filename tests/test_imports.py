@@ -2,7 +2,8 @@
 lietop or names a standard-library module.  Importing the CLI loads every
 layer module and nothing slow to import that it does not use.  The only
 process-wide dicts are the slice cache and the weak generator table.  No
-module but qlinalg reads qlinalg's private names, and none uses `/`."""
+module but qlinalg reads qlinalg's private names, and none uses `/`.  The
+one parameter with a bool default is Echelon's `track`."""
 
 import ast
 import json
@@ -104,3 +105,29 @@ def test_no_true_division():
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
     ]
     assert not found, "\n".join(found)
+
+
+def bool_defaults(node, prefix=""):
+    """The qualified name of every parameter with a bool default of the
+    functions and methods under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{prefix}{child.name}."
+            if not isinstance(child, ast.ClassDef):
+                a = child.args
+                positional = a.posonlyargs + a.args
+                pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+                pairs += zip(a.kwonlyargs, a.kw_defaults)
+                yield from (f"{name}{arg.arg}" for arg, d in pairs
+                            if isinstance(d, ast.Constant) and type(d.value) is bool)
+            yield from bool_defaults(child, name)
+
+
+def test_only_switch_is_echelon_track():
+    # a bool default is a switch, and a switch that a derivable value can
+    # replace is not kept; package code sets track both ways (tracked for
+    # slices and kernels, untracked for images)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found.extend(bool_defaults(ast.parse(path.read_text(), filename=str(path)), f"{path.stem}."))
+    assert found == ["qlinalg.Echelon.__init__.track"]

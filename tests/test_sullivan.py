@@ -1,11 +1,13 @@
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -107,22 +109,27 @@ def test_non_nilpotent_detected():
         NilpotentLieData([("h", 0), ("e", 0), ("f", 0)], brackets)
 
 
+def test_lie_data_takes_only_int_and_fraction_coefficients():
+    basis = [("x", 0), ("y", 0), ("z", 0), ("w", 1)]
+    for c in (0.1, "1"):
+        for brackets, diff in (({(0, 1): {2: c}, (1, 0): {2: -1}}, None), ({}, {3: {2: c}})):
+            with pytest.raises(ValueError, match=re.escape(f"coefficient {c!r} is not an int or a Fraction")):
+                NilpotentLieData(basis, brackets, diff)
+
+
 def test_diff_index_out_of_range_rejected():
-    # checked at construction, so also without validation
     for diff in ({0: {5: 1}}, {5: {0: 1}}):
-        for validate in (True, False):
-            with pytest.raises(ValueError, match="diff index 5 out of range"):
-                NilpotentLieData([("a", 0)], {}, diff, validate=validate)
+        with pytest.raises(ValueError, match="diff index 5 out of range"):
+            NilpotentLieData([("a", 0)], {}, diff)
 
 
-def test_corrupted_constant_detected_by_cochains():
+def test_corrupted_constant_rejected_at_construction():
     data = free_nilpotent_2gen(4)
     brackets = {k: dict(v) for k, v in data.brackets.items()}
     brackets[(0, 2)][3] = brackets[(0, 2)].get(3, Fraction(0)) + 1
     brackets[(2, 0)][3] = -brackets[(0, 2)][3]
-    corrupt = NilpotentLieData(data.basis, brackets, validate=False)
     with pytest.raises(ValueError):
-        cochains(corrupt)
+        NilpotentLieData(data.basis, brackets)
 
 
 def test_diff_derivation_rule_checked():
@@ -210,7 +217,7 @@ def rescaled(data, rng):
         for (i, j), cs in data.brackets.items()
     }
     diff = {j: {k: c * lam[j] / lam[k] for k, c in cs.items()} for j, cs in data.diff.items()}
-    return NilpotentLieData(data.basis, brackets, diff, validate=False)
+    return NilpotentLieData(data.basis, brackets, diff)
 
 
 def test_validation_matches_dense_oracle_with_denominators_3_and_5():
@@ -225,9 +232,9 @@ def test_validation_matches_dense_oracle_with_denominators_3_and_5():
         rng = random.Random(f"{name} 3 5")
         for _ in range(trials):
             scaled = rescaled(data, rng)
-            scaled.validate()
             brackets, diff = corrupt(scaled, rng, thirds)
-            once = NilpotentLieData(data.basis, brackets, diff, validate=False)
+            # once-corrupted data is no NilpotentLieData: a plain holder carries it
+            once = SimpleNamespace(dim=data.dim, degrees=data.degrees, brackets=brackets, diff=diff)
             brackets, diff = corrupt(once, rng, fifths)
             expected = dense_lie_violation(data.degrees, brackets, diff)
             assert expected is not None
@@ -333,10 +340,9 @@ def test_sullivan_command_validates_once(monkeypatch):
     assert len(tables) == 1
 
 
-@pytest.mark.parametrize("validate", [True, False])
-def test_negative_basis_degree_rejected_at_construction(validate):
+def test_negative_basis_degree_rejected_at_construction():
     with pytest.raises(ValueError, match="basis element e1 has degree -1"):
-        NilpotentLieData([("e0", 0), ("e1", -1)], {}, validate=validate)
+        NilpotentLieData([("e0", 0), ("e1", -1)], {})
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +592,15 @@ def test_sullivan_data_rejects_d1_index_out_of_range():
         SullivanData([("a", 1)], None, {0: {(0, 3): 1}})
     with pytest.raises(ValueError, match="d1 index 2 out of range"):
         SullivanData([("a", 1)], None, {2: {(0, 0): 1}})
+
+
+def test_sullivan_data_takes_only_int_and_fraction_coefficients():
+    basis = [("a", 1), ("b", 2)]
+    assert check_sullivan(SullivanData(basis, {0: {1: Fraction(1, 2)}})).ok
+    for c in (0.5, "1/2"):
+        for d0, d1 in (({0: {1: c}}, None), (None, {1: {(0, 1): c}})):
+            with pytest.raises(ValueError, match=re.escape(f"coefficient {c!r} is not an int or a Fraction")):
+                SullivanData(basis, d0, d1)
 
 
 @pytest.mark.parametrize("degs", [[1, 2, 2, 3, 1, 4], [2, 1, 1], [3, 3, 2, 5], [1, 1, 1, 1]])
