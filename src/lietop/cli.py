@@ -204,6 +204,16 @@ def _parse_expr(cur: _Cursor):
     return ("sum", terms)
 
 
+def _parse_line_expr(cur: _Cursor):
+    """_parse_expr, with nesting too deep for the interpreter's stack
+    reported at the token where parsing stopped."""
+    try:
+        return _parse_expr(cur)
+    except RecursionError:
+        tok = cur.peek()
+        raise ParseError("expression nested too deeply", tok.line, tok.col) from None
+
+
 def _parse_group_word(cur: _Cursor, start: Token) -> list[tuple[Token, int]]:
     """The group word that fills the rest of the line, as (letter, exponent)
     pairs; an empty word is reported at `start`."""
@@ -269,7 +279,7 @@ def parse(text: str) -> PresentationFile:
         elif head.text == "diff":
             tok = cur.expect("name")
             cur.expect("=")
-            expr = _parse_expr(cur)
+            expr = _parse_line_expr(cur)
             cur.end_of_line()
             if tok.text in pf.diffs:
                 raise ParseError(f"second diff for generator {tok.text!r}", tok.line, tok.col)
@@ -282,7 +292,7 @@ def parse(text: str) -> PresentationFile:
             cur.expect_keyword("degree")
             degree = int(cur.expect("int").text)
             cur.expect_keyword("attach")
-            expr = _parse_expr(cur)
+            expr = _parse_line_expr(cur)
             cur.end_of_line()
             if name in names:
                 raise ParseError(f"name {name!r} already declared", tok.line, tok.col)
@@ -547,7 +557,6 @@ def run(argv: list[str]) -> tuple[int, str]:
             raise ValueError(f"--order repeats generator {name}")
 
     rep = Report()
-    freelie._reset_term_limit_cache()
     freelie.term_limit()  # an invalid LIETOP_MAX_TERMS fails every command
 
     if ns.command == "examples":

@@ -129,12 +129,6 @@ class DglPresentation:
                 return g
         raise KeyError(name)
 
-    def diff_of(self, g: Generator) -> TensorElement:
-        img = self.diff.get(g)
-        if img is None:
-            return TensorElement.zero(self.window)
-        return img.value
-
     def derive(self, x: LieElement | TensorElement):
         """Apply the differential, extended to the tensor algebra as a right
         derivation; restricts to the bracket rule on Lie elements."""
@@ -194,10 +188,6 @@ class DglPresentation:
     def __repr__(self):
         gens = ", ".join(f"{g.name}:{g.degree}" for g in self.generators)
         return f"DglPresentation({gens}; window={self.window})"
-
-
-def free_presentation(generators, window: Window) -> DglPresentation:
-    return DglPresentation(generators, {}, window)
 
 
 class HomologyTable:
@@ -312,9 +302,6 @@ class ChainComplex:
         self.p = p
         self.window = p.window
         self._layouts = _Layouts(p.generators, p.window.max_weight)
-        # degree -> per chain index (i, None, None) for the generator g_i, or
-        # (i, d_b, b) for the tree [g_i, e_b], e_b of degree d_b
-        self._factors: dict[int, list[tuple[int, int | None, int | None]]] = {}
         self._brackets: dict[tuple[int, int, int, int], Vector] = {}  # the solves of _basis_bracket
         self._columns: dict[tuple[int, int], Vector] = {}
         self._images: dict[int, Echelon] = {}
@@ -374,25 +361,6 @@ class ChainComplex:
             parts.append((coords[j], slc.trees[j - off]))
         return format_trees(parts, self.p.generators)
 
-    def _matched(self, degree: int) -> list[tuple[int, int | None, int | None]]:
-        """The factors of every degree-d basis tree, read off the slices:
-        LieSlice.accepted names, in tree order, the generator g_i or the
-        candidate [g_i, b_k] that each tree is, and b_k is chain index k past
-        the offset of its slice in degree d - |g_i|."""
-        factors = self._factors.get(degree)
-        if factors is None:
-            factors = []
-            gens = self.p.generators
-            for slc in self.slices(degree):
-                for i, k in slc.accepted:
-                    if k is None:
-                        factors.append((i, None, None))
-                    else:
-                        ds = degree - gens[i].degree
-                        factors.append((i, ds, self._slot(ds, slc.weight - gens[i].weight)[1] + k))
-            self._factors[degree] = factors
-        return factors
-
     def generator(self, i: int) -> Vector:
         """g_i over the chain basis of its degree; {} when g_i has no slot
         in the window."""
@@ -438,16 +406,21 @@ class ChainComplex:
     def boundary_column(self, degree: int, j: int) -> Vector:
         """d e_j for e_j of degree `degree` >= 1, over the chain basis of
         degree - 1: the diff image of a generator, the derivation rule on a
-        tree [g_i, e_s]."""
+        tree [g_i, e_s].  The tree's slice names its factors (LieSlice.factors):
+        g_i, or g_i and b_k, the k-th tree of the slice below by g_i, which
+        is e_s past that slice's offset in degree |e_s|."""
         key = (degree, j)
         col = self._columns.get(key)
         if col is None:
-            i, ds, s = self._matched(degree)[j]
+            slc, off = self._locate(degree, j)
+            i, k = slc.factors[j - off]
             g = self.p.generators[i]
-            if ds is None:
+            if k is None:
                 img = self.p.diff.get(g)
                 col = {} if img is None else self.coordinates(img.value, degree - 1)
             else:
+                ds = degree - g.degree
+                s = self._slot(ds, slc.weight - g.weight)[1] + k
                 # d[g_i, e_s] = [g_i, d e_s] + (-1)^{|e_s|} [dg_i, e_s]; x is one unit vector
                 x = self.generator(i)
                 col = self.bracket(x, g.degree, self.boundary_column(ds, s), ds - 1) if ds else {}

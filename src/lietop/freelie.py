@@ -49,28 +49,19 @@ class TermBudgetExceeded(RuntimeError):
 
 
 _DEFAULT_MAX_TERMS = 5_000_000
-_term_limit_cache: int | None = None
 
 
 def term_limit() -> int:
-    """The LIETOP_MAX_TERMS cap, default 5,000,000; a value that is not a
-    positive integer is a ValueError."""
-    global _term_limit_cache
-    if _term_limit_cache is None:
-        raw = os.environ.get("LIETOP_MAX_TERMS", "")
-        try:
-            limit = int(raw) if raw else _DEFAULT_MAX_TERMS
-        except ValueError:
-            limit = 0
-        if limit < 1:
-            raise ValueError(f"LIETOP_MAX_TERMS must be a positive integer, got {raw!r}")
-        _term_limit_cache = limit
-    return _term_limit_cache
-
-
-def _reset_term_limit_cache() -> None:
-    global _term_limit_cache
-    _term_limit_cache = None
+    """The LIETOP_MAX_TERMS cap, default 5,000,000, read from the environment
+    on every call; a value that is not a positive integer is a ValueError."""
+    raw = os.environ.get("LIETOP_MAX_TERMS", "")
+    try:
+        limit = int(raw) if raw else _DEFAULT_MAX_TERMS
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"LIETOP_MAX_TERMS must be a positive integer, got {raw!r}")
+    return limit
 
 
 _generators: weakref.WeakValueDictionary[tuple[str, int, int], Generator] = weakref.WeakValueDictionary()
@@ -349,10 +340,20 @@ def mul(a: TensorElement, b: TensorElement) -> TensorElement:
 
 
 def commutator(a: TensorElement, b: TensorElement) -> TensorElement:
-    """Graded commutator a.b - (-1)^{|u||v|} b.a, per homogeneous word pair."""
+    """Graded commutator a.b - (-1)^{|u||v|} b.a, per homogeneous word pair
+    (_commutator_terms)."""
     window = _check_same_window(a.window, b.window)
-    max_w, max_d = window.max_weight, window.max_degree
     (left, da), (right, db) = _scaled_terms(a), _scaled_terms(b)
+    return _product_element(window, _commutator_terms(left, right, window), da * db)
+
+
+def _commutator_terms(left: list[tuple[Word, int, int, int]],
+                      right: list[tuple[Word, int, int, int]], window: Window) -> dict[Word, int]:
+    """The integer graded commutator of scaled terms: cu*cv added into uv and
+    (-1)^{|u||v|+1} cu*cv into vu, pair by pair, over every left term u and
+    right term v whose concatenation the window admits; terms that cancel to
+    zero are removed."""
+    max_w, max_d = window.max_weight, window.max_degree
     fitting = _Fitting(right)
     out: dict[Word, int] = {}
     for u, cu, wu, du in left:
@@ -373,7 +374,7 @@ def commutator(a: TensorElement, b: TensorElement) -> TensorElement:
                 out[word] = s
             else:
                 out.pop(word, None)
-    return _product_element(window, out, da * db)
+    return out
 
 
 class LieElement:
@@ -455,6 +456,8 @@ class LieSlice:
     accepted   -- (i, k) -> tree index of the accepted candidate [g_i, b_k],
                   b_k the k-th tree of the slice below by g_i, or (i, None)
                   -> tree index of the generator g_i; entries in tree order
+    factors    -- the keys of accepted in tree order: the factor pair of
+                  each tree, listed once, on first read
     coords     -- super-Lyndon coordinates of the trees, integer vectors
                   over lead
     tracked    -- echelon over super-Lyndon coordinates, tracking
@@ -513,6 +516,10 @@ class LieSlice:
         return self.tracked.coordinates(out)
 
     @cached_property
+    def factors(self) -> list[tuple[int, int | None]]:
+        return list(self.accepted)
+
+    @cached_property
     def words(self) -> list[Word]:
         return _slice_words(self.gens, self.weight, self.degree)
 
@@ -549,20 +556,24 @@ class LieSlice:
     def _expansion(self, u: Key) -> dict[Word, int]:
         """The tensor expansion of P(u), u a leading word: [P(u1), P(u2)] for
         a Lyndon word u1u2 split as _shape says, half of [P(w), P(w)] for a square
-        ww.  A factor's expansion is read from its slice."""
+        ww, by the commutator loop (_commutator_terms) windowed at this slice,
+        which every word of the product fits.  A factor's expansion is read
+        from its slice."""
         gens = self.gens
         if len(u) == 1:
             return {(gens[u[0]],): 1}
 
-        def factor(x: Key) -> tuple[dict[Word, int], int]:
+        def factor(x: Key) -> list[tuple[Word, int, int, int]]:
             sub = lie_slice(gens, *_shape(self, x)[:2])
-            return {sub.words[j]: c for j, c in sub.expansions[sub.lead_index[x]].items()}, sub.degree
+            return [(sub.words[j], c, sub.weight, sub.degree)
+                    for j, c in sub.expansions[sub.lead_index[x]].items()]
 
+        window = Window(self.weight, self.degree)
         _, _, j, square = _shape(self, u)
         if square:
             w = factor(u[: len(u) // 2])
-            return {x: c // 2 for x, c in _word_commutator(*w, *w).items()}
-        return _word_commutator(*factor(u[:j]), *factor(u[j:]))
+            return {x: c // 2 for x, c in _commutator_terms(w, w, window).items()}
+        return _commutator_terms(factor(u[:j]), factor(u[j:]), window)
 
     def coordinates(self, terms: dict[Word, Fraction]) -> Vector | None:
         """Coordinates over the bracket basis, or None if not in the slice
@@ -572,7 +583,9 @@ class LieSlice:
         return None if vec is None else self.tracked.coordinates(vec)
 
     def contains(self, terms: dict[Word, Fraction]) -> bool:
-        return self.coordinates(terms) is not None
+        """Whether terms lie in the slice span: the peel leaves no residual."""
+        index = self.word_index
+        return not self.peel.reduce({index[w]: c for w, c in terms.items()})[0]
 
     def basis(self) -> SubspaceBasis:
         """Reduced echelon basis of the slice in word coordinates."""
@@ -701,22 +714,6 @@ def _bracket_sum(slc: LieSlice, x: Key, sub: LieSlice, vec: dict[int, int]) -> d
         for s, e in _product(slc, x, lead[t]).items():
             out[s] = out.get(s, 0) + c * e
     return {s: e for s, e in out.items() if e}
-
-
-def _word_commutator(a: dict[Word, int], da: int, b: dict[Word, int], db: int) -> dict[Word, int]:
-    """[a, b] for integral raw terms a of degree da and b of degree db (no window)."""
-    out: dict[Word, int] = {}
-    sign = 1 if da & db & 1 else -1
-    for u, cu in a.items():
-        for v, cv in b.items():
-            c = cu * cv
-            w = u + v
-            out[w] = out.get(w, 0) + c
-            w = v + u
-            out[w] = out.get(w, 0) + sign * c
-    for w in [w for w, c in out.items() if not c]:
-        del out[w]
-    return out
 
 
 _slice_cache: dict[tuple[tuple[Generator, ...], int, int], LieSlice] = {}

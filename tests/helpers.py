@@ -1,12 +1,13 @@
-"""Small matrix, Lie-slice, lie-expr, Sullivan and subprocess helpers shared
-by the tests."""
+"""Small matrix, presentation, Lie-slice, lie-expr, Sullivan and subprocess
+helpers shared by the tests."""
 
 import os
 from fractions import Fraction
 from pathlib import Path
 
 from lietop.cli import _Cursor, _make_evaluator, _parse_expr, _tokenize_line
-from lietop.freelie import LieElement, LieSlice, TensorElement, Window
+from lietop.dgl import DglPresentation
+from lietop.freelie import Generator, LieElement, LieSlice, TensorElement, Window
 from lietop.qlinalg import SparseMatrix, SubspaceBasis, Vector, span_basis
 from lietop.sullivan import SullivanData, _derive
 
@@ -51,6 +52,11 @@ def apply(m: SparseMatrix, v: Vector) -> Vector:
         if x:
             out[i] = out.get(i, 0) + val * x
     return {i: c for i, c in out.items() if c}
+
+
+def free_presentation(generators: list[Generator], window: Window) -> DglPresentation:
+    """The presentation on generators with zero differential."""
+    return DglPresentation(generators, {}, window)
 
 
 def slice_element(slc: LieSlice, k: int, window: Window) -> LieElement:

@@ -24,7 +24,6 @@ from lietop.attach import (
 )
 from lietop.dgl import (
     DglPresentation,
-    free_presentation,
     homology,
     indecomposable_dims,
 )
@@ -51,7 +50,7 @@ from lietop.sullivan import (
     truncation_lie_data,
 )
 
-from helpers import checkout_env, slice_element
+from helpers import checkout_env, free_presentation, slice_element
 from oracles import witt
 
 

@@ -18,7 +18,7 @@ from lietop.attach import (
     sequential_attach,
 )
 from lietop import cli, dgl
-from lietop.dgl import ChainComplex, DglPresentation, free_presentation, homology
+from lietop.dgl import ChainComplex, DglPresentation, homology
 from lietop.freelie import (
     Generator,
     LieElement,
@@ -31,7 +31,7 @@ from lietop.freelie import (
     lie_slice,
 )
 
-from helpers import slice_element
+from helpers import free_presentation, slice_element
 
 A = Generator("a", 0)
 B = Generator("b", 0)
@@ -74,7 +74,7 @@ def test_attach_cp2():
     sy = att.generator("sy")
     assert sy.degree == 3
     assert sy.weight == 2
-    assert att.diff_of(sy) == bracket(el(x, W), el(x, W)).value
+    assert att.diff[sy].value == bracket(el(x, W), el(x, W)).value
 
 
 def test_attach_lemaire_quadratic_model():

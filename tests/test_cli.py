@@ -190,7 +190,7 @@ def test_word_name_resolves_in_cell_target():
     )
     model = build(parse(text))
     sz = model.attached.generator("sz")
-    target = model.attached.diff_of(sz)
+    target = model.attached.diff[sz].value
     lead = bracket(
         generator_element(model.base.generator("a"), model.window),
         generator_element(model.base.generator("b"), model.window),
@@ -435,6 +435,25 @@ def test_main_parse_error_exit_2(tmp_path, capsys):
     assert "lietop:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("depth, code", [(300, 0), (400, 2)])
+def test_deeply_nested_target(tmp_path, depth, code):
+    # nesting deeper than the parser's stack allows is an input error at the
+    # token where parsing stopped, not a traceback
+    target = "[a,b]"
+    for _ in range(depth - 1):
+        target = f"[{target},b]"
+    f = tmp_path / "deep.lt"
+    f.write_text(f"generator a degree 0\ngenerator b degree 0\ncell c degree 1 attach {target}\n")
+    cmd = [sys.executable, "-m", "lietop", "homology", "--file", str(f), "--window", "4", "2"]
+    r = subprocess.run(cmd, capture_output=True, text=True, env=checkout_env())
+    assert r.returncode == code, r.stderr
+    if code:
+        assert r.stderr.startswith("lietop: line 3, col "), r.stderr
+        assert r.stderr.endswith(": expression nested too deeply\n"), r.stderr
+    else:
+        assert "homology.0.dim" in r.stdout
+
+
 def test_main_missing_file_exit_2(capsys):
     assert cli.main(["homology", "--file", "/nonexistent/file.lt"]) == 2
     capsys.readouterr()
@@ -458,9 +477,6 @@ def test_main_term_budget_exit_2(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert f"LIETOP_MAX_TERMS must be a positive integer, got '{raw}'" in err
     monkeypatch.delenv("LIETOP_MAX_TERMS")
-    from lietop import freelie
-
-    freelie._reset_term_limit_cache()
 
 
 def test_examples_deterministic_in_process():

@@ -29,7 +29,7 @@ from lietop.freelie import (
     mul,
 )
 
-from helpers import slice_element
+from helpers import free_presentation, slice_element
 from oracles import (
     brute_force_lie_dim,
     dense_rref,
@@ -350,7 +350,7 @@ def test_slices_build_without_tensor_words(monkeypatch):
     gens = (A, B, Generator("sz", 1, weight=2))
     monkeypatch.setattr(fl, "_slice_cache", {})
     with monkeypatch.context() as m:
-        m.setattr(fl, "_word_commutator", refuse)
+        m.setattr(fl, "_commutator_terms", refuse)
         m.setattr(fl, "_slice_words", refuse)
         slices = {(w, d): lie_slice(gens, w, d) for w in range(1, 9) for d in range(4)}
     degrees, weights = [g.degree for g in gens], [g.weight for g in gens]
@@ -533,6 +533,22 @@ def test_certify_unknown_generator():
     t = TensorElement(W, {(A,): 1})
     with pytest.raises(ValueError, match="outside the given set"):
         certify_lie(t, (B,))
+
+
+def test_contains_reads_only_the_peel_residual(monkeypatch):
+    # membership is one elimination, the peel's: no tree coordinates are solved
+    def refuse(*args, **kwargs):
+        raise AssertionError("membership solved for tree coordinates")
+
+    W = Window(4, 0)
+    slc = lie_slice((A, B), 4, 0)
+    monkeypatch.setattr(slc.tracked, "coordinates", refuse)
+    for k, terms in enumerate(slc.kept_terms):
+        assert slc.contains(terms)
+        assert slc.contains({w: Fraction(k + 1, 3) * c for w, c in terms.items()})
+        assert certify_lie(TensorElement(W, terms), (A, B)) is not None
+    assert not slc.contains({(A, A, B, B): 1})
+    assert certify_lie(TensorElement(W, {(A, A, B, B): 1}), (A, B)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -777,13 +793,11 @@ def test_term_budget(monkeypatch):
     a, b = TensorElement.generator(A, W), TensorElement.generator(B, W)
     try:
         monkeypatch.setenv("LIETOP_MAX_TERMS", "3")
-        fl._reset_term_limit_cache()
         with pytest.raises(fl.TermBudgetExceeded):
             s = a + b
             mul(mul(s, s), s)
     finally:
         monkeypatch.delenv("LIETOP_MAX_TERMS")
-        fl._reset_term_limit_cache()
 
 
 def test_term_budget_counts_only_nonzero_terms(monkeypatch):
@@ -793,16 +807,31 @@ def test_term_budget_counts_only_nonzero_terms(monkeypatch):
     b = TensorElement(W, {(B, A): 1, (A,): -1, (B,): 1})
     try:
         monkeypatch.setenv("LIETOP_MAX_TERMS", "4")
-        fl._reset_term_limit_cache()
         assert len(mul(a, b).terms) == 4
         monkeypatch.setenv("LIETOP_MAX_TERMS", "3")
-        fl._reset_term_limit_cache()
         with pytest.raises(fl.TermBudgetExceeded, match="4 terms exceeds LIETOP_MAX_TERMS=3"):
             mul(a, b)
     finally:
         monkeypatch.delenv("LIETOP_MAX_TERMS")
-        fl._reset_term_limit_cache()
 
+
+def test_term_cap_follows_the_environment(monkeypatch):
+    # the cap is read each time a term count is checked, so each new value,
+    # and the default once the variable is unset, holds from the next
+    # product on, with nothing to reset; a^3 over a = A + B has 8 terms
+    W = Window(4, 0)
+    a = TensorElement(W, {(A,): 1, (B,): 1})
+    for raw, cap in [("7", 7), (None, 5_000_000), ("8", 8), ("3", 3)]:
+        if raw is None:
+            monkeypatch.delenv("LIETOP_MAX_TERMS", raising=False)
+        else:
+            monkeypatch.setenv("LIETOP_MAX_TERMS", raw)
+        assert fl.term_limit() == cap
+        if cap < 8:
+            with pytest.raises(fl.TermBudgetExceeded, match=f"exceeds LIETOP_MAX_TERMS={cap}$"):
+                mul(mul(a, a), a)
+        else:
+            assert len(mul(mul(a, a), a).terms) == 8
 
 
 def test_series_term_budget_caps_and_messages(monkeypatch):
@@ -828,16 +857,13 @@ def test_series_term_budget_caps_and_messages(monkeypatch):
         for name, caps in raises.items():
             for cap, terms in caps.items():
                 monkeypatch.setenv("LIETOP_MAX_TERMS", str(cap))
-                fl._reset_term_limit_cache()
                 with pytest.raises(fl.TermBudgetExceeded) as info:
                     ops[name]()
                 assert str(info.value) == f"{terms} terms exceeds LIETOP_MAX_TERMS={cap}", name
             monkeypatch.setenv("LIETOP_MAX_TERMS", str(cap + 1))
-            fl._reset_term_limit_cache()
             ops[name]()
     finally:
         monkeypatch.delenv("LIETOP_MAX_TERMS")
-        fl._reset_term_limit_cache()
 
 # ---------------------------------------------------------------------------
 # formatting
@@ -884,7 +910,7 @@ def test_log_commutator_remainder_in_truncated_ideal():
     # the remainder of log(aba^-1b^-1) past [a,b] lies, up to the window, in
     # the closed ideal generated by [a,b]
     from lietop.attach import saturate_ideal
-    from lietop.dgl import ChainComplex, free_presentation
+    from lietop.dgl import ChainComplex
 
     W = Window(5, 0)
     base = free_presentation([A, B], W)

@@ -2,8 +2,9 @@
 lietop or names a standard-library module.  Importing the CLI loads every
 layer module and nothing slow to import that it does not use.  The only
 process-wide dicts are the slice cache and the weak generator table.  No
-module but qlinalg reads qlinalg's private names, and none uses `/`.  The
-one parameter with a bool default is Echelon's `track`."""
+module but qlinalg reads qlinalg's private names, and none uses `/` or a
+`global` statement.  The one parameter with a bool default is Echelon's
+`track`."""
 
 import ast
 import json
@@ -78,6 +79,18 @@ def test_module_level_dicts_are_the_slice_cache_and_generator_table():
             if is_dict:
                 found.extend(f"{path.stem}.{ast.unparse(t)}" for t in targets)
     assert sorted(found) == ["freelie._generators", "freelie._slice_cache"]
+
+
+def test_no_global_statements():
+    # with the module-level dict check, this keeps process-wide mutable
+    # state to the slice cache and the weak generator table
+    found = [
+        f"{path.name}:{node.lineno} global {', '.join(node.names)}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Global)
+    ]
+    assert not found, "\n".join(found)
 
 
 def test_only_qlinalg_reads_its_private_names():

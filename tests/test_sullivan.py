@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from lietop import cli
-from lietop.dgl import DglPresentation, free_presentation
+from lietop.dgl import DglPresentation
 from lietop.freelie import Generator, Window, bracket, generator_element
 from lietop import sullivan
 from lietop.sullivan import (
@@ -27,7 +27,7 @@ from lietop.sullivan import (
     truncation_lie_data,
     wedge_homology,
 )
-from helpers import checkout_env, sd_diff, slice_element
+from helpers import checkout_env, free_presentation, sd_diff, slice_element
 from oracles import (
     dense_lie_violation,
     derivation_rank,
@@ -880,7 +880,6 @@ def test_duality_on_random_presentations():
     import random
 
     from lietop.attach import AttachingMap, attach_cells
-    from lietop.dgl import free_presentation
     from lietop.freelie import LieElement, TensorElement, lie_slice
 
     rng = random.Random(77)
