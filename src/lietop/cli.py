@@ -637,10 +637,11 @@ def run(argv: list[str]) -> tuple[int, str]:
         rep.add(f"logword.{name}", format_lie(model.logs[name], model.base.generators))
     elif ns.command == "sullivan":
         attached = model.attached
-        if any(g.weight <= window.max_weight and g.degree > window.max_degree + 1 for g in attached.generators):
-            # a differential above the degree cap was cut off at build time
-            quotient = Window(window.max_weight, sullivan.quotient_degree(attached))
-            attached = build(pf, quotient).attached
+        reachable = sullivan.quotient_degree(attached)
+        if reachable > window.max_degree:
+            # a narrower window may have cut a differential, which
+            # truncation_lie_data refuses
+            attached = build(pf, Window(window.max_weight, reachable)).attached
         data = sullivan.truncation_lie_data(attached)
         sd = sullivan.cochains(data)
         for i, (name, deg) in enumerate(sd.basis):

@@ -603,11 +603,12 @@ def free_product(p1: DglPresentation, p2: DglPresentation) -> DglPresentation:
 def regrade(p: DglPresentation, new_degrees: dict[Generator, int]) -> DglPresentation:
     """Re-declare generator degrees, keeping brackets and diffs as tensor data.
 
-    Requires every diff image to stay homogeneous of the correct new degree
-    and to remain in the free Lie subalgebra under the new Koszul signs
-    (re-certification is the authoritative check).  A generator whose parity
-    changes while it is repeated inside some diff-image word is rejected
-    outright: the self-bracket sign semantics would change.
+    The result is built through DglPresentation, so a diff image that is not
+    homogeneous of its new degree, or leaves the free Lie subalgebra under
+    the new Koszul signs, raises the constructor's GeneratorError, which
+    names the generator.  A generator whose parity changes while it is
+    repeated inside some diff-image word is rejected outright: the
+    self-bracket sign semantics would change.
     """
     mapping: dict[Generator, Generator] = {}
     for g in p.generators:
@@ -633,23 +634,10 @@ def regrade(p: DglPresentation, new_degrees: dict[Generator, int]) -> DglPresent
         p.window.max_weight,
         max(p.window.max_degree, p.window.max_weight * max_deg),
     )
-    gens = tuple(mapping[g] for g in p.generators)
-    diff: dict[Generator, TensorElement] = {}
-    for g, img in p.diff.items():
-        terms = {
-            tuple(mapping[letter] for letter in word): c
-            for word, c in img.value.terms.items()
-        }
-        t = TensorElement(window, terms)
-        ng = mapping[g]
-        if not t.is_zero() and t.degree() != ng.degree - 1:
-            raise ValueError(
-                f"diff of {g.name} is not homogeneous of degree {ng.degree - 1} "
-                "under the new degrees"
-            )
-        if certify_lie(t, gens) is None:
-            raise ValueError(
-                f"diff of {g.name} leaves the free Lie subalgebra under the new degrees"
-            )
-        diff[ng] = t
-    return DglPresentation(gens, diff, window)
+    diff = {
+        mapping[g]: TensorElement(window, {
+            tuple(mapping[letter] for letter in word): c for word, c in img.value.terms.items()
+        })
+        for g, img in p.diff.items()
+    }
+    return DglPresentation((mapping[g] for g in p.generators), diff, window)

@@ -772,22 +772,18 @@ def lie_basis(gens, weight: int, degree: int) -> SubspaceBasis:
 def certify_lie(t: TensorElement, gens=None) -> LieElement | None:
     """Certified element iff every bislice of t lies in the Lie subspace.
 
-    Membership is decided over the letters t uses, kept in the order of
-    gens: for Y a subset of X, L(X) and T(Y) meet in L(Y) (Reutenauer, Free
-    Lie Algebras, 1993), so the verdict is the one over all of gens, and the
-    slices over fewer letters are far smaller.
+    Membership is decided in lie_slice(gens, w, d), the slice a chain
+    complex over gens reads, for each bislice (w, d) of t; gens defaults to
+    the letters t uses, sorted by name.
     """
     if t.unit_coefficient():
         return None
     used = t.letters()
     if gens is None:
-        gens = tuple(sorted(used, key=lambda g: (g.name, g.degree, g.weight)))
-    else:
-        missing = used - set(gens)
-        if missing:
-            names = ", ".join(sorted(g.name for g in missing))
-            raise ValueError(f"element mentions generators outside the given set: {names}")
-        gens = tuple(g for g in gens if g in used)
+        gens = sorted(used, key=lambda g: (g.name, g.degree, g.weight))
+    elif not used <= set(gens):
+        names = ", ".join(sorted(g.name for g in used - set(gens)))
+        raise ValueError(f"element mentions generators outside the given set: {names}")
     for (w, d), terms in t.bislices().items():
         if not lie_slice(gens, w, d).contains(terms):
             return None

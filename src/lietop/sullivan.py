@@ -550,15 +550,18 @@ def truncation_lie_data(p) -> NilpotentLieData:
     quotient_degree(p): the degree cap alone is not stable under brackets
     and the differential, so only the pure weight quotient is an honest
     nilpotent dgl.  Widening is exact only when no generator of weight <= N
-    has degree > D + 1: such a generator's differential lies above D, was
-    cut off when p was built, and cannot be brought back, so p must then be
-    built at quotient_degree(p) to begin with.  Meant for desk-scale
-    truncations: the construction is quadratic in the dimension.  The
-    result is validated as it is built, like all Lie data, and keeps the
-    dual that cochains returns.
+    has degree > D + 1: such a generator's differential lies above D and was
+    cut off when p was built, so a ValueError naming it asks for p built at
+    quotient_degree(p).  Meant for desk-scale truncations: the construction
+    is quadratic in the dimension.  The result is validated as it is built,
+    like all Lie data, and keeps the dual that cochains returns.
     """
     reachable = quotient_degree(p)
     if reachable > p.window.max_degree:
+        for g in p.generators:
+            if g.weight <= p.window.max_weight and g.degree > p.window.max_degree + 1:
+                raise ValueError(f"window degree {p.window.max_degree} cuts the differential of "
+                                 f"{g.name}; build the presentation at degree {reachable}")
         p = p.rewindow(Window(p.window.max_weight, reachable))
     max_weight, max_degree = p.window.max_weight, p.window.max_degree
     chains = ChainComplex(p)

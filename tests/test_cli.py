@@ -576,6 +576,19 @@ def test_lcs_builds_no_slice_and_takes_no_word_log(monkeypatch):
     assert freelie._slice_cache == {}
 
 
+def test_inert_builds_slices_over_model_generators_only(monkeypatch):
+    # certify_lie peels each differential and target in the slice the chain
+    # complex reads, so every slice is over a prefix of the attached model's
+    # generators (lie_slice's trailing trim) and none over a letter subset
+    gens = build(parse(cli._load_source("lemaire28")[1]), Window(4, 2)).attached.generators
+    monkeypatch.setattr(freelie, "_slice_cache", {})
+    code, out = run(["inert", "--file", "lemaire28", "--window", "4", "2", "--format", "records"])
+    assert code == 0
+    assert out == (GOLDEN / "inert-lemaire28.records").read_text()
+    assert [key for key in freelie._slice_cache if key[0] != gens[: len(key[0])]] == []
+    assert len(freelie._slice_cache) == 18
+
+
 def test_lcs_rejects_cells(capsys):
     assert cli.main(["lcs", "--file", "cp2"]) == 2
     assert "free presentation" in capsys.readouterr().err

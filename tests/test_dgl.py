@@ -523,8 +523,19 @@ def test_regrade_inhomogeneous_rejected():
     ab = bracket(generator_element(A, W), generator_element(B, W))
     p = DglPresentation([A, B, sz], {sz: ab}, W)
     a = p.generator("a")
-    with pytest.raises(ValueError, match="not homogeneous"):
+    with pytest.raises(ValueError, match="diff of sz must be homogeneous"):
         regrade(p, {a: 2})
+
+
+def test_regrade_through_constructor():
+    # the constructor's checks, which name the generator, decide the regrade
+    W = Window(3, 3)
+    sz = Generator("sz", 1, weight=2)
+    ab = bracket(generator_element(A, W), generator_element(B, W))
+    p = DglPresentation([A, B, sz], {sz: ab}, W)
+    with pytest.raises(GeneratorError, match="degree-0 generator sz must have zero diff") as exc:
+        regrade(p, {p.generator("sz"): 0})
+    assert exc.value.name == "sz"
 
 
 def test_regrade_single_parity_flip_keeps_certificate():
@@ -546,7 +557,7 @@ def test_regrade_certification_guard():
     ab = bracket(generator_element(A, W), generator_element(B, W))
     p = DglPresentation([A, B, sz], {sz: ab}, W)
     a, b, szg = p.generators
-    with pytest.raises(ValueError, match="leaves the free Lie subalgebra"):
+    with pytest.raises(ValueError, match="diff of sz is not in the free Lie subalgebra"):
         regrade(p, {a: 1, b: 1, szg: 3})
 
 

@@ -55,6 +55,9 @@ CASES = [
     for name, w, d in (
         ("torus", 4, 2), ("torus", 6, 2), ("cp2", 6, 6), ("wedge-circles", 3, 2), ("lemaire28", 3, 2),
         ("cp2", 10, 12), ("genus2", 4, 2),
+        # a window that cuts cp2's differential: the CLI builds the model at
+        # the quotient degree instead
+        ("cp2", 6, 1),
     )
 ] + [
     (f"{command}-criterion6", [command, "--file", CRITERION6, "--window", "4", "3"])

@@ -153,6 +153,14 @@ def example_truncation(name, weight, degree):
     return truncation_lie_data(cli.build(cli.parse(text), Window(weight, degree)).attached)
 
 
+def test_truncation_refuses_a_cut_differential():
+    # cp2 built at (6,1) has lost the differential of sy (degree 3); built at
+    # its quotient degree 9 it keeps it
+    with pytest.raises(ValueError, match="cuts the differential of sy; build the presentation at degree 9"):
+        example_truncation("cp2", 6, 1)
+    assert len(example_truncation("cp2", 6, 9).diff) == 4
+
+
 def corrupt(data, rng, deltas=(-1, 1)):
     """Copies of data's brackets and diff with one constant moved by one of
     deltas: a bracket with or without its mirror, or a diff entry; the
